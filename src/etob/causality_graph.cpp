@@ -249,7 +249,7 @@ void CausalityGraph::collapseDominated(const std::vector<MsgId>& deps,
   // a strict ancestor of some dep (acyclicity rules out self-paths), so a
   // dep that ends up stamped reaches another dep and is dominated. This
   // replaces the former O(deps²) pairwise reaches() scan — the cubic term
-  // of the E8 profile once autoCausal inflates the dep list.
+  // of the E8 profile once frontier auto-causal deps inflate the dep list.
   if (visitStamp_.size() < graph_.nodeCount()) {
     visitStamp_.resize(graph_.nodeCount(), 0);
   }

@@ -29,55 +29,22 @@ bool strongerCommit(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
 
 }  // namespace
 
-CommitEtobAutomaton::CommitEtobAutomaton(EtobConfig config)
-    : config_(config), cg_(config.edgeMode) {}
-
 void CommitEtobAutomaton::onInput(const StepContext&, const Payload& input,
                                   Effects& fx) {
-  const auto* bcast = input.as<BroadcastInput>();
-  if (bcast == nullptr) return;
-  AppMsg m = bcast->msg;
-  std::vector<MsgId> deps = m.causalDeps;
-  if (config_.autoCausal) {
-    // Frontier deps are closure-equivalent to all known ids (see
-    // EtobAutomaton::onInput).
-    for (MsgId known : cg_.frontier()) deps.push_back(known);
-  }
-  cg_.addMessage(m, deps);
-  if (config_.deltaUpdates) {
-    const std::size_t weight = 3 + m.body.size() + deps.size();
-    fx.broadcast(Payload::of(EtobDeltaMsg{std::move(m), std::move(deps)}), weight);
-  } else {
-    fx.broadcast(Payload::of(EtobUpdateMsg{cg_}), cg_.approxWeight());
-  }
+  core_.onInput(input, fx);
 }
 
 void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
                                     const Payload& msg, Effects& fx) {
-  if (const auto* update = msg.as<EtobUpdateMsg>()) {
-    cg_.unionWith(update->cg);
-    pruneAdopted(update->cg);
-    updatePromote();
-    return;
-  }
-  if (const auto* delta = msg.as<EtobDeltaMsg>()) {
-    cg_.addMessage(delta->msg, delta->deps);
-    adoptedBodies_.erase(delta->msg.id);
-    updatePromote();
-    return;
-  }
+  if (core_.ingestUpdate(msg)) return;
   if (const auto* promote = msg.as<EtobPromoteMsg>()) {
-    auto& chain = chains_[from];
-    advancePromoteChain(chain, *promote, cg_, adoptedBodies_);
-    if (ctx.fd.leader != from || chain.epoch <= adoptedEpoch_[from]) return;
+    const PromoteChain* chain = core_.advancePromote(ctx, from, *promote);
     // Commit guard: never adopt a sequence that contradicts what this
     // process already knows to be committed.
-    if (!extendsCommitted(chain.ids)) return;
-    adoptedEpoch_[from] = chain.epoch;
-    d_ = chain.ids;
-    fx.deliverSequence(d_);
+    if (chain == nullptr || !isPrefix(committed_, chain->ids)) return;
+    core_.adopt(from, *chain, fx);
     // Acknowledge the adoption to the leader (commit machinery).
-    fx.send(from, Payload::of(EtobAckMsg{chain.epoch}));
+    fx.send(from, Payload::of(EtobAckMsg{chain->epoch}));
     return;
   }
   if (const auto* ack = msg.as<EtobAckMsg>()) {
@@ -103,13 +70,13 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
     // included, freezing d_i forever (a deadlock wfd_explore shrank to a
     // 5-process run). Only commit candidates the current promote order
     // still stands behind.
-    if (!isPrefix(candidate, cg_.promoteSequence())) return;
+    if (!isPrefix(candidate, core_.promoteSequence())) return;
     committed_ = candidate;
     std::vector<AppMsg> content;
     content.reserve(committed_.size());
     std::size_t weight = 2;
     for (MsgId id : committed_) {
-      const AppMsg* m = findMessage(id);
+      const AppMsg* m = core_.findMessage(id);
       WFD_ENSURE_MSG(m != nullptr, "leader promoted a message it cannot name");
       content.push_back(*m);
       weight += 2 + m->body.size();
@@ -118,10 +85,7 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
     // The indication must describe this process's own delivery sequence;
     // the leader's loopback promote may still be in flight, so align d_i
     // with the committed prefix before indicating.
-    if (!isPrefix(committed_, d_)) {
-      d_ = committed_;
-      fx.deliverSequence(d_);
-    }
+    if (!isPrefix(committed_, core_.delivered())) core_.deliver(committed_, fx);
     fx.output(Payload::of(CommittedPrefix{committed_.size()}));
     return;
   }
@@ -132,48 +96,13 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
 }
 
 void CommitEtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
-  if (ctx.fd.leader != ctx.self) return;
-  const std::vector<MsgId>& promote = cg_.promoteSequence();
-  // Delta-encode against the previous sent promote unless adoptCommit
-  // rebased the sequence since then (the suffix would extend the wrong
-  // base); a rebase forces one full snapshot, after which deltas resume.
-  const bool delta = config_.deltaPromotes && !rebasedSinceLastSent_;
-  const std::size_t base = delta ? lastSentLen_ : 0;
-  WFD_DCHECK(base <= promote.size());
-  // Promote only when every promoted message's content is known (a
-  // commit-adopted placeholder may still be in flight). Entries below
-  // `base` were resolvable when the previous promote shipped them and
-  // nothing here forgets content, so scanning the suffix suffices.
-  std::vector<AppMsg> seq;
-  seq.reserve(promote.size() - base);
-  std::size_t weight = 3;
-  for (std::size_t k = base; k < promote.size(); ++k) {
-    const AppMsg* m = findMessage(promote[k]);
-    if (m == nullptr) return;  // wait for the content to arrive
-    seq.push_back(*m);
-    weight += 2 + m->body.size();
-  }
-  ++promoteEpoch_;
-  epochSeq_[promoteEpoch_] = promote;
+  if (!core_.promote(ctx, fx)) return;
+  const std::uint64_t epoch = core_.promoteEpoch();
+  epochSeq_[epoch] = core_.promoteSequence();
   // Prune acknowledged bookkeeping far behind the committed frontier.
-  while (!epochSeq_.empty() && epochSeq_.begin()->first + 128 < promoteEpoch_) {
+  while (!epochSeq_.empty() && epochSeq_.begin()->first + 128 < epoch) {
     acks_.erase(epochSeq_.begin()->first);
     epochSeq_.erase(epochSeq_.begin());
-  }
-  lastSentLen_ = promote.size();
-  rebasedSinceLastSent_ = false;
-  fx.broadcast(Payload::of(EtobPromoteMsg{std::move(seq), promoteEpoch_, base}),
-               weight);
-}
-
-void CommitEtobAutomaton::updatePromote() {
-  cg_.extendPromote();
-}
-
-void CommitEtobAutomaton::pruneAdopted(const CausalityGraph& learned) {
-  if (adoptedBodies_.empty()) return;
-  for (MsgId id : learned.ids()) {
-    if (cg_.contains(id)) adoptedBodies_.erase(id);
   }
 }
 
@@ -195,31 +124,12 @@ void CommitEtobAutomaton::adoptCommit(const std::vector<AppMsg>& prefix,
   }
   // Learn the content (the committing leader included it) and rebase the
   // local promote sequence onto the committed prefix.
-  for (const AppMsg& m : prefix) {
-    cg_.addMessage(m, {});
-  }
   committed_ = std::move(ids);
-  cg_.resetPromote(committed_);
-  rebasedSinceLastSent_ = true;
+  core_.rebase(prefix, committed_);
   // The indication is emitted once the local delivery sequence reflects
   // the committed prefix (it may still show an older leader's view).
-  if (isPrefix(committed_, d_)) {
-    fx.output(Payload::of(CommittedPrefix{committed_.size()}));
-  } else {
-    d_ = committed_;
-    fx.deliverSequence(d_);
-    fx.output(Payload::of(CommittedPrefix{committed_.size()}));
-  }
-}
-
-bool CommitEtobAutomaton::extendsCommitted(const std::vector<MsgId>& seq) const {
-  return isPrefix(committed_, seq);
-}
-
-const AppMsg* CommitEtobAutomaton::findMessage(MsgId id) const {
-  if (cg_.contains(id)) return &cg_.message(id);
-  auto it = adoptedBodies_.find(id);
-  return it == adoptedBodies_.end() ? nullptr : &it->second;
+  if (!isPrefix(committed_, core_.delivered())) core_.deliver(committed_, fx);
+  fx.output(Payload::of(CommittedPrefix{committed_.size()}));
 }
 
 }  // namespace wfd

@@ -11,7 +11,9 @@
 //    could easily be implemented, during the stable periods, on top of
 //    ETOB."
 //
-// Mechanism (on top of Algorithm 5):
+// Mechanism: a layer over EtobCore (etob_automaton.h), the one
+// implementation of Algorithm 5, which owns the update/delta/promote data
+// path, d_i and the promote cadence. This file adds only what §7 adds:
 //  * followers acknowledge each adopted promote epoch back to its leader;
 //  * when a majority acknowledged epoch e, the leader marks the sequence
 //    it promoted at e as committed and broadcasts it (content included);
@@ -40,11 +42,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
-#include "etob/causality_graph.h"
 #include "etob/etob_automaton.h"
 #include "sim/app_msg.h"
 #include "sim/automaton.h"
@@ -70,7 +70,7 @@ struct EtobCommitMsg {
 
 class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton> {
  public:
-  explicit CommitEtobAutomaton(EtobConfig config = {});
+  explicit CommitEtobAutomaton(EtobConfig config = {}) : core_(config) {}
 
   void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override;
   void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
@@ -78,37 +78,19 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
   void onTimeout(const StepContext& ctx, Effects& fx) override;
 
   /// BroadcastAutomatonLike.
-  const std::vector<MsgId>& delivered() const { return d_; }
-  const AppMsg* findMessage(MsgId id) const;
+  const std::vector<MsgId>& delivered() const { return core_.delivered(); }
+  const AppMsg* findMessage(MsgId id) const { return core_.findMessage(id); }
 
   const std::vector<MsgId>& committedPrefix() const { return committed_; }
   /// Conflicting committed prefixes observed (0 under the §7 proviso).
   std::uint64_t commitConflicts() const { return commitConflicts_; }
   /// Promote-learned bodies not yet backed by the causality graph.
-  std::size_t adoptedBodyCount() const { return adoptedBodies_.size(); }
+  std::size_t adoptedBodyCount() const { return core_.adoptedBodyCount(); }
 
  private:
-  void updatePromote();
-  void pruneAdopted(const CausalityGraph& learned);
   void adoptCommit(const std::vector<AppMsg>& prefix, Effects& fx);
-  bool extendsCommitted(const std::vector<MsgId>& seq) const;
 
-  EtobConfig config_;
-  std::vector<MsgId> d_;
-  CausalityGraph cg_;  // also maintains promote_i incrementally
-  std::unordered_map<MsgId, AppMsg> adoptedBodies_;
-
-  // Promote epochs and delta reconstruction (as in EtobAutomaton).
-  std::uint64_t promoteEpoch_ = 0;
-  std::unordered_map<ProcessId, std::uint64_t> adoptedEpoch_;
-  std::unordered_map<ProcessId, PromoteChain> chains_;
-  std::size_t lastSentLen_ = 0;
-  /// adoptCommit can REBASE the promote sequence (it is no longer an
-  /// extension of what was last sent), so the next promote must be a
-  /// full snapshot rather than a delta.
-  bool rebasedSinceLastSent_ = true;
-
-  // Commit machinery.
+  EtobCore core_;
   std::vector<MsgId> committed_;
   std::map<std::uint64_t, std::vector<MsgId>> epochSeq_;  // my promoted seqs
   std::map<std::uint64_t, std::set<ProcessId>> acks_;

@@ -42,22 +42,17 @@ bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
   return advanced;
 }
 
-EtobAutomaton::EtobAutomaton(EtobConfig config)
-    : config_(config), cg_(config.edgeMode) {}
-
-void EtobAutomaton::onInput(const StepContext&, const Payload& input, Effects& fx) {
+void EtobCore::onInput(const Payload& input, Effects& fx) {
   const auto* bcast = input.as<BroadcastInput>();
   if (bcast == nullptr) return;
 
   AppMsg m = bcast->msg;
+  // C(m) ⊇ everything this process has sent or received so far. Listing
+  // the causal frontier (the graph's sinks) is closure-equivalent to
+  // listing every known message — every known message reaches a sink —
+  // and promote order depends only on the closure.
   std::vector<MsgId> deps = m.causalDeps;
-  if (config_.autoCausal) {
-    // C(m) ⊇ everything this process has sent or received so far. Listing
-    // the causal frontier (the graph's sinks) is closure-equivalent to
-    // listing every known message — every known message reaches a sink —
-    // and promote order depends only on the closure.
-    for (MsgId known : cg_.frontier()) deps.push_back(known);
-  }
+  for (MsgId known : cg_.frontier()) deps.push_back(known);
   cg_.addMessage(m, deps);
   if (config_.deltaUpdates) {
     const std::size_t weight = 3 + m.body.size() + deps.size();
@@ -67,91 +62,119 @@ void EtobAutomaton::onInput(const StepContext&, const Payload& input, Effects& f
   }
 }
 
-void EtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
-                              const Payload& msg, Effects& fx) {
+bool EtobCore::ingestUpdate(const Payload& msg) {
   if (const auto* update = msg.as<EtobUpdateMsg>()) {
     cg_.unionWith(update->cg);
-    pruneAdopted(update->cg);
-    updatePromote();
-    return;
-  }
-  if (const auto* delta = msg.as<EtobDeltaMsg>()) {
+    // Every promote-learned body whose update has now reached cg_ is
+    // backed there; dropping it keeps adoptedBodies_ from growing for the
+    // whole run.
+    if (!adoptedBodies_.empty()) {
+      for (MsgId id : update->cg.ids()) {
+        if (cg_.contains(id)) adoptedBodies_.erase(id);
+      }
+    }
+  } else if (const auto* delta = msg.as<EtobDeltaMsg>()) {
     cg_.addMessage(delta->msg, delta->deps);
     adoptedBodies_.erase(delta->msg.id);
-    updatePromote();
-    return;
+  } else {
+    return false;
   }
-  if (const auto* promote = msg.as<EtobPromoteMsg>()) {
-    auto& chain = chains_[from];
-    advancePromoteChain(chain, *promote, cg_, adoptedBodies_);
-    // Adopt the reconstructed sequence only if it comes from the process
-    // this module's Omega currently trusts, and only in send order (stale
-    // reordered promotes from the same sender are discarded: the chain
-    // head only ever moves forward).
-    if (ctx.fd.leader == from && chain.epoch > adoptedEpoch_[from]) {
-      adoptedEpoch_[from] = chain.epoch;
-      d_ = chain.ids;
-      fx.deliverSequence(d_);
-    }
-    return;
-  }
+  cg_.extendPromote();  // UpdatePromote
+  return true;
 }
 
-void EtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
-  const bool isLeader = ctx.fd.leader == ctx.self;
-  if (!isLeader) {
+const PromoteChain* EtobCore::advancePromote(const StepContext& ctx, ProcessId from,
+                                             const EtobPromoteMsg& msg) {
+  PromoteChain& chain = chains_[from];
+  advancePromoteChain(chain, msg, cg_, adoptedBodies_);
+  // Adopt only from the process this module's Omega currently trusts, and
+  // only in send order (stale reordered promotes from the same sender are
+  // discarded: the chain head only ever moves forward).
+  if (ctx.fd.leader != from || chain.epoch <= adoptedEpoch_[from]) return nullptr;
+  return &chain;
+}
+
+void EtobCore::adopt(ProcessId from, const PromoteChain& chain, Effects& fx) {
+  adoptedEpoch_[from] = chain.epoch;
+  deliver(chain.ids, fx);
+}
+
+bool EtobCore::promote(const StepContext& ctx, Effects& fx) {
+  if (ctx.fd.leader != ctx.self) {
     wasLeader_ = false;
-    return;
+    return false;
   }
-  const std::vector<MsgId>& promote = cg_.promoteSequence();
+  const std::vector<MsgId>& ids = cg_.promoteSequence();
   ++lambdasSincePromote_;
   if (config_.promoteRefreshEvery > 1) {
-    const bool changed = promote.size() != lastPromotedLen_;
+    const bool changed = rebased_ || ids.size() != lastSentLen_;
     const bool justElected = !wasLeader_;
     const bool refreshDue = lambdasSincePromote_ >= config_.promoteRefreshEvery;
-    wasLeader_ = true;
-    if (!changed && !justElected && !refreshDue) return;
+    if (!changed && !justElected && !refreshDue) return false;
+  }
+  // Delta-encode against the previous sent promote: the suffix past
+  // lastSentLen_ plus the base length reconstructs the full sequence at
+  // every receiver. The first promote, and the first after a rebase, is
+  // a full snapshot (base 0).
+  const std::size_t base = rebased_ ? 0 : lastSentLen_;
+  WFD_DCHECK(base <= ids.size());
+  // Promote only when every promoted body is known (a commit-adopted
+  // placeholder may still be in flight). Entries below `base` were
+  // resolvable when the previous promote shipped them and nothing forgets
+  // content, so scanning the suffix suffices.
+  std::vector<AppMsg> seq;
+  seq.reserve(ids.size() - base);
+  std::size_t weight = 3;
+  for (std::size_t k = base; k < ids.size(); ++k) {
+    const AppMsg* m = findMessage(ids[k]);
+    if (m == nullptr) return false;  // wait for the content to arrive
+    seq.push_back(*m);
+    weight += 2 + m->body.size();
   }
   wasLeader_ = true;
   lambdasSincePromote_ = 0;
-  lastPromotedLen_ = promote.size();
-  // Delta-encode against the previous sent promote: plain eTOB only ever
-  // appends to promote_i, so the suffix past lastSentLen_ plus the base
-  // length reconstructs the full sequence at every receiver. The first
-  // promote has lastSentLen_ == 0 and is naturally a full snapshot.
-  const std::size_t base = config_.deltaPromotes ? lastSentLen_ : 0;
-  WFD_DCHECK(base <= promote.size());
-  std::vector<AppMsg> seq;
-  seq.reserve(promote.size() - base);
-  std::size_t weight = config_.deltaPromotes ? 3 : 2;  // +1 word for baseLen
-  for (std::size_t k = base; k < promote.size(); ++k) {
-    seq.push_back(cg_.message(promote[k]));
-    weight += 2 + seq.back().body.size();
-  }
+  lastSentLen_ = ids.size();
+  rebased_ = false;
   ++promoteEpoch_;
-  lastSentLen_ = promote.size();
   fx.broadcast(Payload::of(EtobPromoteMsg{std::move(seq), promoteEpoch_, base}),
                weight);
+  return true;
 }
 
-const AppMsg* EtobAutomaton::findMessage(MsgId id) const {
+void EtobCore::rebase(const std::vector<AppMsg>& prefix,
+                      const std::vector<MsgId>& ids) {
+  for (const AppMsg& m : prefix) cg_.addMessage(m, {});
+  cg_.resetPromote(ids);
+  rebased_ = true;
+}
+
+void EtobCore::deliver(const std::vector<MsgId>& seq, Effects& fx) {
+  d_ = seq;
+  fx.deliverSequence(d_);
+}
+
+const AppMsg* EtobCore::findMessage(MsgId id) const {
   if (cg_.contains(id)) return &cg_.message(id);
   auto it = adoptedBodies_.find(id);
   return it == adoptedBodies_.end() ? nullptr : &it->second;
 }
 
-void EtobAutomaton::updatePromote() {
-  cg_.extendPromote();
+void EtobAutomaton::onInput(const StepContext&, const Payload& input, Effects& fx) {
+  core_.onInput(input, fx);
 }
 
-void EtobAutomaton::pruneAdopted(const CausalityGraph& learned) {
-  // Every promote-learned body whose update has now reached cg_ is backed
-  // there; dropping it keeps adoptedBodies_ from growing for the whole
-  // run (it previously retained every foreign body ever adopted).
-  if (adoptedBodies_.empty()) return;
-  for (MsgId id : learned.ids()) {
-    if (cg_.contains(id)) adoptedBodies_.erase(id);
+void EtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
+                              const Payload& msg, Effects& fx) {
+  if (core_.ingestUpdate(msg)) return;
+  if (const auto* promote = msg.as<EtobPromoteMsg>()) {
+    if (const PromoteChain* chain = core_.advancePromote(ctx, from, *promote)) {
+      core_.adopt(from, *chain, fx);
+    }
   }
+}
+
+void EtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
+  core_.promote(ctx, fx);
 }
 
 }  // namespace wfd

@@ -101,21 +101,9 @@ bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
 
 struct EtobConfig {
   CgEdgeMode edgeMode = CgEdgeMode::kFullPaper;
-  /// If true, C(m) is extended with the causal frontier of everything the
-  /// sender currently knows (the sinks of CG_i). Closure-equivalent to
-  /// listing every known message — every known message reaches a sink —
-  /// so promote sequences are unchanged (see the kFrontier argument in
-  /// causality_graph.h), but the dep list shrinks from O(M) to the
-  /// frontier width.
-  bool autoCausal = true;
   /// If true, broadcasts EtobDeltaMsg instead of the paper's full-graph
   /// update(CG_i). Behaviour-preserving; weight-saving.
   bool deltaUpdates = false;
-  /// If true, promotes are delta-encoded against the sender's previous
-  /// promote (see EtobPromoteMsg). Content-preserving — every receiver
-  /// reconstructs the same sequences — and collapses the O(|promote_i|)
-  /// per-λ promote weight to the newly appended suffix.
-  bool deltaPromotes = true;
   /// Leader promote cadence: 1 = the paper's "on every local timeout".
   /// N > 1 = promote when the sequence changed, when leadership was just
   /// (re)acquired, or at least every N λ-steps (the refresh keeps the
@@ -123,10 +111,74 @@ struct EtobConfig {
   std::uint64_t promoteRefreshEvery = 1;
 };
 
+/// Algorithm 5 itself: d_i, CG_i with its incrementally maintained
+/// promote_i, the per-sender promote chains and the leader's promote
+/// cadence. EtobAutomaton routes events straight into it; the §7 layer
+/// CommitEtobAutomaton (commit_etob.h) adds its guard, acks and rebases
+/// between the steps below. A plain value, so CloneableAutomaton's
+/// copy-clone copies it.
+class EtobCore {
+ public:
+  explicit EtobCore(EtobConfig config) : config_(config), cg_(config.edgeMode) {}
+
+  /// broadcastETOB(m, C(m)): UpdateCG(m, C(m)), then send update(CG_i)
+  /// (or the one-message delta).
+  void onInput(const Payload& input, Effects& fx);
+  /// on update(CG_j) or a delta: UnionCG; UpdatePromote. Returns false if
+  /// `msg` is neither.
+  bool ingestUpdate(const Payload& msg);
+  /// First half of "on promote(seq) from p_j": splices the promote into
+  /// p_j's chain and returns the chain if Omega_i = p_j and its head is
+  /// newer than the last one adopted from p_j; nullptr otherwise.
+  const PromoteChain* advancePromote(const StepContext& ctx, ProcessId from,
+                                     const EtobPromoteMsg& msg);
+  /// Second half: d_i := the chain's sequence.
+  void adopt(ProcessId from, const PromoteChain& chain, Effects& fx);
+  /// on local timeout: if Omega_i = p_i, send promote(promote_i) at the
+  /// configured cadence. Skipped while a promoted body is unknown. Returns
+  /// true iff a promote was sent; its epoch is promoteEpoch().
+  bool promote(const StepContext& ctx, Effects& fx);
+  /// Learns `prefix` (whose ids are `ids`) and resets promote_i to `ids`
+  /// extended with everything promotable; the next promote is a full
+  /// snapshot.
+  void rebase(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids);
+  /// d_i := seq.
+  void deliver(const std::vector<MsgId>& seq, Effects& fx);
+
+  /// Content from CG_i or from a received promote; nullptr if unknown.
+  const AppMsg* findMessage(MsgId id) const;
+  const std::vector<MsgId>& delivered() const { return d_; }
+  const std::vector<MsgId>& promoteSequence() const { return cg_.promoteSequence(); }
+  const CausalityGraph& causalityGraph() const { return cg_; }
+  std::size_t adoptedBodyCount() const { return adoptedBodies_.size(); }
+  std::uint64_t promoteEpoch() const { return promoteEpoch_; }
+
+ private:
+  EtobConfig config_;
+  std::vector<MsgId> d_;  // output variable d_i
+  CausalityGraph cg_;     // CG_i (also maintains promote_i incrementally)
+  /// Bodies learned from received promote sequences whose update messages
+  /// haven't arrived yet (the CG itself stays edge-consistent). Entries
+  /// are pruned as soon as the body reaches cg_ via update/delta.
+  std::unordered_map<MsgId, AppMsg> adoptedBodies_;
+  /// Per-sender promote counters: own (outgoing) and the highest adopted
+  /// from each peer, plus the per-sender delta reconstruction chains.
+  std::uint64_t promoteEpoch_ = 0;
+  std::unordered_map<ProcessId, std::uint64_t> adoptedEpoch_;
+  std::unordered_map<ProcessId, PromoteChain> chains_;
+  /// promote_i's length at the last sent promote: the delta base and the
+  /// cadence's "changed since" test. Both hold only until a rebase, since
+  /// promote_i only grows between rebases.
+  std::size_t lastSentLen_ = 0;
+  bool rebased_ = false;
+  std::uint64_t lambdasSincePromote_ = 0;
+  bool wasLeader_ = false;
+};
+
 /// Process-local ET OB automaton.
 class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
  public:
-  explicit EtobAutomaton(EtobConfig config = {});
+  explicit EtobAutomaton(EtobConfig config = {}) : core_(config) {}
 
   void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override;
   void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
@@ -136,45 +188,19 @@ class EtobAutomaton final : public CloneableAutomaton<EtobAutomaton> {
   /// Content of a message this process knows (from its causality graph or
   /// from a received promote sequence); nullptr if unknown. Part of the
   /// BroadcastAutomatonLike concept used by the ETOB->EC transformation.
-  const AppMsg* findMessage(MsgId id) const;
+  const AppMsg* findMessage(MsgId id) const { return core_.findMessage(id); }
 
   /// Test/bench introspection.
-  const std::vector<MsgId>& delivered() const { return d_; }
+  const std::vector<MsgId>& delivered() const { return core_.delivered(); }
   const std::vector<MsgId>& promoteSequence() const {
-    return cg_.promoteSequence();
+    return core_.promoteSequence();
   }
-  const CausalityGraph& causalityGraph() const { return cg_; }
-  /// Promote-learned bodies not yet backed by the causality graph
-  /// (pruned on cg_ ingestion — the satellite leak regression).
-  std::size_t adoptedBodyCount() const { return adoptedBodies_.size(); }
+  const CausalityGraph& causalityGraph() const { return core_.causalityGraph(); }
+  /// Promote-learned bodies not yet backed by the causality graph.
+  std::size_t adoptedBodyCount() const { return core_.adoptedBodyCount(); }
 
  private:
-  void updatePromote();
-  /// Drops adoptedBodies_ entries now backed by cg_ (called after a
-  /// peer graph/delta is ingested).
-  void pruneAdopted(const CausalityGraph& learned);
-
-  EtobConfig config_;
-  std::vector<MsgId> d_;  // output variable d_i
-  CausalityGraph cg_;     // CG_i (also maintains promote_i incrementally)
-  /// Bodies learned from received promote sequences whose update messages
-  /// haven't arrived yet (the CG itself stays edge-consistent). Entries
-  /// are pruned as soon as the body reaches cg_ via update/delta.
-  std::unordered_map<MsgId, AppMsg> adoptedBodies_;
-  /// Per-sender promote counters: own (outgoing) and the highest adopted
-  /// from each peer (stale reordered promotes are discarded), plus the
-  /// per-sender delta reconstruction chains.
-  std::uint64_t promoteEpoch_ = 0;
-  std::unordered_map<ProcessId, std::uint64_t> adoptedEpoch_;
-  std::unordered_map<ProcessId, PromoteChain> chains_;
-  /// Promote length covered by this leader's last sent promote (the delta
-  /// base; promote_i is append-only in plain eTOB).
-  std::size_t lastSentLen_ = 0;
-  /// Promote-suppression state (promoteRefreshEvery > 1). promote_i is
-  /// append-only, so "changed since last promote" is a length compare.
-  std::size_t lastPromotedLen_ = 0;
-  std::uint64_t lambdasSincePromote_ = 0;
-  bool wasLeader_ = false;
+  EtobCore core_;
 };
 
 }  // namespace wfd

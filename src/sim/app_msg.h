@@ -18,7 +18,7 @@ namespace wfd {
 /// An application message m. `causalDeps` is the paper's C(m): the set of
 /// messages m causally depends on, supplied by the application at
 /// broadcast time (protocols may extend it with everything the sender
-/// already knows — see EtobConfig::autoCausal).
+/// already knows — see EtobCore::onInput).
 struct AppMsg {
   MsgId id = 0;
   ProcessId origin = kNoProcess;

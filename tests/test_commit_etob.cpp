@@ -28,11 +28,11 @@ SimConfig commitConfig(std::size_t n, std::uint64_t seed = 1) {
 }
 
 Simulator makeCommitSim(SimConfig cfg, FailurePattern fp, Time tauOmega,
-                        OmegaPreStabilization mode) {
+                        OmegaPreStabilization mode, EtobConfig protoCfg = {}) {
   auto omega = std::make_shared<OmegaFd>(fp, tauOmega, mode);
   Simulator sim(cfg, fp, omega);
   for (ProcessId p = 0; p < cfg.processCount; ++p) {
-    sim.addProcess(p, std::make_unique<CommitEtobAutomaton>());
+    sim.addProcess(p, std::make_unique<CommitEtobAutomaton>(protoCfg));
   }
   return sim;
 }
@@ -152,6 +152,70 @@ TEST(CommitEtobTest, IndicationMonotonePerProcess) {
     }
     EXPECT_GT(last, 0u);
   }
+}
+
+TEST(CommitEtobTest, PromoteRefreshEveryCutsMessages) {
+  // The promote cadence lives in EtobCore, so commit-eTOB honours
+  // promoteRefreshEvery like plain eTOB: fewer promotes (and fewer acks),
+  // with every broadcast still committed safely.
+  const auto run = [](std::uint64_t refreshEvery) {
+    auto cfg = commitConfig(3);
+    cfg.maxTime = 6000;
+    auto fp = FailurePattern::noFailures(3);
+    EtobConfig protoCfg;
+    protoCfg.promoteRefreshEvery = refreshEvery;
+    auto sim = makeCommitSim(cfg, fp, 0, OmegaPreStabilization::kStable, protoCfg);
+    BroadcastWorkload w;
+    w.perProcess = 5;
+    auto log = scheduleBroadcastWorkload(sim, w);
+    sim.run();
+    const auto commit = checkCommitSafety(sim.trace(), fp);
+    EXPECT_TRUE(commit.safetyOk())
+        << (commit.errors.empty() ? "" : commit.errors[0]);
+    EXPECT_EQ(commit.committedLenAllCorrect, log.size())
+        << "promoteRefreshEvery = " << refreshEvery;
+    return sim.trace().messagesSent();
+  };
+  const std::uint64_t everyLambda = run(1);
+  const std::uint64_t suppressed = run(50);
+  EXPECT_LT(suppressed * 3, everyLambda)
+      << "every-λ=" << everyLambda << ", suppressed=" << suppressed;
+}
+
+TEST(CommitEtobTest, PromoteContradictingCommitIsRefused) {
+  // Mutation guard on the commit guard in CommitEtobAutomaton::onMessage:
+  // without it the {m2} promote replaces the committed {m1} in d_i.
+  CommitEtobAutomaton a;
+  StepContext ctx;
+  ctx.self = 0;
+  ctx.processCount = 3;
+  ctx.fd.leader = 2;
+  AppMsg m1;
+  m1.id = makeMsgId(1, 0);
+  m1.origin = 1;
+  AppMsg m2;
+  m2.id = makeMsgId(2, 0);
+  m2.origin = 2;
+  Effects commitFx;
+  a.onMessage(ctx, 2, Payload::of(EtobCommitMsg{{m1}}), commitFx);
+  EXPECT_EQ(a.committedPrefix(), (std::vector<MsgId>{m1.id}));
+  EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m1.id}));
+
+  Effects refusedFx;
+  a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m2}, 1}), refusedFx);
+  EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m1.id}))
+      << "a promote contradicting the committed prefix must not be adopted";
+  EXPECT_FALSE(refusedFx.delivered().has_value());
+  EXPECT_TRUE(refusedFx.sends().empty()) << "a refused promote is not acked";
+
+  Effects adoptedFx;
+  a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m1, m2}, 2}), adoptedFx);
+  EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m1.id, m2.id}));
+  ASSERT_EQ(adoptedFx.sends().size(), 1u);
+  EXPECT_EQ(adoptedFx.sends()[0].to, 2u);
+  const auto* ack = adoptedFx.sends()[0].payload.as<EtobAckMsg>();
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->epoch, 2u);
 }
 
 // Sweep: commit safety across seeds and environments with a majority.

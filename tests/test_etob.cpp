@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "checkers/tob_checker.h"
 #include "checkers/workload.h"
+#include "etob/commit_etob.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
 #include "helpers.h"
@@ -129,9 +132,25 @@ TEST(EtobTest, LeaderCrashRecovers) {
   EXPECT_TRUE(report.coreOk()) << (report.errors.empty() ? "" : report.errors[0]);
 }
 
-TEST(EtobTest, PromoteFromNonLeaderIgnored) {
+// Direct-drive checks of promote adoption, run against both automata:
+// the promote path is EtobCore's, and the §7 layer must not change it for
+// sequences that do not contradict a commit.
+template <typename Automaton>
+class EtobAdoptionTest : public ::testing::Test {};
+
+struct AutomatonName {
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, EtobAutomaton> ? "Etob" : "CommitEtob";
+  }
+};
+
+using AdoptingAutomata = ::testing::Types<EtobAutomaton, CommitEtobAutomaton>;
+TYPED_TEST_SUITE(EtobAdoptionTest, AdoptingAutomata, AutomatonName);
+
+TYPED_TEST(EtobAdoptionTest, PromoteFromNonLeaderIgnored) {
   // Direct unit check of the adoption guard.
-  EtobAutomaton a;
+  TypeParam a;
   StepContext ctx;
   ctx.self = 0;
   ctx.processCount = 3;
@@ -150,8 +169,8 @@ TEST(EtobTest, PromoteFromNonLeaderIgnored) {
   EXPECT_EQ(a.findMessage(m.id)->origin, 1u);
 }
 
-TEST(EtobTest, OnlyLeaderPromotes) {
-  EtobAutomaton a;
+TYPED_TEST(EtobAdoptionTest, OnlyLeaderPromotes) {
+  TypeParam a;
   StepContext ctx;
   ctx.self = 1;
   ctx.processCount = 3;
@@ -166,10 +185,10 @@ TEST(EtobTest, OnlyLeaderPromotes) {
   EXPECT_TRUE(fx.sends()[0].payload.holds<EtobPromoteMsg>());
 }
 
-TEST(EtobTest, StaleReorderedPromoteDoesNotRegressAdoption) {
-  // Mutation guard on the epoch check in onMessage: remove it and this
-  // test adopts the shorter stale sequence.
-  EtobAutomaton a;
+TYPED_TEST(EtobAdoptionTest, StaleReorderedPromoteDoesNotRegressAdoption) {
+  // Mutation guard on the epoch check in EtobCore::advancePromote: remove
+  // it and this test adopts the shorter stale sequence.
+  TypeParam a;
   StepContext ctx;
   ctx.self = 0;
   ctx.processCount = 3;
@@ -189,8 +208,8 @@ TEST(EtobTest, StaleReorderedPromoteDoesNotRegressAdoption) {
       << "stale reordered promote must not shrink d_i";
 }
 
-TEST(EtobTest, DeltaPromoteGapBuffersUntilBaseArrives) {
-  EtobAutomaton a;
+TYPED_TEST(EtobAdoptionTest, DeltaPromoteGapBuffersUntilBaseArrives) {
+  TypeParam a;
   StepContext ctx;
   ctx.self = 0;
   ctx.processCount = 3;
@@ -219,10 +238,10 @@ TEST(EtobTest, DeltaPromoteGapBuffersUntilBaseArrives) {
   EXPECT_EQ(a.findMessage(m2.id)->origin, 2u);
 }
 
-TEST(EtobTest, AdoptedBodiesDrainOnceUpdatesArrive) {
+TYPED_TEST(EtobAdoptionTest, AdoptedBodiesDrainOnceUpdatesArrive) {
   // Regression: promote-learned bodies used to be retained forever; they
   // must drain as soon as the causality graph learns the same content.
-  EtobAutomaton a;
+  TypeParam a;
   StepContext ctx;
   ctx.self = 0;
   ctx.processCount = 3;
