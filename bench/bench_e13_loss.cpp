@@ -35,14 +35,11 @@
 #include <utility>
 #include <vector>
 
+#include "api/cluster.h"
 #include "bench_util.h"
 #include "checkers/tob_checker.h"
-#include "checkers/workload.h"
-#include "etob/etob_automaton.h"
-#include "fd/detectors.h"
 #include "fd/robust_fd.h"
 #include "sim/lossy_model.h"
-#include "sim/simulator.h"
 
 namespace wfd::bench {
 namespace {
@@ -99,34 +96,30 @@ struct LossRun {
 };
 
 LossRun runPoint(const LossPoint& p, std::uint64_t seed) {
-  SimConfig cfg;
-  cfg.processCount = kN;
-  cfg.seed = seed;
-  cfg.maxTime = kHorizon;
-  cfg.timeoutPeriod = 10;
-  cfg.minDelay = 20;
-  cfg.maxDelay = 40;
-  const FailurePattern fp = FailurePattern::noFailures(kN);
-  auto omega =
-      std::make_shared<OmegaFd>(fp, 1000, OmegaPreStabilization::kSplitBrain);
-  Simulator sim(cfg, fp, omega, lossyNet(p));
-  for (ProcessId q = 0; q < kN; ++q) {
-    sim.addProcess(q, std::make_unique<EtobAutomaton>());
-  }
-  BroadcastWorkload w;
-  w.start = 100;
-  w.interval = 50;
-  w.perProcess = kPerProcess;
-  const BroadcastLog log = scheduleBroadcastWorkload(sim, w);
+  ClusterSpec spec;
+  spec.stack = AlgoStack::kEtob;
+  spec.config.processCount = kN;
+  spec.config.maxTime = kHorizon;
+  spec.config.timeoutPeriod = 10;
+  spec.config.minDelay = 20;
+  spec.config.maxDelay = 40;
+  spec.tauOmega = 1000;
+  spec.omegaMode = OmegaPreStabilization::kSplitBrain;
+  spec.network = [&p](const SimConfig&) { return lossyNet(p); };
+  spec.workload.start = 100;
+  spec.workload.interval = 50;
+  spec.workload.perProcess = kPerProcess;
+  Cluster cluster(std::move(spec), seed);
 
   const auto start = std::chrono::steady_clock::now();
-  sim.run();
+  cluster.runToHorizon();
   const auto end = std::chrono::steady_clock::now();
 
+  const Simulator& sim = cluster.sim();
   LossRun r;
   r.seconds = std::chrono::duration<double>(end - start).count();
   const BroadcastCheckReport check =
-      checkBroadcastRun(sim.trace(), log, sim.failurePattern());
+      checkBroadcastRun(sim.trace(), cluster.log(), sim.failurePattern());
   r.tau = check.tau;
   r.pass = check.coreOk();
   r.dropped = sim.linkDroppedSends();

@@ -126,8 +126,6 @@ void BM_E14ShardedZipf(benchmark::State& state) {
   BM_E14Point(state, /*zipfian=*/true);
 }
 
-// The /S argument doubles as the CI smoke filter handle:
-// --benchmark_filter='/(1|4)$' runs the S=1 and S=4 points only.
 BENCHMARK(BM_E14ShardedUniform)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);

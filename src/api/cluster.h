@@ -64,8 +64,8 @@ class Cluster;
 /// Declarative description of a replicated service deployment. Every
 /// field is data or a pure factory, so (spec, seed) fully determines the
 /// cluster's run — the same contract a scenario catalog entry has, and
-/// in fact Scenario lowers to exactly this struct (see clusterSpec() in
-/// scenario/scenario.h).
+/// in fact a flat Scenario lowers to exactly this struct (see
+/// clusterSpec() in scenario/scenario.h).
 struct ClusterSpec {
   AlgoStack stack = AlgoStack::kEtob;
 

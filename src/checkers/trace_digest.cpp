@@ -1,4 +1,4 @@
-#include "scenario/trace_digest.h"
+#include "checkers/trace_digest.h"
 
 #include "ec/ec_types.h"
 #include "etob/commit_etob.h"

@@ -13,7 +13,7 @@
 namespace wfd {
 
 /// FNV-1a 64-bit parameters — single-sourced so the portable digests in
-/// scenario/trace_digest.h and explore/fuzz_plan.cpp stay one algorithm.
+/// checkers/trace_digest.h and explore/fuzz_plan.cpp stay one algorithm.
 inline constexpr std::uint64_t kFnv64OffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnv64Prime = 0x100000001b3ULL;
 
@@ -28,7 +28,7 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
 }
 
 /// FNV-1a over a sequence of 64-bit words, each folded byte-by-byte
-/// (little-endian) — the same word mixing scenario/trace_digest.h uses,
+/// (little-endian) — the same word mixing checkers/trace_digest.h uses,
 /// exposed for callers that hash a handful of fixed words (the
 /// consistent-hash ring's point and key positions in shard/hash_ring.h).
 inline std::uint64_t fnv1a64Words(std::initializer_list<std::uint64_t> words) {

@@ -7,7 +7,7 @@
 // (wfd_explore --replay, or the corpus_replay_* ctest targets) re-runs
 // the plan and compares the outcome. Outcomes are pinned PER standard
 // library: run schedules draw from std::uniform_int_distribution, which
-// is implementation-defined (see scenario/trace_digest.h), so pass/fail,
+// is implementation-defined (see checkers/trace_digest.h), so pass/fail,
 // clause keys and digest are compared only when the entry records a
 // digest for the running build's stdlib (or no digests at all — a
 // declared schedule-independent plan); foreign stdlibs still verify the

@@ -47,6 +47,24 @@ CheckerSet etobChecks(bool strong = false) {
   return c;
 }
 
+/// The shape every sharded-* entry shares: S commit-eTOB shards x 3
+/// replicas on the base scheduler, 120 keyed puts every 10 ticks with a
+/// read after every 4th, commit safety and progress required on top of
+/// the always-on sharded_kv clauses.
+Scenario shardedEntry(std::size_t shards, std::uint64_t keys) {
+  Scenario s;
+  s.config = baseConfig(3, 40'000);
+  s.stack = AlgoStack::kCommitEtob;
+  s.omegaMode = OmegaPreStabilization::kStable;
+  s.workload.perProcess = 0;  // the keyed workload replaces it
+  s.shards = shards;
+  s.keyed.puts = 120;
+  s.keyed.keys = keys;
+  s.checks.commit = true;
+  s.checks.requireCommitProgress = true;
+  return s;
+}
+
 /// The Gilbert–Elliott burst shape shared by the lossy-burst-* entries:
 /// a ~400-tick burst roughly every other 2000-tick frame, 90% loss
 /// inside, lossless outside, quiet from `activeUntil` on. The SAME
@@ -686,6 +704,43 @@ std::vector<Scenario> buildCatalog() {
     s.workload.lwwPutBodies = true;
     s.workload.writers = 16;
     s.checks.gossipConvergence = true;
+    catalog.push_back(std::move(s));
+  }
+
+  // --- Sharded KV service: S replica groups behind a hash-ring router ---
+  {
+    Scenario s = shardedEntry(4, 64);
+    s.name = "sharded-uniform-commit";
+    s.description =
+        "S=4 commit-eTOB shards x 3 replicas behind a consistent-hash "
+        "router, uniform keys: every read serves committed state, "
+        "per-shard monotone, read-your-writes after observed commit.";
+    catalog.push_back(std::move(s));
+  }
+  {
+    Scenario s = shardedEntry(4, 64);
+    s.name = "sharded-zipf-hotkey";
+    s.description =
+        "S=4 shards under Zipfian(0.99) keys — one hot shard absorbs "
+        "most writes — with split-brain Omega until tau_Omega=400: the "
+        "service stays safe through leader disagreement and commits "
+        "once Omega stabilizes.";
+    s.tauOmega = 400;
+    s.omegaMode = OmegaPreStabilization::kSplitBrain;
+    s.keyed.zipfian = true;  // theta 0.99
+    catalog.push_back(std::move(s));
+  }
+  {
+    Scenario s = shardedEntry(3, 48);
+    s.name = "sharded-rebalance-crash";
+    s.description =
+        "S=3 shards; shard 1 loses two of three replicas mid-run "
+        "(below majority), is removed from the ring and its keys "
+        "re-home to the survivors; reads stay committed and monotone "
+        "throughout. Read replica 0 is never crashed.";
+    s.shardFaults.push_back({ShardFault::Kind::kCrash, 1, 1, 600, 0});
+    s.shardFaults.push_back({ShardFault::Kind::kCrash, 1, 2, 620, 0});
+    s.checks.requireRebalance = true;
     catalog.push_back(std::move(s));
   }
 

@@ -1,19 +1,27 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "checkers/commit_checker.h"
 #include "checkers/ec_checker.h"
 #include "checkers/tob_checker.h"
+#include "checkers/trace_digest.h"
 #include "common/ensure.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/strings.h"
 #include "rsm/gossip_lww.h"
-#include "scenario/trace_digest.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_kv_checker.h"
+#include "shard/zipf.h"
 
 namespace wfd {
 
 ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides) {
+  WFD_ENSURE_MSG(s.shards == 0 && s.keyed == KeyedWorkload{} &&
+                     s.shardFaults.empty() && !s.checks.requireRebalance,
+                 "a sharded scenario lowers through shardedSpec()");
   ClusterSpec spec;
   spec.stack = s.stack;
   spec.config = overrides;
@@ -28,6 +36,22 @@ ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides) {
 }
 
 ClusterSpec clusterSpec(const Scenario& s) { return clusterSpec(s, s.config); }
+
+ShardedSpec shardedSpec(const Scenario& s) {
+  WFD_ENSURE_MSG(s.shards > 0, "a flat scenario lowers through clusterSpec()");
+  WFD_ENSURE_MSG(!s.pattern && !s.network && !s.detector &&
+                     s.workload.perProcess == 0 && s.ecInstances == 0,
+                 "a sharded scenario has no flat pattern, network, detector, "
+                 "broadcast workload or EC instances");
+  ShardedSpec spec;
+  spec.shards = s.shards;
+  spec.replicasPerShard = s.config.processCount;
+  spec.stack = s.stack;
+  spec.config = s.config;
+  spec.tauOmega = s.tauOmega;
+  spec.omegaMode = s.omegaMode;
+  return spec;
+}
 
 ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed,
                                      const SimConfig& overrides) {
@@ -125,7 +149,116 @@ ScenarioRunResult evaluateScenarioRun(const Scenario& s, std::uint64_t seed,
   return r;
 }
 
+namespace {
+
+ScenarioRunResult runShardedScenario(const Scenario& s, std::uint64_t seed) {
+  const KeyedWorkload& w = s.keyed;
+  WFD_ENSURE_MSG(w.keys > 0, "workload needs a non-empty key space");
+
+  ShardedService svc(shardedSpec(s), seed);
+  ShardRouter router(svc);
+
+  UniformKeyGenerator uniform(w.keys, splitmix64(seed ^ 0x776b6c64ULL));
+  ZipfianKeyGenerator zipf(w.keys, w.zipfian ? w.theta : 0.5,
+                           splitmix64(seed ^ 0x776b6c64ULL));
+  const auto nextKey = [&]() { return w.zipfian ? zipf.next() : uniform.next(); };
+
+  std::vector<ShardFault> faults = s.shardFaults;
+  std::stable_sort(faults.begin(), faults.end(),
+                   [](const ShardFault& a, const ShardFault& b) {
+                     return a.at < b.at;
+                   });
+  std::size_t nextFault = 0;
+  const auto injectThrough = [&](Time target) {
+    while (nextFault < faults.size() && faults[nextFault].at <= target) {
+      const ShardFault& f = faults[nextFault++];
+      if (f.at > svc.now()) svc.advanceTo(f.at);
+      if (f.kind == ShardFault::Kind::kCrash) {
+        svc.crashReplica(f.shard, f.replica, svc.now());
+      } else {
+        svc.isolateReplica(f.shard, f.replica, svc.now(), f.until);
+      }
+    }
+  };
+
+  std::vector<std::uint64_t> written;
+  written.reserve(w.puts);
+  for (std::uint64_t i = 0; i < w.puts; ++i) {
+    const Time target = svc.now() + w.interval;
+    injectThrough(target);
+    if (svc.now() < target) svc.advanceTo(target);
+    const std::uint64_t key = nextKey();
+    router.put(key, i + 1);  // values are 1-based op indices — unique
+    written.push_back(key);
+    router.poll();
+    if (w.getEvery != 0 && (i + 1) % w.getEvery == 0) {
+      const std::uint64_t pick =
+          splitmix64(seed ^ (0x67657473ULL + i)) % written.size();
+      router.get(written[pick]);
+    }
+  }
+  injectThrough(s.config.maxTime);
+
+  svc.runUntilQuiescent();
+  router.poll();
+
+  // Final read pass: every distinct written key, ascending.
+  std::sort(written.begin(), written.end());
+  written.erase(std::unique(written.begin(), written.end()), written.end());
+  for (const std::uint64_t key : written) router.get(key);
+
+  ScenarioRunResult r;
+  r.scenario = s.name;
+  r.seed = seed;
+  r.stack = algoStackName(s.stack);
+  r.network = svc.shard(0).sim().network().name();
+  r.endTime = svc.now();
+  for (std::size_t sh = 0; sh < svc.shardCount(); ++sh) {
+    const Simulator& sim = svc.shard(sh).sim();
+    r.eventsProcessed += sim.eventsProcessed();
+    r.messagesSent += sim.trace().messagesSent();
+    r.messagesDelivered += sim.trace().messagesDelivered();
+    r.duplicatesSuppressed += sim.duplicatesSuppressed();
+  }
+  r.shards = svc.shardCount();
+  r.refolds = router.refolds();
+  r.rebalances = svc.rebalances();
+
+  const ShardedKvReport kv = checkShardedKvRun(router.ops());
+  r.puts = kv.puts;
+  r.committedPuts = kv.committedPuts;
+  r.gets = kv.gets;
+  r.successfulGets = kv.successfulGets;
+  auto fail = [&r](std::string clause) { r.failures.push_back(std::move(clause)); };
+  if (kv.uncommittedReads > 0) fail("sharded_kv: committed-reads");
+  if (kv.monotonicityViolations > 0) fail("sharded_kv: monotone-reads");
+  if (kv.staleReads > 0) fail("sharded_kv: read-your-writes");
+  for (const std::string& e : kv.errors) fail("sharded_kv: " + e);
+  if (s.checks.commit) {
+    for (std::size_t sh = 0; sh < svc.shardCount(); ++sh) {
+      const CommitCheckReport c = checkCommitSafety(
+          svc.shard(sh).sim().trace(), svc.shard(sh).pattern());
+      if (!c.safetyOk()) {
+        fail("commit: shard " + std::to_string(sh) +
+             " revoked a committed prefix");
+      }
+    }
+    if (s.checks.requireCommitProgress && kv.committedPuts == 0) {
+      fail("progress: no put was observed committed");
+    }
+  }
+  if (s.checks.requireRebalance && svc.rebalances() == 0) {
+    fail("rebalance: crash schedule re-homed no keys");
+  }
+  r.pass = r.failures.empty();
+  r.digest = shardedRunDigest(svc, router);
+  return r;
+}
+
+}  // namespace
+
 ScenarioRunResult runScenario(const Scenario& s, std::uint64_t seed) {
+  if (s.shards > 0) return runShardedScenario(s, seed);
   Cluster cluster(clusterSpec(s), seed);
   cluster.runToHorizon();
   return evaluateScenarioRun(s, seed, cluster);
@@ -148,6 +281,15 @@ std::string toJsonLine(const ScenarioRunResult& r) {
   out += ",\"messages_delivered\":" + std::to_string(r.messagesDelivered);
   out += ",\"duplicates_suppressed\":" + std::to_string(r.duplicatesSuppressed);
   out += ",\"tau_hat\":" + std::to_string(r.tauHat);
+  if (r.shards > 0) {
+    out += ",\"shards\":" + std::to_string(r.shards);
+    out += ",\"puts\":" + std::to_string(r.puts);
+    out += ",\"committed_puts\":" + std::to_string(r.committedPuts);
+    out += ",\"gets\":" + std::to_string(r.gets);
+    out += ",\"successful_gets\":" + std::to_string(r.successfulGets);
+    out += ",\"refolds\":" + std::to_string(r.refolds);
+    out += ",\"rebalances\":" + std::to_string(r.rebalances);
+  }
   out += ",\"digest\":" + jsonQuoted(hex64(r.digest));
   out += ",\"failures\":[";
   for (std::size_t i = 0; i < r.failures.size(); ++i) {

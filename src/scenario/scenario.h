@@ -4,15 +4,19 @@
 // the wfd_scenarios CLI all execute the same catalog instead of
 // hand-rolling simulator setup.
 //
-// Since the api facade landed, a Scenario is a named, checker-annotated
-// ClusterSpec: instantiateScenario/runScenario are thin adapters that
-// lower the entry through clusterSpec() and drive a wfd::Cluster (the
-// golden digest-equivalence suite in tests/test_api.cpp pins that the
-// lowering reproduces the pre-facade instantiation bit-for-bit).
+// A Scenario is a named, checker-annotated deployment description that
+// lowers to one of two specs. A flat entry (shards == 0) is one cluster:
+// clusterSpec() lowers it to a ClusterSpec and runScenario drives a
+// wfd::Cluster (the golden digest-equivalence suite in tests/test_api.cpp
+// pins that the lowering reproduces the pre-facade instantiation
+// bit-for-bit). A sharded entry (shards > 0) is the §7 committed-prefix
+// KV service over S independent replica groups: shardedSpec() lowers it
+// to a ShardedSpec, and runScenario drives a ShardedService through a
+// ShardRouter with the entry's keyed workload and shard faults.
 //
 // A scenario is deterministic modulo its seed: runScenario(s, seed)
-// always produces the same trace digest for the same (scenario, seed)
-// pair, which is what the seed-determinism regression tests pin.
+// always produces the same digest for the same (scenario, seed) pair,
+// which is what the seed-determinism regression tests pin.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +29,44 @@
 #include "checkers/broadcast_log.h"
 #include "checkers/workload.h"
 #include "fd/detectors.h"
+#include "shard/sharded_service.h"
 #include "sim/failure_pattern.h"
 #include "sim/network_model.h"
 #include "sim/simulator.h"
 
 namespace wfd {
+
+/// Keyed KV workload of a sharded entry, issued through the router: one
+/// put every `interval` ticks, a read of an already-written key after
+/// every `getEvery`-th put, and a final read of every written key after
+/// the service settles. Values encode the op index (1-based), so every
+/// (key, value) pair is unique — the identifiability the sharded_kv
+/// checker needs.
+struct KeyedWorkload {
+  std::uint64_t puts = 160;
+  std::uint64_t keys = 64;
+  /// Key distribution: uniform, or Zipfian(theta) with rank 0 hottest.
+  bool zipfian = false;
+  double theta = 0.99;
+  /// Ticks between consecutive puts.
+  Time interval = 10;
+  /// Issue a get after every getEvery-th put (0 = interleave none;
+  /// the settle-time read pass still runs).
+  std::uint64_t getEvery = 4;
+
+  bool operator==(const KeyedWorkload&) const = default;
+};
+
+/// A timed fault against one replica of one shard (sharded entries).
+struct ShardFault {
+  enum class Kind : std::uint8_t { kCrash, kIsolate };
+  Kind kind = Kind::kCrash;
+  std::size_t shard = 0;
+  ProcessId replica = 0;
+  Time at = 0;
+  /// kIsolate: partition heals at `until`.
+  Time until = 0;
+};
 
 /// Which trace verifiers run after the simulation, and which extra
 /// outcome clauses the scenario asserts.
@@ -42,16 +79,22 @@ struct CheckerSet {
   /// broadcastConverged at the end of the run: every correct process's
   /// d_i holds every correct-origin message and all sequences agree.
   bool convergence = false;
-  /// checkCommitSafety: no committed prefix is ever revoked.
+  /// checkCommitSafety: no committed prefix is ever revoked (on every
+  /// shard's trace for a sharded entry).
   bool commit = false;
   /// Additionally require at least one commit indication (stable-majority
-  /// scenarios must make progress, not just stay vacuously safe).
+  /// scenarios must make progress, not just stay vacuously safe); on a
+  /// sharded entry, at least one put observed committed by the router.
   bool requireCommitProgress = false;
   /// checkEcRun: EC integrity/validity always, termination up to the
   /// scenario's ecInstances, eventual agreement witnessed.
   bool ec = false;
   /// All correct gossip replicas hold identical LWW tables at the end.
   bool gossipConvergence = false;
+  /// Sharded entries: the shard faults must have re-homed keys
+  /// (rebalances > 0). The sharded_kv clauses (committed reads,
+  /// per-shard monotone reads, read-your-writes) always run there.
+  bool requireRebalance = false;
 };
 
 /// A named, declarative run description. Every field is data (or a pure
@@ -61,6 +104,8 @@ struct Scenario {
   std::string description;
 
   /// Base scheduler parameters. The per-run seed overrides config.seed.
+  /// On a sharded entry these are each shard's, with processCount the
+  /// replica count per shard.
   SimConfig config;
 
   /// Failure pattern factory (receives config.processCount).
@@ -84,14 +129,30 @@ struct Scenario {
   /// kOmegaEc: number of EC instances each process proposes.
   Instance ecInstances = 0;
 
+  /// Number of independent replica groups behind a consistent-hash
+  /// router; 0 = one cluster (a flat entry). A sharded entry leaves
+  /// pattern, network, detector and ecInstances unset, schedules no
+  /// broadcast workload (perProcess = 0), and describes its run with the
+  /// two fields below.
+  std::size_t shards = 0;
+  KeyedWorkload keyed;
+  std::vector<ShardFault> shardFaults;
+
   CheckerSet checks;
 };
 
-/// Lowers the scenario to the facade's deployment description (every
+/// Lowers a flat entry to the facade's deployment description (every
 /// field except name/description/checks, which are evaluation-side).
 /// `overrides` replaces the base SimConfig (keeping pattern/model/stack).
+/// Throws InvariantError on a sharded entry.
 ClusterSpec clusterSpec(const Scenario& s);
 ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides);
+
+/// Lowers a sharded entry to the service description: shard count,
+/// stack, per-shard config (replicasPerShard = config.processCount) and
+/// Omega parameters. Throws InvariantError on a flat entry, or when a
+/// flat-only field is set.
+ShardedSpec shardedSpec(const Scenario& s);
 
 /// A scenario instantiated for one seed, ready to run (or to be driven
 /// further by a bench that sweeps a knob on top of the catalog entry).
@@ -112,9 +173,9 @@ struct ScenarioInstance {
       : cluster(std::move(c)), sim(&cluster->sim()), log(cluster->log()) {}
 };
 
-/// Builds the cluster + workload for (scenario, seed). Thin adapter over
-/// Cluster(clusterSpec(s), seed); the per-run seed is applied on top in
-/// both forms.
+/// Builds the cluster + workload for a flat (scenario, seed). Thin
+/// adapter over Cluster(clusterSpec(s), seed); the per-run seed is
+/// applied on top in both forms.
 ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed);
 ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed,
                                      const SimConfig& overrides);
@@ -136,7 +197,20 @@ struct ScenarioRunResult {
   std::uint64_t duplicatesSuppressed = 0;
   /// Broadcast checker's observed convergence witness (0 otherwise).
   Time tauHat = 0;
-  /// Portable digest of the full trace (seed-determinism tests pin it).
+
+  /// Sharded runs only (shards > 0; the counters above are then sums
+  /// over the shards): the router's op-log totals, full refolds and
+  /// quorum-loss rebalances.
+  std::size_t shards = 0;
+  std::uint64_t puts = 0;
+  std::uint64_t committedPuts = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t successfulGets = 0;
+  std::uint64_t refolds = 0;
+  std::uint64_t rebalances = 0;
+
+  /// Portable digest of the full trace (seed-determinism tests pin it);
+  /// shardedRunDigest for a sharded run.
   std::uint64_t digest = 0;
 };
 
@@ -146,11 +220,15 @@ struct ScenarioRunResult {
 ScenarioRunResult evaluateScenarioRun(const Scenario& s, std::uint64_t seed,
                                       const Cluster& cluster);
 
-/// Runs the scenario to its horizon and evaluates its checker set.
+/// Runs the scenario to its horizon and evaluates its checker set. A
+/// sharded entry issues its keyed workload through a router on its
+/// cadence (injecting shard faults as their times pass), settles, reads
+/// every written key back, then evaluates.
 ScenarioRunResult runScenario(const Scenario& s, std::uint64_t seed);
 
 /// Serializes a result as one JSON object (single line, stable key order,
-/// strings escaped by the common/json.h writer).
+/// strings escaped by the common/json.h writer). The sharded keys appear
+/// only for sharded runs, between tau_hat and digest.
 std::string toJsonLine(const ScenarioRunResult& r);
 
 /// The named catalog. Entries are registered in catalog.cpp; names are

@@ -55,11 +55,6 @@ void ShardRouter::foldShard(std::size_t s) {
   if (service_->correctReplicasOf(s) == 0) return;
   Client c = service_->shard(s).client(service_->readReplicaOf(s));
   std::vector<MsgId> prefix = c.committedPrefix();
-  if (!c.capabilities().committedPrefix) {
-    // Stacks without §7 commit indications: fold the (revisable)
-    // delivery sequence and refold on rewrites.
-    prefix = c.delivered();
-  }
   FoldState& f = folds_[s];
   std::size_t from = f.folded.size();
   const bool extension =

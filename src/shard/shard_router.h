@@ -7,9 +7,10 @@
 // poll() fetches each shard's committed prefix, decodes the NEW suffix
 // of put commands (Client::findBody) into a per-shard key→value map,
 // and resolves pending writes it sees commit. A committed prefix can
-// only extend under the §7 proviso, so the fold is incremental; on the
-// delivered()-fallback stacks (no commit indications) a rewrite triggers
-// a full refold, counted in refolds(). Reads therefore return only
+// only extend under the §7 proviso, so the fold is incremental. Outside
+// the proviso, commit-eTOB's strength join (two leaders committing
+// conflicting prefixes) can replace a committed prefix; the router then
+// refolds from scratch, counted in refolds(). Reads therefore return only
 // COMMITTED state — the read-your-writes guarantee the sharded_kv
 // checker verifies is "my write is visible once the router saw it
 // commit", per shard, the strongest a client can ask of an eventually
@@ -76,8 +77,9 @@ class ShardRouter {
   void poll();
 
   const std::vector<RouterOp>& ops() const { return ops_; }
-  /// Full refolds forced by a committed-prefix rewrite (always 0 on the
-  /// commit-eTOB stack; the delivered() fallback may reorder).
+  /// Full refolds forced by a committed-prefix rewrite — a conflicting
+  /// commit resolved by commit-eTOB's strength join, possible only
+  /// outside the §7 proviso.
   std::uint64_t refolds() const { return refolds_; }
   /// Put ops still unresolved (never observed committed).
   std::size_t pendingPuts() const;

@@ -3,7 +3,7 @@
 #include <map>
 #include <utility>
 
-#include "scenario/trace_digest.h"
+#include "checkers/trace_digest.h"
 
 namespace wfd {
 

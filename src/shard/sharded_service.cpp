@@ -17,8 +17,10 @@ std::uint64_t shardSeed(std::uint64_t serviceSeed, std::size_t shard) {
 ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       seed_(seed),
-      ring_(ConsistentHashRing::Config{spec_.virtualNodes, seed}) {
+      ring_(ConsistentHashRing::Config{.seed = seed}) {
   WFD_ENSURE_MSG(spec_.shards > 0, "a sharded service needs >= 1 shard");
+  WFD_ENSURE_MSG(stackCapabilities(spec_.stack).committedPrefix,
+                 "routers read committed prefixes: shards run commit-eTOB");
   WFD_ENSURE_MSG(spec_.replicasPerShard > 0,
                  "a shard needs >= 1 replica");
   shards_.reserve(spec_.shards);

@@ -6,7 +6,7 @@
 // failures that stall a linearizable store. This layer is how that
 // building block becomes a service an operator would recognize: keys
 // hash onto a ring of S shards, each shard is its own wfd::Cluster
-// running the (commit-)eTOB stack wrapped in a KvStore replica, and a
+// running the commit-eTOB stack wrapped in a KvStore replica, and a
 // ShardedService owns the S clusters and steps them under ONE logical
 // clock. The shards share nothing — no messages, no detector, no
 // scheduler state — so a partitioned or crashed shard cannot stall the
@@ -42,17 +42,15 @@ struct ShardedSpec {
   std::size_t shards = 4;
   /// Processes per shard cluster (majority quorum = half + 1).
   std::size_t replicasPerShard = 3;
-  /// Per-shard ordering stack; must be kvReplica-capable (eTOB,
-  /// commit-eTOB, TOB). kCommitEtob is the service default: its §7
-  /// committed prefixes are what the router serves reads from.
+  /// Per-shard ordering stack. Only a stack with §7 committed prefixes
+  /// (kCommitEtob) is accepted: they are what the router serves reads
+  /// from.
   AlgoStack stack = AlgoStack::kCommitEtob;
   /// Per-shard scheduler parameters (processCount is overridden with
   /// replicasPerShard).
   SimConfig config;
   Time tauOmega = 0;
   OmegaPreStabilization omegaMode = OmegaPreStabilization::kStable;
-  /// Ring points per shard (see ConsistentHashRing::Config).
-  std::size_t virtualNodes = 64;
   /// Optional per-shard network model factory; nullptr = uniform delay
   /// from the config on every shard.
   std::function<std::shared_ptr<const NetworkModel>(std::size_t shard,
@@ -70,8 +68,7 @@ struct ShardStats {
   std::size_t keys = 0;
   std::uint64_t applied = 0;
   std::uint64_t rebuilds = 0;
-  /// Length of the read replica's §7 committed prefix (0 on stacks
-  /// without commit indications).
+  /// Length of the read replica's §7 committed prefix.
   std::uint64_t committedLen = 0;
   std::size_t correctReplicas = 0;
   bool inRing = true;
@@ -91,6 +88,7 @@ struct ShardedStats {
 
 class ShardedService {
  public:
+  /// Throws InvariantError unless spec.stack has committed prefixes.
   ShardedService(ShardedSpec spec, std::uint64_t seed);
 
   ShardedService(const ShardedService&) = delete;

@@ -8,7 +8,7 @@
 // other generators. The Zipfian CDF is precomputed with doubles
 // (rank weight 1/i^theta); like every pinned digest in the repo the
 // resulting key streams are stable per standard-library/libm build,
-// which is what the scenario digest pins assume (scenario/trace_digest.h
+// which is what the scenario digest pins assume (checkers/trace_digest.h
 // spells out the same caveat).
 #pragma once
 

@@ -11,6 +11,7 @@
 
 #include "api/cluster.h"
 #include "checkers/tob_checker.h"
+#include "checkers/trace_digest.h"
 #include "checkers/workload.h"
 #include "common/ensure.h"
 #include "ec/ec_driver.h"
@@ -20,7 +21,6 @@
 #include "fd/detectors.h"
 #include "rsm/gossip_lww.h"
 #include "scenario/scenario.h"
-#include "scenario/trace_digest.h"
 #include "tob/tob_via_consensus.h"
 
 namespace wfd {
@@ -92,7 +92,8 @@ std::vector<std::string> allScenarioNames() {
   for (const Scenario& s : scenarioCatalog()) {
     // Big-n entries get one facade run in test_large_cluster instead of
     // two full runs per seed times three seeds here (and under ASan).
-    if (isLargeClusterScenario(s)) continue;
+    // Sharded entries lower to a ShardedSpec, not one Cluster.
+    if (isLargeClusterScenario(s) || s.shards > 0) continue;
     names.push_back(s.name);
   }
   return names;

@@ -122,6 +122,22 @@ TEST(StringsTest, JoinFormats) {
   EXPECT_EQ(join(std::vector<int>{}, ","), "");
 }
 
+TEST(StringsTest, ParseDecimalU64AcceptsDigitsOnly) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parseDecimalU64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parseDecimalU64("42", &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parseDecimalU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"", "-1", "-5", "+3", " 3", "3 ", "3x", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parseDecimalU64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 7u);  // untouched on rejection
+}
+
 TEST(DigraphTest, AddNodeIdempotent) {
   Digraph<int> g;
   EXPECT_TRUE(g.addNode(1));

@@ -15,11 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "checkers/trace_digest.h"
 #include "checkers/workload.h"
 #include "common/ensure.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
-#include "scenario/trace_digest.h"
 #include "sim/network_model.h"
 #include "sim/simulator.h"
 

@@ -10,11 +10,11 @@
 #include <vector>
 
 #include "checkers/tob_checker.h"
+#include "checkers/trace_digest.h"
 #include "checkers/workload.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
 #include "link/reliable_link.h"
-#include "scenario/trace_digest.h"
 #include "sim/failure_pattern.h"
 #include "sim/lossy_model.h"
 #include "sim/simulator.h"

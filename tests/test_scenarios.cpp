@@ -6,15 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "checkers/trace_digest.h"
 #include "checkers/workload.h"
 #include "common/json.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
 #include "scenario/scenario.h"
-#include "scenario/trace_digest.h"
 #include "sim/simulator.h"
 
 namespace wfd {
@@ -46,6 +48,7 @@ TEST(ScenarioCatalogTest, CatalogSpansMultipleNetworkModelsAndStacks) {
   std::set<std::string> networks;
   std::set<std::string> stacks;
   for (const Scenario& s : scenarioCatalog()) {
+    if (s.shards > 0) continue;  // no single cluster to instantiate
     ScenarioInstance inst = instantiateScenario(s, 1);
     networks.insert(inst.sim->network().name());
     stacks.insert(algoStackName(s.stack));
@@ -267,6 +270,34 @@ TEST(ScenarioRunTest, ToJsonLineEscapesHostileStrings) {
   EXPECT_EQ(parsed->find("failures")->items().at(0).asString(),
             "clause with \"quote\"");
   EXPECT_TRUE(line.rfind("{\"scenario\":", 0) == 0);  // key order kept
+}
+
+TEST(ScenarioRunTest, ToJsonLineEmitsShardedKeysOnlyForShardedRuns) {
+  // Top-level keys in emission order (Json::fields() sorts them).
+  const auto keys = [](const ScenarioRunResult& r) {
+    const std::string line = toJsonLine(r);
+    EXPECT_TRUE(Json::parse(line).has_value()) << line;
+    const std::regex key("\"([a-z_]+)\":");
+    std::vector<std::string> out;
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), key);
+         it != std::sregex_iterator(); ++it) {
+      out.push_back((*it)[1]);
+    }
+    return out;
+  };
+  const std::vector<std::string> flat = {
+      "scenario", "seed", "pass", "stack", "network", "end_time", "events",
+      "messages_sent", "messages_delivered", "duplicates_suppressed", "tau_hat",
+      "digest", "failures"};
+  ScenarioRunResult r;
+  EXPECT_EQ(keys(r), flat);
+
+  std::vector<std::string> sharded = flat;
+  sharded.insert(sharded.begin() + 11,
+                 {"shards", "puts", "committed_puts", "gets", "successful_gets",
+                  "refolds", "rebalances"});
+  r.shards = 4;
+  EXPECT_EQ(keys(r), sharded);
 }
 
 TEST(ScenarioRunTest, InstantiateHonoursConfigOverrides) {

@@ -6,15 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "checkers/trace_digest.h"
+#include "common/ensure.h"
 #include "common/hash.h"
 #include "scenario/scenario.h"
-#include "scenario/trace_digest.h"
 #include "shard/shard_router.h"
-#include "shard/shard_scenarios.h"
 #include "shard/sharded_kv_checker.h"
 #include "shard/sharded_service.h"
 #include "shard/zipf.h"
@@ -25,59 +24,46 @@ namespace {
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
 // Generated at the introduction of the sharded subsystem (PR 10);
-// indexed [catalog entry, registration order][seed in kSeeds]. Same
-// caveat as every pin: portable per standard library (the schedules
-// draw from std::uniform_int_distribution, the Zipfian CDF from libm).
-// A change here is a behavior change in the router, the fold, a shard
-// schedule, or the checker's version accounting — not a refactor.
+// indexed [entry][seed in kSeeds]. Same caveat as every pin: portable
+// per standard library (the schedules draw from
+// std::uniform_int_distribution, the Zipfian CDF from libm). A change
+// here is a behavior change in the router, the fold, a shard schedule,
+// or the checker's version accounting — not a refactor.
+constexpr const char* kShardedEntries[3] = {
+    "sharded-uniform-commit", "sharded-zipf-hotkey", "sharded-rebalance-crash"};
 constexpr std::uint64_t kPinnedDigests[3][3] = {
-    // sharded-uniform-commit
     {0xc695d8e2ba4b2c19ULL, 0xa1d4a9d1e2797418ULL, 0xa0a69bd7f50685ccULL},
-    // sharded-zipf-hotkey
     {0x732558c62fd5ba76ULL, 0x54bcac4c27ea7e75ULL, 0xe4b55a1ceb6a4ceaULL},
-    // sharded-rebalance-crash
     {0x6704b81ca40c470dULL, 0x43683a6dd31b6cfdULL, 0xfb907e959410b4caULL},
 };
 
 TEST(ShardedScenarios, CatalogEntriesPassAndMatchPinnedDigests) {
-  const auto& catalog = shardScenarioCatalog();
-  ASSERT_EQ(catalog.size(), 3u);
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Scenario* s = findScenario(kShardedEntries[i]);
+    ASSERT_NE(s, nullptr) << kShardedEntries[i];
     for (std::size_t k = 0; k < 3; ++k) {
-      const ShardScenarioRunResult r = runShardScenario(catalog[i], kSeeds[k]);
-      EXPECT_TRUE(r.pass) << catalog[i].name << " seed " << kSeeds[k] << ": "
+      const ScenarioRunResult r = runScenario(*s, kSeeds[k]);
+      EXPECT_TRUE(r.pass) << s->name << " seed " << kSeeds[k] << ": "
                           << (r.failures.empty() ? "" : r.failures[0]);
-      EXPECT_EQ(r.digest, kPinnedDigests[i][k])
-          << catalog[i].name << " seed " << kSeeds[k];
-      EXPECT_GT(r.committedPuts, 0u) << catalog[i].name;
+      EXPECT_EQ(r.digest, kPinnedDigests[i][k]) << s->name << " seed " << kSeeds[k];
+      EXPECT_GT(r.committedPuts, 0u) << s->name;
     }
   }
 }
 
-TEST(ShardedScenarios, SeedDeterminism) {
-  const ShardScenario* s = findShardScenario("sharded-uniform-commit");
-  ASSERT_NE(s, nullptr);
-  const ShardScenarioRunResult a = runShardScenario(*s, 11);
-  const ShardScenarioRunResult b = runShardScenario(*s, 11);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.committedPuts, b.committedPuts);
-  const ShardScenarioRunResult c = runShardScenario(*s, 12);
-  EXPECT_NE(a.digest, c.digest);
-}
-
-TEST(ShardedScenarios, NamesAreUniqueAcrossBothCatalogs) {
-  std::set<std::string> names;
-  for (const Scenario& s : scenarioCatalog()) {
-    EXPECT_TRUE(names.insert(s.name).second) << s.name;
-  }
-  for (const ShardScenario& s : shardScenarioCatalog()) {
-    EXPECT_TRUE(names.insert(s.name).second) << s.name;
-    // A sharded name must not shadow a flat entry (the CLI resolves
-    // flat-first).
-    EXPECT_EQ(findScenario(s.name), nullptr) << s.name;
-    EXPECT_EQ(findShardScenario(s.name), &s);
-  }
-  EXPECT_EQ(findShardScenario("no-such-scenario"), nullptr);
+TEST(ShardedScenarios, LoweringsRejectTheOtherKind) {
+  const Scenario* sharded = findScenario("sharded-uniform-commit");
+  const Scenario* flat = findScenario("stable-leader");
+  ASSERT_NE(sharded, nullptr);
+  ASSERT_NE(flat, nullptr);
+  EXPECT_THROW(clusterSpec(*sharded), InvariantError);
+  EXPECT_THROW(instantiateScenario(*sharded, 1), InvariantError);
+  EXPECT_THROW(shardedSpec(*flat), InvariantError);
+  // A flat field on a sharded entry would be dropped by the lowering.
+  Scenario withPattern = *sharded;
+  withPattern.pattern = [](std::size_t n) { return FailurePattern::noFailures(n); };
+  EXPECT_THROW(shardedSpec(withPattern), InvariantError);
+  EXPECT_EQ(shardedSpec(*sharded).replicasPerShard, 3u);
 }
 
 // --- Cross-shard independence ----------------------------------------------
@@ -201,19 +187,28 @@ TEST(ShardedKv, RebalanceMutationKeepsDeadShardWithoutTheKnob) {
   EXPECT_TRUE(svc.ring().contains(1));
   EXPECT_EQ(svc.ownerOf(victim), 1u);
 
-  // Scenario-level: the catalog's rebalance entry fails its
-  // requireRebalance clause under the same mutation.
-  const ShardScenario* base = findShardScenario("sharded-rebalance-crash");
+  // Scenario-level: without the second crash shard 1 keeps its quorum,
+  // so the rebalance entry fails its requireRebalance clause.
+  const Scenario* base = findScenario("sharded-rebalance-crash");
   ASSERT_NE(base, nullptr);
-  ShardScenario mutant = *base;
-  mutant.spec.rebalanceOnQuorumLoss = false;
-  const ShardScenarioRunResult r = runShardScenario(mutant, 1);
+  Scenario mutant = *base;
+  ASSERT_EQ(mutant.shardFaults.size(), 2u);
+  mutant.shardFaults.pop_back();
+  const ScenarioRunResult r = runScenario(mutant, 1);
   EXPECT_FALSE(r.pass);
   bool sawRebalanceFailure = false;
   for (const std::string& f : r.failures) {
     if (f.rfind("rebalance:", 0) == 0) sawRebalanceFailure = true;
   }
   EXPECT_TRUE(sawRebalanceFailure);
+}
+
+TEST(ShardedKv, ServiceRejectsStacksWithoutCommittedPrefixes) {
+  for (AlgoStack stack : {AlgoStack::kEtob, AlgoStack::kTobViaConsensus}) {
+    ShardedSpec spec = smallSpec(2);
+    spec.stack = stack;
+    EXPECT_THROW(ShardedService(spec, 1), InvariantError) << algoStackName(stack);
+  }
 }
 
 // --- Stats aggregation ------------------------------------------------------

@@ -47,7 +47,7 @@
 #include <vector>
 
 #include "common/json.h"
-
+#include "common/strings.h"
 #include "explore/campaign.h"
 #include "explore/explorer.h"
 #include "explore/plan_codec.h"
@@ -68,11 +68,8 @@ void usage(const char* argv0) {
 }
 
 std::uint64_t parseU64(const char* flag, const char* text) {
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text, &end, 10);
-  // strtoull silently wraps a leading '-' to a huge value: "--runs -1"
-  // must be a diagnostic, not an effectively infinite loop.
-  if (end == text || *end != '\0' || text[0] == '-' || text[0] == '+') {
+  std::uint64_t value = 0;
+  if (!wfd::parseDecimalU64(text, &value)) {
     std::fprintf(stderr, "%s: not a non-negative number: '%s'\n", flag, text);
     std::exit(2);
   }

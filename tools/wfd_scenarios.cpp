@@ -11,15 +11,9 @@
 // selection the other flags made — including --list/--describe — to the
 // catalog entries of one protocol stack.
 //
-// The CLI serves the UNION of two catalogs under one namespace: the flat
-// entries (scenario/catalog.cpp, one cluster each) and the sharded
-// entries (shard/shard_scenarios.cpp, a ring of clusters behind a
-// router). Flat entries list first, sharded after, and a name resolves
-// in the same order; names are unique across the union (pinned by
-// tests/test_sharded_kv.cpp).
-//
 // Every run prints exactly one JSON line on stdout (schema: the fields of
-// ScenarioRunResult / ShardScenarioRunResult; see docs/SCENARIOS.md).
+// ScenarioRunResult, sharded keys only for sharded entries; see
+// docs/SCENARIOS.md).
 // Exit status is 0 iff every executed run passed its scenario's checker
 // set — which is what makes each catalog entry a regression test the CI
 // smoke jobs can sweep.
@@ -29,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "scenario/scenario.h"
-#include "shard/shard_scenarios.h"
 
 namespace {
 
@@ -43,10 +37,9 @@ void usage(const char* argv0) {
 }
 
 std::uint64_t parseU64(const char* flag, const char* text) {
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, text);
+  std::uint64_t value = 0;
+  if (!wfd::parseDecimalU64(text, &value)) {
+    std::fprintf(stderr, "%s: not a non-negative number: '%s'\n", flag, text);
     std::exit(2);
   }
   return value;
@@ -106,37 +99,26 @@ int main(int argc, char** argv) {
     }
     filterByStack = true;
   }
-  const auto flatSelected = [&](const wfd::Scenario& s) {
+  const auto selected = [&](const wfd::Scenario& s) {
     return !filterByStack || s.stack == stackFilter;
-  };
-  const auto shardSelected = [&](const wfd::ShardScenario& s) {
-    return !filterByStack || s.spec.stack == stackFilter;
   };
 
   const auto& catalog = wfd::scenarioCatalog();
-  const auto& shardCatalog = wfd::shardScenarioCatalog();
 
   if (list) {
     for (const wfd::Scenario& s : catalog) {
-      if (flatSelected(s)) std::printf("%s\n", s.name.c_str());
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (shardSelected(s)) std::printf("%s\n", s.name.c_str());
+      if (selected(s)) std::printf("%s\n", s.name.c_str());
     }
     return 0;
   }
   if (describe) {
     for (const wfd::Scenario& s : catalog) {
-      if (!flatSelected(s)) continue;
-      std::printf("%-24s [%s, n=%zu] %s\n", s.name.c_str(),
-                  wfd::algoStackName(s.stack), s.config.processCount,
-                  s.description.c_str());
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (!shardSelected(s)) continue;
-      std::printf("%-24s [%s, S=%zu x n=%zu] %s\n", s.name.c_str(),
-                  wfd::algoStackName(s.spec.stack), s.spec.shards,
-                  s.spec.replicasPerShard, s.description.c_str());
+      if (!selected(s)) continue;
+      const std::string shards =
+          s.shards > 0 ? "S=" + std::to_string(s.shards) + " x " : "";
+      std::printf("%-24s [%s, %sn=%zu] %s\n", s.name.c_str(),
+                  wfd::algoStackName(s.stack), shards.c_str(),
+                  s.config.processCount, s.description.c_str());
     }
     return 0;
   }
@@ -149,29 +131,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<const wfd::Scenario*> selected;
-  std::vector<const wfd::ShardScenario*> selectedShard;
+  std::vector<const wfd::Scenario*> runs;
   if (scenarioArg == "all") {
     for (const wfd::Scenario& s : catalog) {
-      if (flatSelected(s)) selected.push_back(&s);
-    }
-    for (const wfd::ShardScenario& s : shardCatalog) {
-      if (shardSelected(s)) selectedShard.push_back(&s);
+      if (selected(s)) runs.push_back(&s);
     }
   } else if (const wfd::Scenario* s = wfd::findScenario(scenarioArg)) {
-    if (!flatSelected(*s)) {
+    if (!selected(*s)) {
       std::fprintf(stderr, "scenario '%s' is not a %s scenario\n",
                    scenarioArg.c_str(), wfd::algoStackName(stackFilter));
       return 2;
     }
-    selected.push_back(s);
-  } else if (const wfd::ShardScenario* sh = wfd::findShardScenario(scenarioArg)) {
-    if (!shardSelected(*sh)) {
-      std::fprintf(stderr, "scenario '%s' is not a %s scenario\n",
-                   scenarioArg.c_str(), wfd::algoStackName(stackFilter));
-      return 2;
-    }
-    selectedShard.push_back(sh);
+    runs.push_back(s);
   } else {
     std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
                  scenarioArg.c_str());
@@ -179,18 +150,9 @@ int main(int argc, char** argv) {
   }
 
   bool allPassed = true;
-  for (const wfd::Scenario* s : selected) {
+  for (const wfd::Scenario* s : runs) {
     for (std::uint64_t k = 0; k < seedCount; ++k) {
       const wfd::ScenarioRunResult r = wfd::runScenario(*s, firstSeed + k);
-      std::printf("%s\n", wfd::toJsonLine(r).c_str());
-      std::fflush(stdout);
-      allPassed = allPassed && r.pass;
-    }
-  }
-  for (const wfd::ShardScenario* s : selectedShard) {
-    for (std::uint64_t k = 0; k < seedCount; ++k) {
-      const wfd::ShardScenarioRunResult r =
-          wfd::runShardScenario(*s, firstSeed + k);
       std::printf("%s\n", wfd::toJsonLine(r).c_str());
       std::fflush(stdout);
       allPassed = allPassed && r.pass;
