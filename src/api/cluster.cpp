@@ -411,9 +411,10 @@ const std::vector<MsgId>& Client::delivered() const {
   return cluster_->sim_->trace().currentDelivered(process_);
 }
 
-std::vector<MsgId> Client::committedPrefix() const {
+const std::vector<MsgId>& Client::committedPrefix() const {
+  static const std::vector<MsgId> kNone;
   const AutomatonView v = viewOf(cluster_->sim_->automaton(process_));
-  return v.committed ? *v.committed : std::vector<MsgId>{};
+  return v.committed ? *v.committed : kNone;
 }
 
 std::optional<std::uint64_t> Client::kvGet(std::uint64_t key) const {

@@ -147,8 +147,9 @@ class Client {
 
   /// Longest prefix of d_i this process learned is committed (§7).
   /// Empty on every stack without commit semantics — exactly the stacks
-  /// where capabilities().committedPrefix is false.
-  std::vector<MsgId> committedPrefix() const;
+  /// where capabilities().committedPrefix is false. The reference reads
+  /// the live automaton: it is valid until the cluster next steps.
+  const std::vector<MsgId>& committedPrefix() const;
 
   /// Replicated KV read; nullopt when absent or unsupported.
   std::optional<std::uint64_t> kvGet(std::uint64_t key) const;

@@ -5,13 +5,11 @@
 // on top a deterministic iteration order.
 //
 // Representation: adjacency lists are index-sorted flat vectors (not hash
-// sets). The eTOB stack unions whole graphs on every update message, so
-// unionWith is the hot path at scale — it maps the other graph's indices
-// once and then set-unions sorted neighbor lists, instead of paying two
-// hash lookups plus a hash insert per edge. All public results are pure
-// functions of the node values, insertion order, and edge set, so the
-// representation change is invisible to callers (pinned by the scale
-// digest matrix).
+// sets). unionWith maps the other graph's indices once and then
+// set-unions sorted neighbor lists, instead of paying two hash lookups
+// plus a hash insert per edge. All public results are pure functions of
+// the node values, insertion order, and edge set, so the representation
+// is invisible to callers (pinned by the scale digest matrix).
 #pragma once
 
 #include <algorithm>
@@ -118,20 +116,9 @@ class Digraph {
   /// unionWith that also reports where each of the other graph's nodes
   /// landed: mapOut[j] is this graph's index of other.nodes()[j]. Only
   /// those nodes can have gained in-edges, so incremental bookkeeping
-  /// layered on top (the causality graph's promote engine) revisits
-  /// exactly the touched nodes instead of rescanning the whole graph.
-  ///
-  /// `stablePredSets` enables the causality-graph fast path: the caller
-  /// guarantees that for any node, the in-neighbour set in EVERY unioned
-  /// graph is either empty or one per-node canonical set (eTOB in-edges
-  /// are created atomically from C(m) and never extended), so equal pred
-  /// list lengths mean identical sets and the merge can be skipped.
-  /// Successor lists are then maintained as the transpose of the pred
-  /// merges — repeated unions of converged graphs cost O(nodes), not
-  /// O(edges), and no per-list scratch sort. Leave it false for graphs
-  /// whose edges accrete arbitrarily.
-  void unionWith(const Digraph& other, std::vector<std::uint32_t>& mapOut,
-                 bool stablePredSets = false) {
+  /// layered on top revisits exactly the touched nodes instead of
+  /// rescanning the whole graph.
+  void unionWith(const Digraph& other, std::vector<std::uint32_t>& mapOut) {
     // Map the other graph's indices into this one (inserting missing
     // nodes) ONCE, then merge sorted neighbor lists per node.
     std::vector<std::uint32_t>& map = mapOut;
@@ -141,39 +128,6 @@ class Digraph {
       map[i] = idx == kExisting ? index_.at(other.nodes_[i]) : idx;
     }
     std::vector<std::uint32_t> translated;
-    if (stablePredSets) {
-      std::vector<std::uint32_t> added;
-      for (std::size_t f = 0; f < other.nodes_.size(); ++f) {
-        const auto& osrc = other.preds_[f];
-        const std::uint32_t t = map[f];
-        auto& dst = preds_[t];
-        if (osrc.empty()) continue;
-        if (dst.size() == osrc.size()) {
-          WFD_DCHECK(samePredSet(dst, osrc, map));
-          continue;
-        }
-        translated.clear();
-        translated.reserve(osrc.size());
-        for (std::uint32_t s : osrc) translated.push_back(map[s]);
-        std::sort(translated.begin(), translated.end());
-        if (dst.empty()) {
-          dst = translated;
-          for (std::uint32_t p : dst) insertSorted(succs_[p], t);
-          edgeCount_ += dst.size();
-          continue;
-        }
-        added.clear();
-        std::set_difference(translated.begin(), translated.end(), dst.begin(),
-                            dst.end(), std::back_inserter(added));
-        if (added.empty()) continue;
-        for (std::uint32_t p : added) {
-          insertSorted(dst, p);
-          insertSorted(succs_[p], t);
-        }
-        edgeCount_ += added.size();
-      }
-      return;
-    }
     for (std::size_t f = 0; f < other.nodes_.size(); ++f) {
       if (!other.succs_[f].empty()) {
         edgeCount_ +=
@@ -315,18 +269,6 @@ class Digraph {
     const std::size_t added = merged.size() - dst.size();
     dst = std::move(merged);
     return added;
-  }
-
-  /// Debug-only backstop for the stablePredSets fast path: an equal-
-  /// length pred list must actually be the same translated set.
-  static bool samePredSet(const std::vector<std::uint32_t>& dst,
-                          const std::vector<std::uint32_t>& osrc,
-                          const std::vector<std::uint32_t>& map) {
-    std::vector<std::uint32_t> translated;
-    translated.reserve(osrc.size());
-    for (std::uint32_t s : osrc) translated.push_back(map[s]);
-    std::sort(translated.begin(), translated.end());
-    return translated == dst;
   }
 
   std::vector<T> neighbourValues(

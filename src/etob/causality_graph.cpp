@@ -6,8 +6,39 @@
 
 namespace wfd {
 
+/// The change log behind CausalityGraph::Snapshot. changes[k] is the k-th
+/// effective change its writer applied: node `id` (inserted if absent),
+/// the edges it gained from preds[predBegin, predEnd) in insertion order —
+/// so a replay inserts missing preds as placeholders in the writer's
+/// order — and the body, if that change learned it.
+struct CgChange {
+  MsgId id = 0;
+  std::uint32_t predBegin = 0;
+  std::uint32_t predEnd = 0;
+  std::shared_ptr<const AppMsg> body;
+};
+struct CgLog {
+  std::vector<CgChange> changes;
+  std::vector<MsgId> preds;
+  /// Id -> index of the change that inserted it into the writer's graph:
+  /// a snapshot of length k holds exactly the ids mapped below k.
+  std::unordered_map<MsgId, std::uint32_t> firstPos;
+};
+
+bool CausalityGraph::Snapshot::mentions(MsgId id) const {
+  if (!log) return false;
+  const auto it = log->firstPos.find(id);
+  return it != log->firstPos.end() && it->second < length;
+}
+
+CausalityGraph::Snapshot CausalityGraph::snapshot() const {
+  WFD_ENSURE_MSG(!unlogged_, "a graph merged by unionWith has no usable log");
+  return Snapshot{log_, logLen_};
+}
+
 void CausalityGraph::addMessage(const AppMsg& m, const std::vector<MsgId>& deps) {
   if (contains(m.id)) return;
+  const std::size_t nodesBefore = graph_.nodeCount();
   graph_.addNode(m.id);
 
   const std::vector<MsgId>* sources = &deps;
@@ -17,50 +48,129 @@ void CausalityGraph::addMessage(const AppMsg& m, const std::vector<MsgId>& deps)
     collapseDominated(deps, sourcesScratch_);
     sources = &sourcesScratch_;
   }
+  gainedScratch_.clear();
   for (MsgId d : *sources) {
     if (d == m.id) continue;
     // Unknown dependencies become placeholder nodes: the edge constrains
     // ordering; the content arrives later via update/union.
-    graph_.addEdge(d, m.id);
+    if (graph_.addEdge(d, m.id)) gainedScratch_.push_back(d);
   }
   syncNodeArrays();
   const std::uint32_t mi = *graph_.indexOf(m.id);
-  bodies_[mi] = m;
-  bodyKnown_[mi] = 1;
-  bodyWeight_ += 2 + m.body.size() + m.causalDeps.size();
+  learnBody(mi, std::make_shared<const AppMsg>(m));
+  logChange(m.id, nodesBefore, gainedScratch_, bodies_[mi]);
   refreshNode(mi);
 }
 
+void CausalityGraph::mergeSnapshot(const Snapshot& snap) {
+  // This graph holds its own log's first logLen_ changes, and every
+  // other log's changes up to its watermark there.
+  std::size_t from = 0;
+  if (snap.log == log_) {
+    from = logLen_;
+  } else if (const auto it = watermarks_.find(snap.log.get());
+             it != watermarks_.end()) {
+    from = it->second.length;
+  }
+  if (snap.length <= from) return;  // stale, or this graph's own past
+  replayedEntries_ += snap.length - from;
+  for (std::size_t k = from; k < snap.length; ++k) applyChange(*snap.log, k);
+  // logLen_ tracks this graph's own log; replaying it past logLen_ (a
+  // copy appended there) forked it at the first change logged here.
+  if (snap.log != log_) {
+    watermarks_[snap.log.get()] = Watermark{snap.log, snap.length};
+  }
+}
+
+void CausalityGraph::applyChange(const CgLog& log, std::size_t k) {
+  const CgChange& c = log.changes[k];
+  const std::size_t nodesBefore = graph_.nodeCount();
+  graph_.addNode(c.id);
+  gainedScratch_.clear();
+  for (std::uint32_t e = c.predBegin; e < c.predEnd; ++e) {
+    if (graph_.addEdge(log.preds[e], c.id)) gainedScratch_.push_back(log.preds[e]);
+  }
+  syncNodeArrays();
+  const std::uint32_t i = *graph_.indexOf(c.id);
+  const bool learned = c.body != nullptr && bodies_[i] == nullptr;
+  if (learned) learnBody(i, c.body);
+  if (graph_.nodeCount() == nodesBefore && gainedScratch_.empty() && !learned) {
+    return;  // nothing new here: nothing to log or refresh
+  }
+  // Full-paper in-edges are exactly C(m) \ {m}, installed at once, so
+  // any two graphs agree on every nonempty pred set: edges can only land
+  // on a node that had none (a placeholder or a rebase-added message).
+  WFD_DCHECK(mode_ != CgEdgeMode::kFullPaper || gainedScratch_.empty() ||
+             graph_.predIndices(i).size() == gainedScratch_.size());
+  logChange(c.id, nodesBefore, gainedScratch_, learned ? c.body : nullptr);
+  if (!emitted_[i]) refreshNode(i);
+}
+
+void CausalityGraph::logChange(MsgId id, std::size_t nodesBefore,
+                               const std::vector<MsgId>& gained,
+                               const std::shared_ptr<const AppMsg>& body) {
+  if (!log_) {
+    log_ = std::make_shared<CgLog>();
+  } else if (log_->changes.size() != logLen_) {
+    forkLog();
+  }
+  CgLog& log = *log_;
+  const auto pos = static_cast<std::uint32_t>(log.changes.size());
+  CgChange c;
+  c.id = id;
+  c.predBegin = static_cast<std::uint32_t>(log.preds.size());
+  log.preds.insert(log.preds.end(), gained.begin(), gained.end());
+  c.predEnd = static_cast<std::uint32_t>(log.preds.size());
+  c.body = body;
+  log.changes.push_back(std::move(c));
+  for (std::size_t j = nodesBefore; j < graph_.nodeCount(); ++j) {
+    log.firstPos.emplace(graph_.nodeAt(static_cast<std::uint32_t>(j)), pos);
+  }
+  logLen_ = log.changes.size();
+}
+
+void CausalityGraph::forkLog() {
+  const CgLog& shared = *log_;
+  auto fork = std::make_shared<CgLog>();
+  fork->changes.assign(shared.changes.begin(),
+                       shared.changes.begin() + static_cast<std::ptrdiff_t>(logLen_));
+  const std::uint32_t predEnd = logLen_ == 0 ? 0 : fork->changes.back().predEnd;
+  fork->preds.assign(shared.preds.begin(), shared.preds.begin() + predEnd);
+  for (const auto& [id, pos] : shared.firstPos) {
+    if (pos < logLen_) fork->firstPos.emplace(id, pos);
+  }
+  // This graph still holds the shared log's prefix: later snapshots of it
+  // (from the copy that appended there) replay from logLen_.
+  watermarks_[log_.get()] = Watermark{log_, logLen_};
+  log_ = std::move(fork);
+}
+
+void CausalityGraph::learnBody(std::uint32_t i, std::shared_ptr<const AppMsg> body) {
+  bodyWeight_ += 2 + body->body.size() + body->causalDeps.size();
+  bodies_[i] = std::move(body);
+}
+
 void CausalityGraph::unionWith(const CausalityGraph& other) {
-  // stablePredSets holds in kFullPaper mode: a message's in-edges are
-  // exactly C(m) \ {m}, installed atomically by addMessage (empty until
-  // then for placeholder nodes), so any two graphs agree on every
-  // nonempty pred set and the union can skip settled nodes outright
-  // (debug builds cross-check the set equality). kFrontier re-collapses
-  // deps against each receiver's local graph, so different processes can
-  // hold different — closure-equivalent — pred sets for the same node;
-  // that mode keeps the general merging union.
-  graph_.unionWith(other.graph_, unionMapScratch_,
-                   /*stablePredSets=*/mode_ == CgEdgeMode::kFullPaper);
+  std::vector<std::uint32_t> map;
+  graph_.unionWith(other.graph_, map);
   syncNodeArrays();
   // Only the other graph's nodes can have gained bodies or in-edges;
   // revisit exactly those.
-  for (std::size_t j = 0; j < unionMapScratch_.size(); ++j) {
-    const std::uint32_t i = unionMapScratch_[j];
-    if (other.bodyKnown_[j] && !bodyKnown_[i]) {
-      bodies_[i] = other.bodies_[j];
-      bodyKnown_[i] = 1;
-      bodyWeight_ += 2 + bodies_[i].body.size() + bodies_[i].causalDeps.size();
+  for (std::size_t j = 0; j < map.size(); ++j) {
+    const std::uint32_t i = map[j];
+    if (other.bodies_[j] != nullptr && bodies_[i] == nullptr) {
+      learnBody(i, other.bodies_[j]);
     }
     if (!emitted_[i]) refreshNode(i);
   }
+  unlogged_ = true;
 }
 
 const AppMsg& CausalityGraph::message(MsgId id) const {
   const auto idx = graph_.indexOf(id);
-  WFD_ENSURE_MSG(idx.has_value() && bodyKnown_[*idx] != 0,
+  WFD_ENSURE_MSG(idx.has_value() && bodies_[*idx] != nullptr,
                  "unknown message in causality graph");
-  return bodies_[*idx];
+  return *bodies_[*idx];
 }
 
 std::vector<MsgId> CausalityGraph::topologicalOrder() const {
@@ -103,7 +213,7 @@ std::vector<MsgId> CausalityGraph::extendPromote(
   WFD_ENSURE_MSG(order.has_value(), "causality graph must be acyclic");
   for (std::uint32_t idx : *order) {
     if (emitted[idx]) continue;
-    bool ready = bodyKnown_[idx] != 0;
+    bool ready = bodies_[idx] != nullptr;
     if (ready) {
       for (std::uint32_t pred : graph_.predIndices(idx)) {
         if (!emitted[pred]) {
@@ -132,7 +242,7 @@ const std::vector<MsgId>& CausalityGraph::extendPromote() {
     std::size_t valid = 0;
     for (const std::uint32_t i : ready_) {
       if (!readyFlag_[i]) continue;  // emitted meanwhile
-      if (emitted_[i] || unmetPreds_[i] != 0 || !bodyKnown_[i]) {
+      if (emitted_[i] || unmetPreds_[i] != 0 || bodies_[i] == nullptr) {
         readyFlag_[i] = 0;  // refreshNode re-queues it if it recovers
         continue;
       }
@@ -196,7 +306,6 @@ void CausalityGraph::syncNodeArrays() {
   const std::size_t n = graph_.nodeCount();
   if (bodies_.size() == n) return;
   bodies_.resize(n);
-  bodyKnown_.resize(n, 0);
   emitted_.resize(n, 0);
   unmetPreds_.resize(n, 0);
   readyFlag_.resize(n, 0);
@@ -208,7 +317,7 @@ void CausalityGraph::refreshNode(std::uint32_t i) {
     if (!emitted_[p]) ++unmet;
   }
   unmetPreds_[i] = unmet;
-  if (unmet == 0 && bodyKnown_[i] && !emitted_[i]) pushReady(i);
+  if (unmet == 0 && bodies_[i] != nullptr && !emitted_[i]) pushReady(i);
 }
 
 void CausalityGraph::pushReady(std::uint32_t i) {
@@ -224,7 +333,7 @@ void CausalityGraph::emitNode(std::uint32_t i) {
   for (const std::uint32_t s : graph_.succIndices(i)) {
     if (emitted_[s]) continue;
     WFD_DCHECK(unmetPreds_[s] > 0);
-    if (--unmetPreds_[s] == 0 && bodyKnown_[s]) pushReady(s);
+    if (--unmetPreds_[s] == 0 && bodies_[s] != nullptr) pushReady(s);
   }
 }
 
@@ -233,7 +342,7 @@ void CausalityGraph::emitBatch() {
       graph_.topoSortIndices([](MsgId a, MsgId b) { return a < b; });
   WFD_ENSURE_MSG(order.has_value(), "causality graph must be acyclic");
   for (const std::uint32_t idx : *order) {
-    if (emitted_[idx] || !bodyKnown_[idx] || unmetPreds_[idx] != 0) continue;
+    if (emitted_[idx] || bodies_[idx] == nullptr || unmetPreds_[idx] != 0) continue;
     emitNode(idx);
   }
 }

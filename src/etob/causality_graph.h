@@ -14,13 +14,23 @@
 //    and provably closure-equivalent because every node reaches a sink.
 //
 // Layout: message bodies live in a flat vector parallel to the graph's
-// insertion-index space (bodies_[i] is the content of node i once
-// bodyKnown_[i]); approxWeight is maintained incrementally. The promote
+// insertion-index space (bodies_[i] is the content of node i, null for a
+// placeholder); approxWeight is maintained incrementally. The promote
 // sequence of UpdatePromote is maintained incrementally too — see
 // extendPromote() below.
+//
+// Shared snapshots: every effective change (a node inserted, edges
+// gained, a body learned) is appended to a change log, in the order it
+// was applied. update(CG_i) carries snapshot(), a shared handle on the
+// log's first k changes, instead of a copy of the graph; a receiver
+// replays only the changes past its watermark for that log
+// (mergeSnapshot), which yields exactly what the full-graph union
+// yields. Bodies are shared between graphs and logs, never copied.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/digraph.h"
@@ -30,6 +40,9 @@
 namespace wfd {
 
 enum class CgEdgeMode { kFullPaper, kFrontier };
+
+/// A causality graph's append-only change log (causality_graph.cpp).
+struct CgLog;
 
 class CausalityGraph {
  public:
@@ -44,15 +57,47 @@ class CausalityGraph {
   /// extendPromote). Idempotent per message id.
   void addMessage(const AppMsg& m, const std::vector<MsgId>& deps);
 
-  /// The paper's UnionCG(CG_j). Fills in placeholder bodies known to the
-  /// peer.
+  /// What update(CG_i) carries: the first `length` changes of a graph's
+  /// change log, shared with the graph that wrote them (and with every
+  /// copy of it that has not appended since). Replaying them yields that
+  /// graph as it was when the snapshot was taken.
+  struct Snapshot {
+    std::shared_ptr<const CgLog> log;
+    std::size_t length = 0;
+    /// True iff `id` is a node (placeholder or not) of the snapshotted
+    /// graph. O(1).
+    bool mentions(MsgId id) const;
+  };
+
+  /// This graph as a snapshot: O(1), nothing is copied. A copied graph
+  /// shares its log until one side appends past the other's length; the
+  /// appending side then forks a private copy of its prefix.
+  Snapshot snapshot() const;
+
+  /// The paper's UnionCG(CG_j), given CG_j as a snapshot. Replays only
+  /// the changes past this graph's watermark for the snapshot's log (a
+  /// stale snapshot, or this graph's own past one, is a no-op) and
+  /// appends to this graph's log only what changed here. The result —
+  /// node insertion order, edges, bodies and the promote engine's state —
+  /// equals unionWith of the sender's graph at send time.
+  void mergeSnapshot(const Snapshot& snap);
+
+  /// Full-graph UnionCG: merges every node, edge and body of `other`.
+  /// No production path calls it; it is the differential-test oracle that
+  /// mergeSnapshot must reproduce (tests/test_cg_snapshots.cpp). It
+  /// bypasses the change log, so a graph merged this way can no longer
+  /// be snapshotted.
   void unionWith(const CausalityGraph& other);
+
+  /// Log changes replayed by mergeSnapshot over this graph's lifetime
+  /// (copies included): the merge's whole cost is linear in it.
+  std::uint64_t replayedEntries() const { return replayedEntries_; }
 
   /// True iff the full content of the message is known (placeholder
   /// dependency nodes return false).
   bool contains(MsgId id) const {
     const auto idx = graph_.indexOf(id);
-    return idx.has_value() && bodyKnown_[*idx] != 0;
+    return idx.has_value() && bodies_[*idx] != nullptr;
   }
   std::size_t messageCount() const { return graph_.nodeCount(); }
   std::size_t edgeCount() const { return graph_.edgeCount(); }
@@ -62,6 +107,10 @@ class CausalityGraph {
 
   /// All message ids, in insertion order.
   const std::vector<MsgId>& ids() const { return graph_.nodes(); }
+
+  /// Direct causal predecessors of a message (its in-edges), in
+  /// insertion order.
+  std::vector<MsgId> predecessors(MsgId id) const { return graph_.predecessors(id); }
 
   /// True iff `ancestor` causally precedes `descendant` in this graph.
   bool causallyPrecedes(MsgId ancestor, MsgId descendant) const {
@@ -95,7 +144,7 @@ class CausalityGraph {
   std::vector<MsgId> extendPromote(const std::vector<MsgId>& promote) const;
 
   // -- Incremental promote engine ----------------------------------------
-  // addMessage/unionWith maintain per-node unmet-predecessor counts and a
+  // addMessage/mergeSnapshot maintain per-node unmet-predecessor counts and a
   // ready frontier (nodes whose content and whole ancestry are known but
   // which are not yet in the maintained sequence). extendPromote() drains
   // that frontier in O(newly promotable + touched edges): when exactly one
@@ -122,6 +171,26 @@ class CausalityGraph {
   CgEdgeMode mode() const { return mode_; }
 
  private:
+  /// Where this graph stands in another graph's log: it holds that log's
+  /// first `length` changes. The shared_ptr keeps the log alive, so its
+  /// address (the watermark key) cannot be reused by a different log.
+  struct Watermark {
+    std::shared_ptr<const CgLog> log;
+    std::size_t length = 0;
+  };
+
+  /// Applies one change of another graph's log and logs what changed.
+  void applyChange(const CgLog& log, std::size_t k);
+  /// Appends the change just applied to node `id`: the nodes inserted
+  /// since `nodesBefore`, the edges in `gained` (insertion order), and
+  /// `body` if it was learned (null otherwise).
+  void logChange(MsgId id, std::size_t nodesBefore,
+                 const std::vector<MsgId>& gained,
+                 const std::shared_ptr<const AppMsg>& body);
+  /// Another copy appended to the shared log past logLen_: continue on a
+  /// private copy of this graph's prefix.
+  void forkLog();
+  void learnBody(std::uint32_t i, std::shared_ptr<const AppMsg> body);
   /// Grows the per-node parallel arrays to the graph's node count.
   void syncNodeArrays();
   /// Recomputes unmetPreds_ for node i and queues it if it became ready.
@@ -144,13 +213,22 @@ class CausalityGraph {
 
   CgEdgeMode mode_;
   Digraph<MsgId> graph_;
-  /// Content per node index; meaningful only where bodyKnown_[i] != 0
-  /// (placeholder nodes keep a default-constructed slot).
-  std::vector<AppMsg> bodies_;
-  std::vector<char> bodyKnown_;
+  /// Content per node index; null for placeholder nodes. Shared with the
+  /// change logs that carry it and with every graph that learned it.
+  std::vector<std::shared_ptr<const AppMsg>> bodies_;
   /// Σ over known bodies of (2 + |body| + |causalDeps|): the body part of
   /// approxWeight, maintained on every body learn.
   std::size_t bodyWeight_ = 0;
+
+  // Change log (allocated at the first change) and merge watermarks.
+  std::shared_ptr<CgLog> log_;
+  /// This graph's changes are log_'s first logLen_ entries (a copy may
+  /// have appended more).
+  std::size_t logLen_ = 0;
+  std::unordered_map<const CgLog*, Watermark> watermarks_;
+  std::uint64_t replayedEntries_ = 0;
+  /// Set by unionWith, which bypasses the log.
+  bool unlogged_ = false;
 
   // Incremental promote state (all parallel to the graph's index space).
   std::vector<MsgId> promoteSeq_;
@@ -159,13 +237,13 @@ class CausalityGraph {
   std::vector<std::uint32_t> ready_;
   std::vector<char> readyFlag_;
 
-  // Reused scratch (dominance flood + union bookkeeping), stamp-versioned
-  // so clears are O(touched) not O(nodes).
+  // Reused scratch (dominance flood + logged edges); the flood is
+  // stamp-versioned so clears are O(touched) not O(nodes).
   std::vector<std::uint32_t> visitStamp_;
   std::uint32_t visitEpoch_ = 0;
   std::vector<std::uint32_t> floodStack_;
   std::vector<MsgId> sourcesScratch_;
-  std::vector<std::uint32_t> unionMapScratch_;
+  std::vector<MsgId> gainedScratch_;
 };
 
 }  // namespace wfd

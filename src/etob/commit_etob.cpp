@@ -54,24 +54,39 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
     voters.insert(from);
     const std::size_t majority = ctx.processCount / 2 + 1;
     if (voters.size() < majority) return;
-    const std::vector<MsgId>& candidate = seqIt->second;
-    if (candidate.size() <= committed_.size()) return;  // nothing new
-    if (!isPrefix(committed_, candidate)) {
+    // The candidate is seq[0, len): what this leader promoted at the
+    // acknowledged epoch.
+    const Promoted promoted = seqIt->second;
+    const std::vector<MsgId>& current = core_.promoteSequence();
+    const std::vector<MsgId>& seq = promoted.generation == generation_
+                                        ? current
+                                        : savedSeqs_.at(promoted.generation);
+    const std::size_t len = promoted.length;
+    if (len <= committed_.size()) return;  // nothing new
+    if (!std::equal(committed_.begin(), committed_.end(), seq.begin())) {
       // Should not happen while this process leads (its own promotes
       // extend its committed prefix); counted for honesty.
       ++commitConflicts_;
       return;
     }
-    // Stale-epoch guard: the candidate was snapshotted when it was this
+    // Stale-epoch guard: the candidate was promoted when it was this
     // leader's promote sequence, but an adoptCommit in between may have
     // REBASED promote_ into a different order. Committing such a moot
     // snapshot would make committed_ diverge from every future promote —
     // each then refused by the commit guard at every process, this one
     // included, freezing d_i forever (a deadlock wfd_explore shrank to a
     // 5-process run). Only commit candidates the current promote order
-    // still stands behind.
-    if (!isPrefix(candidate, core_.promoteSequence())) return;
-    committed_ = candidate;
+    // still stands behind; a current-generation candidate is a prefix of
+    // it by construction.
+    if (promoted.generation != generation_ &&
+        (current.size() < len ||
+         !std::equal(seq.begin(), seq.begin() + static_cast<std::ptrdiff_t>(len),
+                     current.begin()))) {
+      return;
+    }
+    committed_.insert(committed_.end(),
+                      seq.begin() + static_cast<std::ptrdiff_t>(committed_.size()),
+                      seq.begin() + static_cast<std::ptrdiff_t>(len));
     std::vector<AppMsg> content;
     content.reserve(committed_.size());
     std::size_t weight = 2;
@@ -98,11 +113,17 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
 void CommitEtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
   if (!core_.promote(ctx, fx)) return;
   const std::uint64_t epoch = core_.promoteEpoch();
-  epochSeq_[epoch] = core_.promoteSequence();
-  // Prune acknowledged bookkeeping far behind the committed frontier.
-  while (!epochSeq_.empty() && epochSeq_.begin()->first + 128 < epoch) {
+  epochSeq_[epoch] = Promoted{core_.promoteSequence().size(), generation_};
+  // Prune acknowledged bookkeeping far behind the committed frontier, and
+  // the saved sequences no remaining epoch references (generations grow
+  // with epochs).
+  while (epochSeq_.begin()->first + 128 < epoch) {
     acks_.erase(epochSeq_.begin()->first);
     epochSeq_.erase(epochSeq_.begin());
+  }
+  const std::uint64_t oldest = epochSeq_.begin()->second.generation;
+  while (!savedSeqs_.empty() && savedSeqs_.begin()->first < oldest) {
+    savedSeqs_.erase(savedSeqs_.begin());
   }
 }
 
@@ -123,8 +144,13 @@ void CommitEtobAutomaton::adoptCommit(const std::vector<AppMsg>& prefix,
     if (!strongerCommit(ids, committed_)) return;
   }
   // Learn the content (the committing leader included it) and rebase the
-  // local promote sequence onto the committed prefix.
+  // local promote sequence onto the committed prefix. Epochs promoted
+  // since the last rebase keep the sequence they promoted a prefix of.
   committed_ = std::move(ids);
+  if (!epochSeq_.empty() && epochSeq_.rbegin()->second.generation == generation_) {
+    savedSeqs_.emplace(generation_, core_.promoteSequence());
+  }
+  ++generation_;
   core_.rebase(prefix, committed_);
   // The indication is emitted once the local delivery sequence reflects
   // the committed prefix (it may still show an older leader's view).

@@ -86,14 +86,28 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
   std::uint64_t commitConflicts() const { return commitConflicts_; }
   /// Promote-learned bodies not yet backed by the causality graph.
   std::size_t adoptedBodyCount() const { return core_.adoptedBodyCount(); }
+  const CausalityGraph& causalityGraph() const { return core_.causalityGraph(); }
 
  private:
+  /// What this process promoted at one of its epochs: the first `length`
+  /// ids of promote_i as it stood in rebase generation `generation`.
+  struct Promoted {
+    std::size_t length = 0;
+    std::uint64_t generation = 0;
+  };
+
   void adoptCommit(const std::vector<AppMsg>& prefix, Effects& fx);
 
   EtobCore core_;
   std::vector<MsgId> committed_;
-  std::map<std::uint64_t, std::vector<MsgId>> epochSeq_;  // my promoted seqs
+  std::map<std::uint64_t, Promoted> epochSeq_;  // my promotes, by epoch
   std::map<std::uint64_t, std::set<ProcessId>> acks_;
+  /// Rebases so far. promote_i only grows between rebases, so an epoch of
+  /// the current generation promoted a prefix of today's promote_i.
+  std::uint64_t generation_ = 0;
+  /// promote_i as it stood before each rebase that outstanding epochs
+  /// still reference, keyed by the generation it ended.
+  std::map<std::uint64_t, std::vector<MsgId>> savedSeqs_;
   std::uint64_t commitConflicts_ = 0;
 };
 

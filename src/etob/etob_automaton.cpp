@@ -58,21 +58,19 @@ void EtobCore::onInput(const Payload& input, Effects& fx) {
     const std::size_t weight = 3 + m.body.size() + deps.size();
     fx.broadcast(Payload::of(EtobDeltaMsg{std::move(m), std::move(deps)}), weight);
   } else {
-    fx.broadcast(Payload::of(EtobUpdateMsg{cg_}), cg_.approxWeight());
+    fx.broadcast(Payload::of(EtobUpdateMsg{cg_.snapshot()}), cg_.approxWeight());
   }
 }
 
 bool EtobCore::ingestUpdate(const Payload& msg) {
   if (const auto* update = msg.as<EtobUpdateMsg>()) {
-    cg_.unionWith(update->cg);
+    cg_.mergeSnapshot(update->cg);
     // Every promote-learned body whose update has now reached cg_ is
     // backed there; dropping it keeps adoptedBodies_ from growing for the
     // whole run.
-    if (!adoptedBodies_.empty()) {
-      for (MsgId id : update->cg.ids()) {
-        if (cg_.contains(id)) adoptedBodies_.erase(id);
-      }
-    }
+    std::erase_if(adoptedBodies_, [&](const auto& entry) {
+      return update->cg.mentions(entry.first) && cg_.contains(entry.first);
+    });
   } else if (const auto* delta = msg.as<EtobDeltaMsg>()) {
     cg_.addMessage(delta->msg, delta->deps);
     adoptedBodies_.erase(delta->msg.id);

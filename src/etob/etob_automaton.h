@@ -64,8 +64,13 @@ struct EtobPromoteMsg {
   std::uint64_t epoch = 0;
   std::uint64_t baseLen = 0;
 };
+/// The paper's update(CG_i). It carries the sender's whole graph as a
+/// shared snapshot (CausalityGraph::Snapshot) rather than a copy: a
+/// receiver replays only the changes it has not merged yet, and the wire
+/// weight is still that of the whole graph, cg_.approxWeight() at send
+/// time.
 struct EtobUpdateMsg {
-  CausalityGraph cg;
+  CausalityGraph::Snapshot cg;
 };
 /// Delta update: one new message plus its dependency ids. The paper's
 /// update(CG_i) carries the whole graph; since a broadcast step is atomic

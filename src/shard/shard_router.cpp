@@ -54,15 +54,17 @@ void ShardRouter::foldShard(std::size_t s) {
   // fold keeps being served (stale reads are the honest answer there).
   if (service_->correctReplicasOf(s) == 0) return;
   Client c = service_->shard(s).client(service_->readReplicaOf(s));
-  std::vector<MsgId> prefix = c.committedPrefix();
+  const std::vector<MsgId>& prefix = c.committedPrefix();
   FoldState& f = folds_[s];
   std::size_t from = f.folded.size();
   const bool extension =
       prefix.size() >= f.folded.size() &&
       std::equal(f.folded.begin(), f.folded.end(), prefix.begin());
+  if (extension && prefix.size() == from) return;  // nothing new committed
   if (!extension) {
     f.kv.clear();
     f.versions.clear();
+    f.folded.clear();
     ++refolds_;
     from = 0;
   }
@@ -91,7 +93,8 @@ void ShardRouter::foldShard(std::size_t s) {
       }
     }
   }
-  f.folded = std::move(prefix);
+  f.folded.insert(f.folded.end(),
+                  prefix.begin() + static_cast<std::ptrdiff_t>(from), prefix.end());
 }
 
 std::size_t ShardRouter::pendingPuts() const { return pending_.size(); }

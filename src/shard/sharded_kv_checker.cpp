@@ -52,10 +52,13 @@ ShardedKvReport checkShardedKvRun(const std::vector<RouterOp>& ops) {
     } else {
       // read-your-writes: a write this router already saw commit on this
       // shard (strictly earlier — same-tick resolution order is not
-      // observable from the log) must be visible.
-      for (const auto& [kv, writer] : puts) {
-        if (kv.first == op.key && writer->shard == op.shard &&
-            writer->committed && writer->commitTime < op.time) {
+      // observable from the log) must be visible. puts is ordered by
+      // (key, value), so the key's puts are one contiguous run.
+      for (auto it = puts.lower_bound({op.key, 0});
+           it != puts.end() && it->first.first == op.key; ++it) {
+        const RouterOp* writer = it->second;
+        if (writer->shard == op.shard && writer->committed &&
+            writer->commitTime < op.time) {
           ++report.staleReads;
           if (report.errors.size() < 8) {
             report.errors.push_back(

@@ -113,6 +113,9 @@ class Trace {
   std::vector<std::uint64_t> stepsTaken_;
   /// Per-process monotone record counter stamped on outputs + snapshots.
   std::vector<std::uint64_t> recordOrder_;
+  /// Whether the current d_i holds an id twice. While it does not, an
+  /// extension touches only the appended ids.
+  std::vector<char> hasDuplicate_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesDelivered_ = 0;
   std::uint64_t weightSent_ = 0;

@@ -80,7 +80,7 @@ TEST(CausalityGraphTest, UnionFillsPlaceholderBody) {
   peers.addMessage(a, {});
   mine.addMessage(b, {a.id});  // a unknown here: placeholder
   EXPECT_TRUE(mine.extendPromote({}).empty());
-  mine.unionWith(peers);
+  mine.mergeSnapshot(peers.snapshot());
   EXPECT_EQ(mine.extendPromote({}), (std::vector<MsgId>{a.id, b.id}));
 }
 
@@ -90,7 +90,7 @@ TEST(CausalityGraphTest, UnionMergesBodiesAndEdges) {
   a.addMessage(m0, {});
   b.addMessage(m0, {});
   b.addMessage(m1, {m0.id});
-  a.unionWith(b);
+  a.mergeSnapshot(b.snapshot());
   EXPECT_EQ(a.messageCount(), 2u);
   EXPECT_TRUE(a.causallyPrecedes(m0.id, m1.id));
   EXPECT_EQ(a.message(m1.id).origin, 1u);
@@ -249,15 +249,15 @@ TEST(CausalityGraphTest, IncrementalMatchesBatchOnRandomEventStreams) {
       b.addMessage(msgs[orderB[step]], deps[orderB[step]]);
       check(b, expectB);
       if (step % 5 == 4) {
-        a.unionWith(b);
+        a.mergeSnapshot(b.snapshot());
         check(a, expectA);
       }
       if (step % 7 == 6) {
-        b.unionWith(a);
+        b.mergeSnapshot(a.snapshot());
         check(b, expectB);
       }
     }
-    a.unionWith(b);
+    a.mergeSnapshot(b.snapshot());
     check(a, expectA);
     EXPECT_EQ(expectA.size(), kMsgs) << "everything promotable in the end";
     // Rebase equivalence: resetting onto a committed prefix equals the

@@ -218,6 +218,103 @@ TEST(CommitEtobTest, PromoteContradictingCommitIsRefused) {
   EXPECT_EQ(ack->epoch, 2u);
 }
 
+TEST(CommitEtobTest, AdoptedBodyDrainsAtTheFirstUpdateNamingIt) {
+  // A promote-adopted body that a commit's rebase puts into the graph
+  // stays buffered until an update whose graph contains its id arrives;
+  // an update about other messages does not drain it.
+  CommitEtobAutomaton a;
+  StepContext ctx;
+  ctx.self = 0;
+  ctx.processCount = 3;
+  ctx.fd.leader = 2;
+  AppMsg m;
+  m.id = makeMsgId(2, 0);
+  m.origin = 2;
+  AppMsg other;
+  other.id = makeMsgId(1, 0);
+  other.origin = 1;
+  Effects fx;
+  a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m}, 1}), fx);
+  ASSERT_EQ(a.adoptedBodyCount(), 1u);
+  a.onMessage(ctx, 2, Payload::of(EtobCommitMsg{{m}}), fx);
+  ASSERT_TRUE(a.causalityGraph().contains(m.id)) << "learned by the rebase";
+  EXPECT_EQ(a.adoptedBodyCount(), 1u);
+  CausalityGraph fromOne;
+  fromOne.addMessage(other, {});
+  a.onMessage(ctx, 1, Payload::of(EtobUpdateMsg{fromOne.snapshot()}), fx);
+  EXPECT_EQ(a.adoptedBodyCount(), 1u) << "an update not naming m keeps it";
+  CausalityGraph fromTwo;
+  fromTwo.addMessage(m, {});
+  a.onMessage(ctx, 2, Payload::of(EtobUpdateMsg{fromTwo.snapshot()}), fx);
+  EXPECT_EQ(a.adoptedBodyCount(), 0u);
+}
+
+/// Leader 0 of three learns m1 and then `a` and `b` (each after m1,
+/// concurrent with each other) in that order, so it promotes {m1, a, b}
+/// at epoch 1. It then learns the commit {m1} — a rebase, which
+/// re-extends {m1} in canonical order (concurrent ties by id) — and only
+/// then collects a majority of acks for epoch 1.
+struct RebasedAckOutcome {
+  std::vector<MsgId> committed;
+  std::uint64_t conflicts = 0;
+  bool commitSent = false;
+};
+RebasedAckOutcome ackEpochAfterRebase(MsgId a, MsgId b) {
+  auto message = [](MsgId id) {
+    AppMsg m;
+    m.id = id;
+    m.origin = msgIdOrigin(id);
+    return m;
+  };
+  CommitEtobAutomaton leader;
+  StepContext ctx;
+  ctx.self = 0;
+  ctx.processCount = 3;
+  ctx.fd.leader = 0;
+  Effects fx;
+  CausalityGraph peer;  // what process 1 knows and gossips
+  const AppMsg m1 = message(makeMsgId(1, 0));
+  for (const auto& [m, deps] : {std::pair{m1, std::vector<MsgId>{}},
+                                std::pair{message(a), std::vector{m1.id}},
+                                std::pair{message(b), std::vector{m1.id}}}) {
+    peer.addMessage(m, deps);
+    leader.onMessage(ctx, 1, Payload::of(EtobUpdateMsg{peer.snapshot()}), fx);
+  }
+  Effects promoteFx;
+  leader.onTimeout(ctx, promoteFx);
+  std::vector<MsgId> promoted;
+  for (const auto& out : promoteFx.sends()) {
+    if (const auto* p = out.payload.as<EtobPromoteMsg>()) {
+      for (const AppMsg& m : p->seq) promoted.push_back(m.id);
+    }
+  }
+  EXPECT_EQ(promoted, (std::vector<MsgId>{m1.id, a, b}));
+  leader.onMessage(ctx, 1, Payload::of(EtobCommitMsg{{m1}}), fx);
+  Effects ackFx;
+  leader.onMessage(ctx, 1, Payload::of(EtobAckMsg{1}), ackFx);
+  leader.onMessage(ctx, 2, Payload::of(EtobAckMsg{1}), ackFx);
+  return {leader.committedPrefix(), leader.commitConflicts(), !ackFx.sends().empty()};
+}
+
+TEST(CommitEtobTest, StaleEpochGuardJudgesTheRebasedOrder) {
+  // Mutation guard on the stale-epoch guard in the ack path: the
+  // epoch-1 candidate {m1, a, b} may commit only while the rebased
+  // promote sequence still starts with it.
+  const MsgId m1 = makeMsgId(1, 0);
+  const MsgId lo = makeMsgId(1, 1);
+  const MsgId hi = makeMsgId(2, 0);
+  // Rebased to {m1, lo, hi}: the candidate is still a prefix.
+  const RebasedAckOutcome kept = ackEpochAfterRebase(lo, hi);
+  EXPECT_EQ(kept.committed, (std::vector<MsgId>{m1, lo, hi}));
+  EXPECT_EQ(kept.conflicts, 0u);
+  EXPECT_TRUE(kept.commitSent);
+  // Promoted {m1, hi, lo}, rebased to {m1, lo, hi}: refused.
+  const RebasedAckOutcome moot = ackEpochAfterRebase(hi, lo);
+  EXPECT_EQ(moot.committed, (std::vector<MsgId>{m1}));
+  EXPECT_EQ(moot.conflicts, 0u) << "refused by the guard, not as a conflict";
+  EXPECT_FALSE(moot.commitSent);
+}
+
 // Sweep: commit safety across seeds and environments with a majority.
 class CommitSweepTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};

@@ -257,7 +257,7 @@ TYPED_TEST(EtobAdoptionTest, AdoptedBodiesDrainOnceUpdatesArrive) {
   // body stays resolvable through the graph.
   CausalityGraph peer;
   peer.addMessage(m, {});
-  a.onMessage(ctx, 2, Payload::of(EtobUpdateMsg{peer}), fx);
+  a.onMessage(ctx, 2, Payload::of(EtobUpdateMsg{peer.snapshot()}), fx);
   EXPECT_EQ(a.adoptedBodyCount(), 0u);
   ASSERT_NE(a.findMessage(m.id), nullptr);
   EXPECT_EQ(a.findMessage(m.id)->origin, 2u);

@@ -339,6 +339,38 @@ TEST(ShardedKvChecker, FlagsStaleRead) {
   EXPECT_EQ(r.staleReads, 1u);
 }
 
+TEST(ShardedKvChecker, StaleReadScanStaysOnTheReadKey) {
+  // Committed puts of the neighbouring keys 6 and 8 never make a get of
+  // key 7, of key 5 (written on another shard only) or of the put-less
+  // key 9 stale; among key 7's puts the first same-shard one committed
+  // before the read, in value order, is the one reported.
+  const std::vector<RouterOp> ops = {
+      putOp(5, 3, 1, 5, true, 10),  // other shard
+      putOp(6, 1, 0, 5, true, 10),
+      putOp(8, 1, 0, 5, true, 10),
+      putOp(7, 2, 1, 10, true, 20),  // other shard
+      putOp(7, 9, 0, 10, true, 30),
+      putOp(7, 4, 0, 10, true, 50),
+      putOp(7, 5, 0, 10, false, 0),  // never seen committed
+      getOp(7, 0, 80, false, 0, 0),
+      getOp(5, 0, 80, false, 0, 0),
+      getOp(9, 0, 80, false, 0, 0),
+      getOp(6, 0, 80, true, 1, 1),
+  };
+  const ShardedKvReport r = checkShardedKvRun(ops);
+  EXPECT_EQ(r.puts, 7u);
+  EXPECT_EQ(r.committedPuts, 6u);
+  EXPECT_EQ(r.gets, 4u);
+  EXPECT_EQ(r.successfulGets, 1u);
+  EXPECT_EQ(r.uncommittedReads, 0u);
+  EXPECT_EQ(r.monotonicityViolations, 0u);
+  EXPECT_EQ(r.staleReads, 1u);
+  ASSERT_EQ(r.errors.size(), 1u);
+  EXPECT_EQ(r.errors[0],
+            "get(key 7) at t=80 on shard 0 found nothing despite a commit "
+            "observed at t=50");
+}
+
 TEST(ShardedKvChecker, SameTickCommitDoesNotForceVisibility) {
   const std::vector<RouterOp> ops = {
       putOp(7, 1, 0, 10, true, 50),

@@ -3,10 +3,13 @@
 // delivery), crashes and partition windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "fd/detectors.h"
 #include "helpers.h"
+#include "common/rng.h"
 #include "sim/composite.h"
 #include "sim/failure_pattern.h"
 #include "sim/payload.h"
@@ -175,6 +178,136 @@ TEST(TraceTest, StatsTrackRemovalAndReappearance) {
   s = t.deliveryStats(0, 10);
   EXPECT_TRUE(s->presentNow);
   EXPECT_EQ(s->lastChange, 7u);
+}
+
+/// Trace::recordDelivered as it was before the extension fast path,
+/// verbatim, for one process: the differential oracle below.
+struct ReferenceDelivery {
+  std::vector<MsgId> current;
+  std::unordered_map<MsgId, MsgDeliveryStats> stats;
+  std::uint64_t prefixViolations = 0;
+  Time lastViolationAt = 0;
+  Time lastChangeAt = 0;
+  std::vector<DeliverySnapshot> snapshots;
+  std::uint64_t recordOrder = 0;
+
+  bool record(Time t, std::vector<MsgId> seq) {
+    std::vector<MsgId>& old = current;
+    if (seq == old) return false;
+    const bool isExtension =
+        seq.size() >= old.size() && std::equal(old.begin(), old.end(), seq.begin());
+    if (!isExtension) {
+      ++prefixViolations;
+      lastViolationAt = t;
+    }
+    lastChangeAt = t;
+    std::unordered_map<MsgId, std::size_t> newIndex;
+    newIndex.reserve(seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) newIndex.emplace(seq[i], i);
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      if (!newIndex.contains(old[i])) {
+        auto it = stats.find(old[i]);
+        WFD_ENSURE(it != stats.end());
+        it->second.presentNow = false;
+        it->second.lastChange = t;
+      }
+    }
+    std::unordered_map<MsgId, std::size_t> oldIndex;
+    oldIndex.reserve(old.size());
+    for (std::size_t i = 0; i < old.size(); ++i) oldIndex.emplace(old[i], i);
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      const MsgId m = seq[i];
+      auto it = stats.find(m);
+      if (it == stats.end()) {
+        stats.emplace(m, MsgDeliveryStats{t, t, true});
+        continue;
+      }
+      MsgDeliveryStats& s = it->second;
+      auto oldIt = oldIndex.find(m);
+      const bool moved = oldIt == oldIndex.end() || oldIt->second != i;
+      if (!s.presentNow || moved) {
+        s.presentNow = true;
+        s.lastChange = t;
+      }
+    }
+    old = std::move(seq);
+    snapshots.push_back(DeliverySnapshot{t, recordOrder++, current});
+    return true;
+  }
+};
+
+TEST(TraceTest, RecordDeliveredMatchesTheFullScanOnRandomHistories) {
+  // Extensions take the fast path; removals, reorders, duplicates and
+  // empty sequences take the full scan; every observable must agree
+  // with the reference after every call.
+  constexpr MsgId kIds = 24;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Trace trace(2);
+    ReferenceDelivery ref[2];
+    Time t = 0;
+    std::uint64_t extensions = 0;
+    for (int step = 0; step < 300; ++step) {
+      const ProcessId p = static_cast<ProcessId>(rng.below(2));
+      std::vector<MsgId> seq = ref[p].current;
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+        case 2:  // extend (ids may repeat)
+          for (std::uint64_t k = rng.below(4); k > 0; --k) {
+            seq.push_back(rng.below(kIds));
+          }
+          ++extensions;
+          break;
+        case 3:  // remove one
+          if (!seq.empty()) {
+            seq.erase(seq.begin() + static_cast<std::ptrdiff_t>(rng.below(seq.size())));
+          }
+          break;
+        case 4:  // reorder two
+          if (seq.size() >= 2) {
+            std::swap(seq[rng.below(seq.size())], seq[rng.below(seq.size())]);
+          }
+          break;
+        case 5:  // append a duplicate of an entry
+          if (!seq.empty()) seq.push_back(seq[rng.below(seq.size())]);
+          break;
+        case 6:  // empty
+          seq.clear();
+          break;
+        default:  // truncate to a prefix
+          seq.resize(rng.below(seq.size() + 1));
+          break;
+      }
+      if (rng.chance(2, 3)) ++t;
+      ASSERT_EQ(trace.recordDelivered(p, t, seq), ref[p].record(t, seq)) << step;
+      for (ProcessId q = 0; q < 2; ++q) {
+        const ReferenceDelivery& r = ref[q];
+        ASSERT_EQ(trace.currentDelivered(q), r.current);
+        ASSERT_EQ(trace.prefixViolations(q), r.prefixViolations);
+        ASSERT_EQ(trace.lastPrefixViolation(q), r.lastViolationAt);
+        ASSERT_EQ(trace.lastDeliveryChange(q), r.lastChangeAt);
+        const auto& snaps = trace.deliverySnapshots(q);
+        ASSERT_EQ(snaps.size(), r.snapshots.size());
+        if (!snaps.empty()) {
+          ASSERT_EQ(snaps.back().time, r.snapshots.back().time);
+          ASSERT_EQ(snaps.back().order, r.snapshots.back().order);
+          ASSERT_EQ(snaps.back().seq, r.snapshots.back().seq);
+        }
+        for (MsgId m = 0; m < kIds; ++m) {
+          const auto got = trace.deliveryStats(q, m);
+          const auto it = r.stats.find(m);
+          ASSERT_EQ(got.has_value(), it != r.stats.end()) << m;
+          if (!got) continue;
+          ASSERT_EQ(got->firstSeen, it->second.firstSeen) << m;
+          ASSERT_EQ(got->lastChange, it->second.lastChange) << m;
+          ASSERT_EQ(got->presentNow, it->second.presentNow) << m;
+        }
+      }
+    }
+    EXPECT_GT(extensions, 50u);
+  }
 }
 
 // --- Simulator --------------------------------------------------------------
