@@ -41,11 +41,26 @@ double medianHops(std::size_t n, std::uint64_t seed, MakeCluster make) {
   auto cfg = latencyConfig(n, seed);
   auto fp = FailurePattern::noFailures(n);
   auto cluster = make(cfg, fp);
-  Simulator& sim = cluster.sim();
   // Broadcast from the highest-id process (never the leader, p0) after
   // warmup (TOB needs its prepare phase done; ETOB needs nothing).
   const Time at = 3 * kDelta + 7;
   const MsgId id = cluster.client(n - 1).submitAt(at, {1});
+  // Per receiver: the message's position in d_p and the last time that
+  // position changed (appeared, moved or vanished). For a message present
+  // at the end this is its stable-delivery time.
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> position(n, kAbsent);
+  std::vector<Time> lastChange(n, 0);
+  cluster.observeDeliveries(
+      [&](ProcessId p, Time t, const std::vector<MsgId>& d) {
+        const auto it = std::find(d.begin(), d.end(), id);
+        const std::size_t pos =
+            it == d.end() ? kAbsent : static_cast<std::size_t>(it - d.begin());
+        if (pos != position[p]) {
+          position[p] = pos;
+          lastChange[p] = t;
+        }
+      });
   cluster.runUntil([&](const Simulator& s) {
     for (ProcessId p = 0; p < n; ++p) {
       const auto& d = s.trace().currentDelivered(p);
@@ -55,10 +70,8 @@ double medianHops(std::size_t n, std::uint64_t seed, MakeCluster make) {
   });
   std::vector<double> hops;
   for (ProcessId p = 0; p < n; ++p) {
-    auto stats = sim.trace().deliveryStats(p, id);
-    if (!stats.has_value() || !stats->presentNow) continue;
-    hops.push_back(
-        static_cast<double>(stats->lastChange - at + kDelta / 2) / kDelta);
+    if (position[p] == kAbsent) continue;
+    hops.push_back(static_cast<double>(lastChange[p] - at + kDelta / 2) / kDelta);
   }
   if (hops.empty()) return 0;
   std::sort(hops.begin(), hops.end());

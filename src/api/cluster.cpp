@@ -331,11 +331,14 @@ void Cluster::partitionLinks(
     Time start, Time end,
     std::function<bool(ProcessId from, ProcessId to)> affects) {
   WFD_ENSURE_MSG(start >= sim_->now(), "partition windows start at >= now");
-  LinkDisruption d;
-  d.start = start;
-  d.end = end;
-  d.affects = std::move(affects);
-  sim_->addDisruption(std::move(d));
+  WFD_ENSURE(start <= end);
+  WFD_ENSURE(static_cast<bool>(affects));
+  PartitionSpec spec;
+  spec.start = start;
+  spec.width = end - start;
+  spec.period = 0;  // one-shot window
+  spec.affects = std::move(affects);
+  sim_->addPartition(std::move(spec));
 }
 
 void Cluster::isolate(ProcessId p, Time start, Time end) {

@@ -32,12 +32,16 @@ inline ProposalSource binaryProposals(std::uint64_t salt) {
   };
 }
 
-template <typename EcImpl>
-class EcDriverAutomaton final
-    : public CloneableAutomaton<EcDriverAutomaton<EcImpl>> {
+/// Drives `Impl` through instances 1..maxInstances: proposes instance
+/// j+1 on the first `Decision` for instance j (later revisions of an
+/// instance's response do not re-trigger proposals). `Propose` and
+/// `Decision` are the abstraction's input and response payloads.
+template <typename Impl, typename Propose, typename Decision>
+class ProposalDriverAutomaton final
+    : public CloneableAutomaton<
+          ProposalDriverAutomaton<Impl, Propose, Decision>> {
  public:
-  /// Drives `inner` through instances 1..maxInstances.
-  EcDriverAutomaton(EcImpl inner, ProposalSource source, Instance maxInstances)
+  ProposalDriverAutomaton(Impl inner, ProposalSource source, Instance maxInstances)
       : inner_(std::move(inner)),
         source_(std::move(source)),
         maxInstances_(maxInstances) {}
@@ -65,8 +69,7 @@ class EcDriverAutomaton final
     drain(ctx, cfx, fx);
   }
 
-  const EcImpl& inner() const { return inner_; }
-  Instance decidedUpTo() const { return next_ == 0 ? 0 : next_ - 1; }
+  const Impl& inner() const { return inner_; }
 
  private:
   void propose(const StepContext& ctx, Effects& fx) {
@@ -74,7 +77,7 @@ class EcDriverAutomaton final
     Value value = source_(ctx.self, next_);
     fx.output(Payload::of(ProposalMade{next_, value}));
     Effects cfx;
-    inner_.onInput(ctx, Payload::of(ProposeInput{next_, std::move(value)}), cfx);
+    inner_.onInput(ctx, Payload::of(Propose{next_, std::move(value)}), cfx);
     drain(ctx, cfx, fx);
   }
 
@@ -91,7 +94,7 @@ class EcDriverAutomaton final
     if (cfx.delivered().has_value()) fx.deliverSequence(*cfx.delivered());
     for (const Payload& out : cfx.outputs()) {
       fx.output(out);
-      const auto* decision = out.as<EcDecision>();
+      const auto* decision = out.as<Decision>();
       if (decision != nullptr && decision->instance == next_) {
         ++next_;
         propose(ctx, fx);  // "as soon as proposeEC_j returns"
@@ -99,83 +102,21 @@ class EcDriverAutomaton final
     }
   }
 
-  EcImpl inner_;
+  Impl inner_;
   ProposalSource source_;
   Instance maxInstances_ = 0;
   /// Next instance to propose; 0 = not started.
   Instance next_ = 0;
 };
 
-/// Driver for eventual irrevocable consensus: proposes the next instance
-/// after the FIRST response to the current one (later revisions of an
-/// instance's response do not re-trigger proposals).
+/// Driver for eventual consensus (Algorithm 4 or a stack ending in EC).
+template <typename EcImpl>
+using EcDriverAutomaton =
+    ProposalDriverAutomaton<EcImpl, ProposeInput, EcDecision>;
+
+/// Driver for eventual irrevocable consensus (Appendix A).
 template <typename EicImpl>
-class EicDriverAutomaton final
-    : public CloneableAutomaton<EicDriverAutomaton<EicImpl>> {
- public:
-  EicDriverAutomaton(EicImpl inner, ProposalSource source, Instance maxInstances)
-      : inner_(std::move(inner)),
-        source_(std::move(source)),
-        maxInstances_(maxInstances) {}
-
-  void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override {
-    Effects cfx;
-    inner_.onInput(ctx, input, cfx);
-    drain(ctx, cfx, fx);
-  }
-
-  void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
-                 Effects& fx) override {
-    Effects cfx;
-    inner_.onMessage(ctx, from, msg, cfx);
-    drain(ctx, cfx, fx);
-  }
-
-  void onTimeout(const StepContext& ctx, Effects& fx) override {
-    if (next_ == 0) {
-      next_ = 1;
-      propose(ctx, fx);
-    }
-    Effects cfx;
-    inner_.onTimeout(ctx, cfx);
-    drain(ctx, cfx, fx);
-  }
-
-  const EicImpl& inner() const { return inner_; }
-
- private:
-  void propose(const StepContext& ctx, Effects& fx) {
-    if (next_ > maxInstances_) return;
-    Value value = source_(ctx.self, next_);
-    fx.output(Payload::of(ProposalMade{next_, value}));
-    Effects cfx;
-    inner_.onInput(ctx, Payload::of(ProposeEicInput{next_, std::move(value)}), cfx);
-    drain(ctx, cfx, fx);
-  }
-
-  void drain(const StepContext& ctx, Effects& cfx, Effects& fx) {
-    for (const OutboundMsg& m : cfx.sends()) {
-      if (m.to == kBroadcast) {
-        fx.broadcast(m.payload, m.weight);
-      } else {
-        fx.send(m.to, m.payload, m.weight);
-      }
-    }
-    if (cfx.delivered().has_value()) fx.deliverSequence(*cfx.delivered());
-    for (const Payload& out : cfx.outputs()) {
-      fx.output(out);
-      const auto* decision = out.as<EicDecision>();
-      if (decision != nullptr && decision->instance == next_) {
-        ++next_;
-        propose(ctx, fx);
-      }
-    }
-  }
-
-  EicImpl inner_;
-  ProposalSource source_;
-  Instance maxInstances_ = 0;
-  Instance next_ = 0;
-};
+using EicDriverAutomaton =
+    ProposalDriverAutomaton<EicImpl, ProposeEicInput, EicDecision>;
 
 }  // namespace wfd

@@ -71,7 +71,8 @@ struct PlanSlowLink {
 
 /// Fair-lossy genome (PR-9). All layers ride the retransmission layer —
 /// a plan with any of them enabled makes the lowered network mayDrop(),
-/// so the simulator arms ReliableLink and delivery stays guaranteed.
+/// so the simulator arms its retransmission layer and delivery stays
+/// guaranteed.
 /// Admissibility keeps the loss fair: the i.i.d. rate is capped at 1/4,
 /// bursts cover at most a third of each frame, and the i.i.d./burst
 /// layers must go quiet at `activeUntil` so liveness clauses get a

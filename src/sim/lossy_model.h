@@ -3,7 +3,7 @@
 // an inner NetworkModel and may REMOVE copies from its schedule —
 // something the base contract forbids (network_model.h) unless the model
 // reports mayDrop(), in which case the simulator activates its stubborn
-// retransmission layer (link/reliable_link.h) so delivery to correct
+// retransmission layer (sim/simulator.h) so delivery to correct
 // processes stays eventually exactly-once.
 //
 // Design rules shared by all four models:

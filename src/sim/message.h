@@ -12,18 +12,18 @@ namespace wfd {
 /// paper's step semantics sends the same message to all processes.
 inline constexpr ProcessId kBroadcast = kNoProcess;
 
-/// A message in transit on a reliable link.
+/// A message in transit: one (send, destination) pair. The simulator
+/// keeps it in one envelope shared by every network copy of the send, so
+/// per-send link state (exactly-once, retransmission) lives beside it
+/// rather than in tables keyed by uid.
 struct Message {
   ProcessId from = kNoProcess;
   ProcessId to = kNoProcess;
   Payload payload;
   Time sentAt = 0;
-  /// Unique per-run network identifier (assigned by the simulator).
+  /// Unique per-run network identifier (assigned by the simulator and
+  /// shared by every copy of the send, retransmissions included).
   std::uint64_t uid = 0;
-  /// True iff the network model scheduled more than one copy of this
-  /// send — only those uids need duplicate suppression at the automaton
-  /// boundary, keeping the bookkeeping off single-copy traffic.
-  bool duplicated = false;
 };
 
 }  // namespace wfd

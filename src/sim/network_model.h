@@ -16,13 +16,14 @@
 //    links, sim/lossy_model.h), but only under the fairness obligation
 //    that a retransmitted send eventually gets a copy through — the
 //    simulator pairs every mayDrop() model with its stubborn
-//    retransmission layer (link/reliable_link.h), which restores
-//    eventual exactly-once delivery to correct processes, so the run as
-//    a whole stays admissible;
+//    retransmission layer (sim/simulator.h), which restores eventual
+//    exactly-once delivery to correct processes, so the run as a whole
+//    stays admissible;
 //  * duplicates are allowed HERE because the simulator suppresses them
-//    at the automaton boundary (each message uid is handed to the target
-//    automaton at most once), preserving the paper's exactly-once step
-//    semantics while still exercising duplicate traffic in the queues;
+//    at the automaton boundary (every copy of a send shares one envelope,
+//    handed to the target automaton at most once), preserving the paper's
+//    exactly-once step semantics while still exercising duplicate traffic
+//    in the queues;
 //  * lambdaPeriod must return a finite period >= 1 for every process —
 //    correct processes must keep taking infinitely many λ-steps;
 //  * all nondeterminism must come from the Rng argument, making a
@@ -224,8 +225,8 @@ struct PartitionSpec {
 /// specs may chain). An iteration bound rejects — with an InvariantError,
 /// not a hang — spec sets that jointly cover all time on a link: those
 /// would defer forever, i.e. drop the message, which admissibility
-/// forbids. Shared by PartitionModel and the Simulator's legacy
-/// LinkDisruption path so the deferral algorithm exists exactly once.
+/// forbids. Shared by PartitionModel and Simulator::addPartition so the
+/// deferral algorithm exists exactly once.
 Time deferPastPartitions(const std::vector<PartitionSpec>& specs,
                          ProcessId from, ProcessId to, Time at);
 

@@ -31,14 +31,8 @@ Simulator::Simulator(SimConfig config, FailurePattern pattern,
   ensureCanonicalComposition(*network_);
   linkActive_ = network_->mayDrop();
   if (linkActive_) {
-    const Time rto0 = initialRto(config_.maxDelay, config_.timeoutPeriod);
-    link_ = std::make_unique<ReliableLink>(rto0, kRtoCapFactor * rto0);
-  }
-  // Lossy networks reuse the duplicate-suppression set: a retransmitted
-  // uid whose earlier copy already reached the automaton must be
-  // swallowed at the boundary exactly like a chaos-model duplicate.
-  if (network_->mayDuplicate() || linkActive_) {
-    deliveredUids_.resize(config_.processCount);
+    rto0_ = initialRto(config_.maxDelay, config_.timeoutPeriod);
+    rtoCap_ = kRtoCapFactor * rto0_;
   }
 }
 
@@ -60,16 +54,11 @@ void Simulator::scheduleInput(ProcessId p, Time t, Payload input) {
   push(e);
 }
 
-void Simulator::addDisruption(LinkDisruption d) {
-  WFD_ENSURE(d.start <= d.end);
-  WFD_ENSURE(static_cast<bool>(d.affects));
-  if (d.start == d.end) return;  // empty window: no-op
-  PartitionSpec spec;
-  spec.start = d.start;
-  spec.width = d.end - d.start;
-  spec.period = 0;  // LinkDisruption windows are one-shot
-  spec.affects = std::move(d.affects);
-  disruptions_.push_back(std::move(spec));
+void Simulator::addPartition(PartitionSpec spec) {
+  // Same rule as PartitionModel: recurring windows must leave a gap.
+  WFD_ENSURE(spec.period == 0 || spec.width < spec.period);
+  if (spec.width == 0) return;  // empty window: no-op
+  partitions_.push_back(std::move(spec));
 }
 
 void Simulator::push(EventNode e) {
@@ -116,10 +105,20 @@ std::uint32_t Simulator::allocMessageSlot() {
 
 void Simulator::releaseMessageSlot(std::uint32_t slot) {
   MessageRecord& rec = messageArena_[slot];
-  if (--rec.refs == 0) {
-    rec.msg.payload = Payload();
-    freeMessageSlots_.push_back(slot);
-  }
+  if (--rec.refs > 0) return;
+  rec.msg.payload = Payload();
+  if (rec.linkEvents == 0) freeMessageSlots_.push_back(slot);
+}
+
+void Simulator::releaseLinkEvent(std::uint32_t slot) {
+  MessageRecord& rec = messageArena_[slot];
+  if (--rec.linkEvents == 0 && rec.refs == 0) freeMessageSlots_.push_back(slot);
+}
+
+void Simulator::untrack(std::uint32_t slot) {
+  messageArena_[slot].tracked = false;
+  --pendingLinkTx_;
+  releaseMessageSlot(slot);
 }
 
 std::uint32_t Simulator::allocInputSlot(Payload input) {
@@ -139,96 +138,87 @@ void Simulator::releaseInputSlot(std::uint32_t slot) {
   freeInputSlots_.push_back(slot);
 }
 
-std::uint32_t Simulator::allocLinkUidSlot(std::uint64_t uid) {
-  if (!freeLinkUidSlots_.empty()) {
-    const std::uint32_t slot = freeLinkUidSlots_.back();
-    freeLinkUidSlots_.pop_back();
-    linkUidArena_[slot] = uid;
-    return slot;
-  }
-  WFD_ENSURE_MSG(linkUidArena_.size() < kNoSlot, "link uid arena exhausted");
-  linkUidArena_.push_back(uid);
-  return static_cast<std::uint32_t>(linkUidArena_.size() - 1);
-}
-
-void Simulator::releaseLinkUidSlot(std::uint32_t slot) {
-  freeLinkUidSlots_.push_back(slot);
-}
-
-void Simulator::scheduleLinkAck(ProcessId receiver, ProcessId sender,
-                                std::uint64_t uid) {
+void Simulator::scheduleLinkAck(std::uint32_t slot) {
   // Acks ride the same lossy network as data (and may themselves be
-  // dropped or duplicated — acked() is idempotent), but draw from the
-  // link rng so data scheduling stays on the legacy draw sequence.
+  // dropped or duplicated — only the first retires anything), but draw
+  // from the link rng so data scheduling stays on the legacy draw
+  // sequence.
+  MessageRecord& rec = messageArena_[slot];
+  const ProcessId receiver = rec.msg.to;
+  const ProcessId sender = rec.msg.from;
   arrivalScratch_.clear();
   network_->schedule(LinkSend{receiver, sender, now_, nextAckUid_++},
                      linkRng_, arrivalScratch_);
   ++linkAcksScheduled_;
+  rec.linkEvents += static_cast<std::uint32_t>(arrivalScratch_.size());
   for (Time at : arrivalScratch_) {
     WFD_ENSURE_MSG(at > now_, "network model scheduled a non-causal arrival");
     EventNode e;
-    e.time = deferPastPartitions(disruptions_, receiver, sender, at);
+    e.time = deferPastPartitions(partitions_, receiver, sender, at);
     e.kind = EventKind::kLinkAck;
     e.target = sender;
-    e.slot = allocLinkUidSlot(uid);
+    e.slot = slot;
     // No latestScheduledArrival_ update: link-layer traffic is not
     // pending protocol work, so it must not defer quiescence detection.
     push(e);
   }
 }
 
-void Simulator::scheduleLinkRetry(std::uint64_t uid, ProcessId sender,
-                                  Time delay) {
+void Simulator::scheduleLinkRetry(std::uint32_t slot, Time delay) {
   EventNode e;
   e.time = now_ + delay;
   e.kind = EventKind::kLinkRetry;
-  e.target = sender;
-  e.slot = allocLinkUidSlot(uid);
+  e.target = messageArena_[slot].msg.from;
+  e.slot = slot;
   push(e);
 }
 
-void Simulator::handleLinkAck(std::uint32_t uidSlot) {
-  const std::uint64_t uid = linkUidArena_[uidSlot];
-  releaseLinkUidSlot(uidSlot);
+void Simulator::handleLinkAck(std::uint32_t slot) {
   ++linkAcksDelivered_;
-  const std::uint32_t slot = link_->acked(uid);
-  if (slot != ReliableLink::kNoSlot) releaseMessageSlot(slot);
+  // The first ack retires the send; duplicates and late acks are no-ops.
+  if (messageArena_[slot].tracked) untrack(slot);
+  releaseLinkEvent(slot);
 }
 
-void Simulator::handleLinkRetry(std::uint32_t uidSlot) {
-  const std::uint64_t uid = linkUidArena_[uidSlot];
-  releaseLinkUidSlot(uidSlot);
-  const ReliableLink::Endpoints* ends = link_->peek(uid);
-  if (ends == nullptr) return;  // already acked or drained — timer is stale
-  if (pattern_.crashed(ends->from, now_) || pattern_.crashed(ends->to, now_)) {
-    // Bounded retransmit buffers: a crashed endpoint drains the state
-    // instead of retransmitting forever (messages to the dead vanish
-    // anyway, and a dead sender sends nothing).
-    releaseMessageSlot(link_->drain(uid));
+void Simulator::handleLinkRetry(std::uint32_t slot) {
+  MessageRecord& rec = messageArena_[slot];
+  if (!rec.tracked) {  // already acked or drained — timer is stale
+    releaseLinkEvent(slot);
     return;
   }
-  const ProcessId from = ends->from;
-  const ProcessId to = ends->to;
-  const ReliableLink::Retransmit rt = link_->retransmitted(uid);
+  const ProcessId from = rec.msg.from;
+  const ProcessId to = rec.msg.to;
+  if (pattern_.crashed(from, now_) || pattern_.crashed(to, now_)) {
+    // Bounded retransmit buffers: a crashed endpoint drains the send
+    // instead of retransmitting forever (messages to the dead vanish
+    // anyway, and a dead sender sends nothing).
+    ++linkDrained_;
+    untrack(slot);
+    releaseLinkEvent(slot);
+    return;
+  }
+  ++linkRetransmissions_;
+  rec.rto = nextBackoff(rec.rto, rtoCap_);
   arrivalScratch_.clear();
-  network_->schedule(LinkSend{from, to, now_, uid}, linkRng_, arrivalScratch_);
-  MessageRecord& rec = messageArena_[rt.msgSlot];
+  network_->schedule(LinkSend{from, to, now_, rec.msg.uid}, linkRng_,
+                     arrivalScratch_);
   rec.refs += static_cast<std::uint32_t>(arrivalScratch_.size());
   for (Time at : arrivalScratch_) {
     WFD_ENSURE_MSG(at > now_, "network model scheduled a non-causal arrival");
     EventNode e;
-    e.time = deferPastPartitions(disruptions_, from, to, at);
+    e.time = deferPastPartitions(partitions_, from, to, at);
     e.kind = EventKind::kMessage;
     e.target = to;
-    e.slot = rt.msgSlot;
+    e.slot = slot;
     // Retransmitted DATA copies are pending protocol work (unlike acks
     // and retry timers), so they do push the quiescence horizon.
     latestScheduledArrival_ = std::max(latestScheduledArrival_, e.time);
     push(e);
   }
   // No trace countSend: retransmissions are link-layer traffic, invisible
-  // to the protocol-level trace and its digests.
-  scheduleLinkRetry(uid, from, rt.nextRetryDelay);
+  // to the protocol-level trace and its digests. The fired timer's
+  // linkEvents reference carries over to the re-armed one.
+  scheduleLinkRetry(slot, rec.rto);
 }
 
 void Simulator::ensureStarted() {
@@ -251,7 +241,7 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
     const auto sendOne = [&](ProcessId dest) {
       const std::uint64_t uid = nextMsgUid_++;
       // The model decides when (and how many network-layer copies of)
-      // this send arrives; legacy LinkDisruption windows apply on top.
+      // this send arrives; addPartition windows apply on top.
       arrivalScratch_.clear();
       network_->schedule(LinkSend{self, dest, now_, uid}, rng_,
                          arrivalScratch_);
@@ -276,13 +266,16 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
       rec.msg.payload = out.payload;
       rec.msg.sentAt = now_;
       rec.msg.uid = uid;
-      rec.msg.duplicated = arrivalScratch_.size() > 1;
       rec.refs = static_cast<std::uint32_t>(arrivalScratch_.size()) +
                  (linkActive_ ? 1u : 0u);
+      rec.linkEvents = linkActive_ ? 1u : 0u;  // the retry timer below
+      rec.rto = rto0_;
+      rec.delivered = false;
+      rec.tracked = linkActive_;
       for (Time at : arrivalScratch_) {
         WFD_ENSURE_MSG(at > now_, "network model scheduled a non-causal arrival");
         EventNode e;
-        e.time = deferPastPartitions(disruptions_, self, dest, at);
+        e.time = deferPastPartitions(partitions_, self, dest, at);
         e.kind = EventKind::kMessage;
         e.target = dest;
         e.slot = slot;
@@ -290,8 +283,8 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
         push(e);
       }
       if (linkActive_) {
-        link_->track(uid, self, dest, slot);
-        scheduleLinkRetry(uid, self, link_->initialRto());
+        ++pendingLinkTx_;
+        scheduleLinkRetry(slot, rto0_);
       }
       trace_.countSend(out.weight);
     };
@@ -360,19 +353,17 @@ bool Simulator::processOne() {
     // duplicates — because the copy that earned the previous ack may be
     // exactly the one whose ack the network dropped. A crashed receiver
     // (handled above) acks nothing; the sender's retry drains instead.
-    if (linkActive_) scheduleLinkAck(p, rec.msg.from, rec.msg.uid);
-    // Exactly-once at the automaton boundary: only the first arrival of
-    // a multi-copy uid reaches the automaton; later copies are consumed
-    // silently. Single-copy messages (the vast majority even under chaos
-    // models) skip the bookkeeping entirely. With the retransmission
-    // layer active EVERY uid is dedup-tracked: any copy may be
-    // retransmitted later.
-    if ((rec.msg.duplicated || linkActive_) &&
-        !deliveredUids_[p].insert(rec.msg.uid).second) {
+    if (linkActive_) scheduleLinkAck(e.slot);
+    // Exactly-once at the automaton boundary: every copy of this send —
+    // network duplicate or retransmission — shares the envelope, so only
+    // the first arrival reaches the automaton; later copies are consumed
+    // silently.
+    if (rec.delivered) {
       ++duplicatesSuppressed_;
       releaseMessageSlot(e.slot);
       return true;
     }
+    rec.delivered = true;
     msgFrom = rec.msg.from;
     body = rec.msg.payload;
     releaseMessageSlot(e.slot);

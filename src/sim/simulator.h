@@ -9,13 +9,17 @@
 // nondeterminism is drawn from one seeded Rng, so a (config, pattern,
 // model, seed) tuple fully determines the run.
 //
+// Exactly-once rides the message envelope: every network copy of one
+// send — duplicates and retransmissions alike — points at one
+// MessageRecord, and its `delivered` flag swallows every copy after the
+// first. No table is keyed by message uid.
+//
 // Fair-lossy networks: when the model reports mayDrop(), the simulator
-// activates a stubborn retransmission layer (link/reliable_link.h)
-// beneath the automata — every data send is acked by the receiver and
-// retransmitted with capped exponential backoff until acked or an
-// endpoint crashes, and the receiver-side uid dedup already used for
-// duplicating models makes redelivery invisible to the automaton. Link
-// traffic (acks, retry timers, retransmitted copies) counts toward
+// arms a stubborn retransmission layer beneath the automata — every data
+// send is acked by the receiver and retransmitted with capped
+// exponential backoff (initialRto / nextBackoff below) until acked or an
+// endpoint crashes; the retransmission state lives on the same envelope.
+// Link traffic (acks, retry timers, retransmitted copies) counts toward
 // eventsProcessed/maxEvents but NEVER touches the trace, so trace
 // digests compare across lossy and lossless runs of the same protocol
 // schedule. A separate link Rng keeps retransmission scheduling off the
@@ -27,12 +31,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "link/reliable_link.h"
 #include "sim/automaton.h"
 #include "sim/failure_pattern.h"
 #include "sim/fd_interface.h"
@@ -41,6 +43,24 @@
 #include "sim/trace.h"
 
 namespace wfd {
+
+/// Initial retransmission timeout: one full send+ack round trip at the
+/// configured worst-case delay plus a λ-period of slack, so under a
+/// loss-free uniform-delay network the ack always beats the first retry
+/// and the retransmission path schedules nothing (the loss=0 ≡ legacy
+/// differential relies on this).
+inline Time initialRto(Time maxDelay, Time timeoutPeriod) {
+  return 2 * maxDelay + timeoutPeriod + 1;
+}
+
+/// Exponential backoff with a cap: doubles until `cap`, then stays.
+inline Time nextBackoff(Time rto, Time cap) {
+  const Time doubled = rto * 2;
+  return doubled < cap ? doubled : cap;
+}
+
+/// Multiplier applied to the initial RTO to get the backoff cap.
+inline constexpr Time kRtoCapFactor = 16;
 
 /// Scheduler parameters.
 struct SimConfig {
@@ -66,14 +86,6 @@ struct SimConfig {
   bool keepDeliverySnapshots = true;
 };
 
-/// A partition window: messages on affected links sent or in flight
-/// during [start, end) are deferred until `end` (links stay reliable).
-struct LinkDisruption {
-  Time start = 0;
-  Time end = 0;
-  std::function<bool(ProcessId from, ProcessId to)> affects;
-};
-
 /// Discrete-event simulator. Owns the automata, the virtual clock, the
 /// in-flight message queue, and the run trace.
 class Simulator {
@@ -92,10 +104,12 @@ class Simulator {
   /// Schedules an application input for p at time t.
   void scheduleInput(ProcessId p, Time t, Payload input);
 
-  /// Adds a partition window (applied on top of whatever the network
-  /// model scheduled; kept for backwards compatibility — new code should
-  /// prefer a PartitionModel).
-  void addDisruption(LinkDisruption d);
+  /// Adds a partition on top of whatever the network model scheduled:
+  /// arrivals on the links `spec` cuts that fall inside one of its
+  /// windows are deferred to the window's end (links stay reliable). The
+  /// live counterpart of a PartitionModel layer; an empty window (width
+  /// 0) is a no-op.
+  void addPartition(PartitionSpec spec);
 
   /// Runs until maxTime / maxEvents.
   void run();
@@ -174,15 +188,14 @@ class Simulator {
   /// Sends for which the lossy model scheduled zero copies (recovered by
   /// retransmission).
   std::uint64_t linkDroppedSends() const { return linkDroppedSends_; }
-  std::uint64_t linkRetransmissions() const {
-    return link_ ? link_->retransmissions() : 0;
-  }
-  /// Tx states dropped because an endpoint crashed (bounded-buffer drain).
-  std::uint64_t linkDrained() const { return link_ ? link_->drained() : 0; }
+  std::uint64_t linkRetransmissions() const { return linkRetransmissions_; }
+  /// Tracked sends dropped because an endpoint crashed (bounded-buffer
+  /// drain).
+  std::uint64_t linkDrained() const { return linkDrained_; }
   std::uint64_t linkAcksScheduled() const { return linkAcksScheduled_; }
   std::uint64_t linkAcksDelivered() const { return linkAcksDelivered_; }
   /// In-flight (sent, not yet acked or drained) tracked sends.
-  std::size_t pendingLinkTx() const { return link_ ? link_->pending() : 0; }
+  std::size_t pendingLinkTx() const { return pendingLinkTx_; }
 
   /// Application inputs scheduled but not yet handed to their automaton
   /// (quiescence detection: a service with pending inputs is not done).
@@ -203,11 +216,10 @@ class Simulator {
     kMessage,
     kTimeout,
     kInput,
-    /// Link-layer ack arriving at the original sender (slot = link uid
-    /// arena entry holding the acked data uid).
+    /// Link-layer ack arriving at the original sender (slot = the acked
+    /// envelope).
     kLinkAck,
-    /// Retry timer firing at the sender (slot = link uid arena entry
-    /// holding the data uid to re-check).
+    /// Retry timer firing at the sender (slot = the envelope to re-check).
     kLinkRetry,
   };
 
@@ -227,11 +239,24 @@ class Simulator {
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// One network envelope, shared by every scheduled copy of a
-  /// duplicated send (refs counts the copies still in the heap).
+  /// One network envelope per (send, destination), shared by every
+  /// scheduled copy of it: network duplicates and retransmissions alike.
+  /// The payload is released when `refs` reaches 0; the slot is recycled
+  /// only once no link event names it either, so a late ack or a stale
+  /// retry timer never reads a recycled slot.
   struct MessageRecord {
     Message msg;
+    /// Copies still in the heap, plus the link layer's hold while tracked.
     std::uint32_t refs = 0;
+    /// Ack and retry events in the heap that name this slot.
+    std::uint32_t linkEvents = 0;
+    /// Current retransmission timeout (link layer armed only).
+    Time rto = 0;
+    /// A copy already reached the target automaton: later ones are
+    /// suppressed (exactly-once at the boundary).
+    bool delivered = false;
+    /// Unacked and not drained: the sender still retransmits it.
+    bool tracked = false;
   };
 
   static bool nodeBefore(const EventNode& a, const EventNode& b) {
@@ -242,16 +267,19 @@ class Simulator {
   void push(EventNode e);
   void popHeap();
   std::uint32_t allocMessageSlot();
+  /// Drops one reference (a heap copy or the link hold).
   void releaseMessageSlot(std::uint32_t slot);
+  /// Drops the reference of one fired ack or retry event.
+  void releaseLinkEvent(std::uint32_t slot);
+  /// Ends tracking of an envelope (acked or drained): releases the hold.
+  void untrack(std::uint32_t slot);
   std::uint32_t allocInputSlot(Payload input);
   void releaseInputSlot(std::uint32_t slot);
-  std::uint32_t allocLinkUidSlot(std::uint64_t uid);
-  void releaseLinkUidSlot(std::uint32_t slot);
-  void scheduleLinkAck(ProcessId receiver, ProcessId sender,
-                       std::uint64_t uid);
-  void scheduleLinkRetry(std::uint64_t uid, ProcessId sender, Time delay);
-  void handleLinkAck(std::uint32_t uidSlot);
-  void handleLinkRetry(std::uint32_t uidSlot);
+  void scheduleLinkAck(std::uint32_t slot);
+  /// Arms a retry timer; the caller accounts for its linkEvents reference.
+  void scheduleLinkRetry(std::uint32_t slot, Time delay);
+  void handleLinkAck(std::uint32_t slot);
+  void handleLinkRetry(std::uint32_t slot);
   void applyEffects(ProcessId self, Effects& fx);
   bool processOne();  // false when out of events/limits
   void ensureStarted();
@@ -268,13 +296,9 @@ class Simulator {
   std::vector<std::uint32_t> freeMessageSlots_;
   std::vector<Payload> inputArena_;
   std::vector<std::uint32_t> freeInputSlots_;
-  /// Legacy LinkDisruption windows, converted to one-shot PartitionSpecs
-  /// on add and applied through the shared deferral (network_model.h) on
-  /// top of whatever the network model scheduled.
-  std::vector<PartitionSpec> disruptions_;
-  /// Per-process uids already handed to the automaton — maintained only
-  /// when the model may duplicate (exactly-once at the boundary).
-  std::vector<std::unordered_set<std::uint64_t>> deliveredUids_;
+  /// addPartition windows, applied through the shared deferral
+  /// (network_model.h) on top of whatever the network model scheduled.
+  std::vector<PartitionSpec> partitions_;
   /// Scratch buffer for NetworkModel::schedule (avoids per-send allocs).
   std::vector<Time> arrivalScratch_;
   /// Reused per-step effects collector (keeps its vectors' capacity
@@ -296,19 +320,18 @@ class Simulator {
   DeliveryHook deliveryHook_;
   OutputHook outputHook_;
   Trace trace_;
-  /// Stubborn retransmission layer, allocated iff network_->mayDrop().
-  /// All link-layer randomness (ack/retransmit scheduling through the
-  /// model) draws from linkRng_, not rng_: the main draw sequence stays
+  /// Stubborn retransmission layer, armed iff network_->mayDrop(). All
+  /// link-layer randomness (ack/retransmit scheduling through the model)
+  /// draws from linkRng_, not rng_: the main draw sequence stays
   /// identical to the legacy reliable path, which is what makes the
   /// loss=0-with-retry ≡ legacy differential hold bit-for-bit.
-  std::unique_ptr<ReliableLink> link_;
   Rng linkRng_;
   bool linkActive_ = false;
-  /// Side arena carrying 64-bit data uids for kLinkAck / kLinkRetry
-  /// events (EventNode.slot is 32-bit). Each event owns its slot and
-  /// frees it when it fires; a retry re-arms with a fresh slot.
-  std::vector<std::uint64_t> linkUidArena_;
-  std::vector<std::uint32_t> freeLinkUidSlots_;
+  Time rto0_ = 0;
+  Time rtoCap_ = 0;
+  std::size_t pendingLinkTx_ = 0;
+  std::uint64_t linkRetransmissions_ = 0;
+  std::uint64_t linkDrained_ = 0;
   std::uint64_t linkAcksScheduled_ = 0;
   std::uint64_t linkAcksDelivered_ = 0;
   std::uint64_t linkDroppedSends_ = 0;

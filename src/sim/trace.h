@@ -4,14 +4,15 @@
 // For every process the trace records (a) append-only outputs (EC
 // decisions, extracted leaders, ...) and (b) the evolution of the
 // delivery-sequence output variable d_i(t). Because ETOB may rewrite
-// d_i before time τ, the trace additionally maintains per-message
-// aggregates (first appearance, last change, prefix violations) so long
-// benchmark runs don't need to keep every snapshot.
+// d_i before time τ, the trace also keeps per-process counters that need
+// no snapshot history (prefix violations, their last time, the last
+// change), so long benchmark runs can drop the snapshots. Per-message
+// timings come from the simulator's delivery hook instead (fanned out by
+// api::Cluster::observeDeliveries), which fires on exactly the changes
+// recordDelivered reports.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -39,19 +40,9 @@ struct DeliverySnapshot {
   std::vector<MsgId> seq;
 };
 
-/// Per-(process, message) delivery aggregates.
-struct MsgDeliveryStats {
-  Time firstSeen = 0;
-  /// Last time the message's presence or position in d_i changed. For a
-  /// message present in the final sequence this is its stable-delivery
-  /// time (it is never moved or removed afterwards).
-  Time lastChange = 0;
-  bool presentNow = false;
-};
-
 class Trace {
  public:
-  /// If keepSnapshots is false, only aggregates are maintained (benches).
+  /// If keepSnapshots is false, only the counters are maintained (benches).
   explicit Trace(std::size_t processCount, bool keepSnapshots = true);
 
   std::size_t processCount() const { return outputs_.size(); }
@@ -80,9 +71,6 @@ class Trace {
     return current_.at(p);
   }
 
-  /// Aggregates for a message at a process; nullopt if never delivered.
-  std::optional<MsgDeliveryStats> deliveryStats(ProcessId p, MsgId m) const;
-
   /// Number of d_i updates where the previous sequence was not a prefix
   /// of the new one (a revocation/reorder; forbidden in strong TOB, and
   /// forbidden after τ in ETOB).
@@ -106,16 +94,12 @@ class Trace {
   std::vector<std::vector<OutputEvent>> outputs_;
   std::vector<std::vector<DeliverySnapshot>> snapshots_;
   std::vector<std::vector<MsgId>> current_;
-  std::vector<std::unordered_map<MsgId, MsgDeliveryStats>> perMsg_;
   std::vector<std::uint64_t> prefixViolations_;
   std::vector<Time> lastViolationAt_;
   std::vector<Time> lastChangeAt_;
   std::vector<std::uint64_t> stepsTaken_;
   /// Per-process monotone record counter stamped on outputs + snapshots.
   std::vector<std::uint64_t> recordOrder_;
-  /// Whether the current d_i holds an id twice. While it does not, an
-  /// extension touches only the appended ids.
-  std::vector<char> hasDuplicate_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesDelivered_ = 0;
   std::uint64_t weightSent_ = 0;

@@ -45,13 +45,13 @@ TEST(FailureInjectionTest, EtobSurvivesRepeatedPartitionWindows) {
   }
   // Three successive partition windows cutting {0,1} | {2,3} both ways.
   for (Time start : {300u, 900u, 1500u}) {
-    LinkDisruption d;
+    PartitionSpec d;
     d.start = start;
-    d.end = start + 400;
+    d.width = 400;
     d.affects = [](ProcessId from, ProcessId to) {
       return (from < 2) != (to < 2);
     };
-    sim.addDisruption(d);
+    sim.addPartition(d);
   }
   BroadcastWorkload w;
   w.perProcess = 6;
@@ -75,11 +75,11 @@ TEST(FailureInjectionTest, EtobPartitionAcrossStabilization) {
   for (ProcessId p = 0; p < 3; ++p) {
     sim.addProcess(p, std::make_unique<EtobAutomaton>());
   }
-  LinkDisruption d;
+  PartitionSpec d;
   d.start = 800;
-  d.end = 2200;
+  d.width = 1400;
   d.affects = [](ProcessId from, ProcessId) { return from == 0; };
-  sim.addDisruption(d);
+  sim.addPartition(d);
   BroadcastWorkload w;
   w.perProcess = 5;
   auto log = scheduleBroadcastWorkload(sim, w);
@@ -152,11 +152,11 @@ TEST(FailureInjectionTest, CommitSafetyThroughPartitionAndCrash) {
   for (ProcessId p = 0; p < 5; ++p) {
     sim.addProcess(p, std::make_unique<CommitEtobAutomaton>());
   }
-  LinkDisruption d;
+  PartitionSpec d;
   d.start = 600;
-  d.end = 1400;
+  d.width = 800;
   d.affects = [](ProcessId from, ProcessId to) { return (from < 2) != (to < 2); };
-  sim.addDisruption(d);
+  sim.addPartition(d);
   BroadcastWorkload w;
   w.perProcess = 4;
   auto log = scheduleBroadcastWorkload(sim, w);
@@ -231,11 +231,11 @@ TEST_P(ChaosSweepTest, EtobSpecUnderCombinedChaos) {
   for (ProcessId p = 0; p < 5; ++p) {
     sim.addProcess(p, std::make_unique<EtobAutomaton>());
   }
-  LinkDisruption d;
+  PartitionSpec d;
   d.start = 500;
-  d.end = 1200;
+  d.width = 700;
   d.affects = [](ProcessId from, ProcessId to) { return (from % 2) != (to % 2); };
-  sim.addDisruption(d);
+  sim.addPartition(d);
   BroadcastWorkload w;
   w.perProcess = 5;
   w.causalChainPerOrigin = true;

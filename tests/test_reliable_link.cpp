@@ -1,8 +1,11 @@
-// Reliable-link layer tests: the pure backoff policy, the simulator's
-// stubborn-retransmission machinery under real loss (determinism,
-// exactly-once through loss+duplication, the loss=0 ≡ legacy
-// differential), and the crashed-peer drain that keeps retransmit
-// buffers bounded.
+// Reliable-link layer tests: the pure backoff policy (sim/simulator.h),
+// the simulator's stubborn-retransmission machinery under real loss
+// (determinism, exactly-once through loss+duplication, the loss=0 ≡
+// legacy differential), the crashed-peer drain that keeps retransmit
+// buffers bounded, one envelope's backoff, ack and drain lifecycle
+// counted by hand on a quiet request/reply protocol, and a pin of every
+// link counter. The link state lives on the message envelope, so the
+// simulator's public counters are the only window onto it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +17,6 @@
 #include "checkers/workload.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
-#include "link/reliable_link.h"
 #include "sim/failure_pattern.h"
 #include "sim/lossy_model.h"
 #include "sim/simulator.h"
@@ -45,46 +47,18 @@ TEST(BackoffPolicyTest, BackoffDoublesThenPinsAtTheCap) {
             (std::vector<Time>{182, 364, 728, 1456, 1456, 1456, 1456, 1456}));
 }
 
-TEST(ReliableLinkTest, TrackAckDrainLifecycle) {
-  ReliableLink link(100, 1600);
-  link.track(7, /*from=*/0, /*to=*/1, /*msgSlot=*/42);
-  EXPECT_EQ(link.pending(), 1u);
-  ASSERT_NE(link.peek(7), nullptr);
-  EXPECT_EQ(link.peek(7)->from, 0u);
-  EXPECT_EQ(link.peek(7)->to, 1u);
-
-  // First retry doubles the RTO and hands the slot back for re-sending.
-  const ReliableLink::Retransmit rt = link.retransmitted(7);
-  EXPECT_EQ(rt.msgSlot, 42u);
-  EXPECT_EQ(rt.nextRetryDelay, 200u);
-  EXPECT_EQ(link.retransmissions(), 1u);
-
-  // Ack erases the state; a duplicate ack is an idempotent no-op (it
-  // retires nothing and is not counted) and a stale retry timer sees
-  // nullptr.
-  EXPECT_EQ(link.acked(7), 42u);
-  EXPECT_EQ(link.acked(7), ReliableLink::kNoSlot);
-  EXPECT_EQ(link.peek(7), nullptr);
-  EXPECT_EQ(link.pending(), 0u);
-  EXPECT_EQ(link.acksReceived(), 1u);
-
-  // Drain path: tracked, then dropped without retransmission.
-  link.track(8, 1, 2, 43);
-  EXPECT_EQ(link.drain(8), 43u);
-  EXPECT_EQ(link.drained(), 1u);
-  EXPECT_EQ(link.pending(), 0u);
-}
-
 // --- Simulator integration ---------------------------------------------------
 
 struct LossyRun {
   std::uint64_t digest = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t drained = 0;
+  std::uint64_t acksScheduled = 0;
   std::uint64_t acksDelivered = 0;
   std::uint64_t droppedSends = 0;
   std::uint64_t duplicatesSuppressed = 0;
   std::size_t pendingAtEnd = 0;
+  std::uint64_t events = 0;
   bool checkerPass = false;
   std::string firstFailure;
 };
@@ -120,10 +94,12 @@ LossyRun runEtob(std::shared_ptr<const NetworkModel> model, std::uint64_t seed,
   out.digest = traceDigest(sim.trace());
   out.retransmissions = sim.linkRetransmissions();
   out.drained = sim.linkDrained();
+  out.acksScheduled = sim.linkAcksScheduled();
   out.acksDelivered = sim.linkAcksDelivered();
   out.droppedSends = sim.linkDroppedSends();
   out.duplicatesSuppressed = sim.duplicatesSuppressed();
   out.pendingAtEnd = sim.pendingLinkTx();
+  out.events = sim.eventsProcessed();
   const BroadcastCheckReport check =
       checkBroadcastRun(sim.trace(), log, sim.failurePattern());
   out.checkerPass = check.coreOk();
@@ -144,6 +120,24 @@ std::shared_ptr<const NetworkModel> iidLossyNet(std::uint32_t num,
       std::make_shared<UniformDelayModel>(20, 40), loss);
 }
 
+/// Chaos duplication (1/2, up to 2 extra copies, jitter 15) below i.i.d.
+/// loss 1/5 until 8000: copies are both multiplied and dropped.
+std::shared_ptr<const NetworkModel> chaosLossyNet() {
+  ChaosLinkModel::Config chaos;
+  chaos.dupNum = 1;
+  chaos.dupDen = 2;
+  chaos.maxExtraCopies = 2;
+  chaos.reorderJitter = 15;
+  IidLossModel::Config loss;
+  loss.num = 1;
+  loss.den = 5;
+  loss.activeUntil = 8000;
+  return std::make_shared<IidLossModel>(
+      std::make_shared<ChaosLinkModel>(
+          std::make_shared<UniformDelayModel>(20, 40), chaos),
+      loss);
+}
+
 TEST(SimulatorLinkLayerTest, LossyRunsAreSeedDeterministic) {
   const LossyRun a = runEtob(iidLossyNet(1, 5, 8000), 11, 20000);
   const LossyRun b = runEtob(iidLossyNet(1, 5, 8000), 11, 20000);
@@ -160,24 +154,11 @@ TEST(SimulatorLinkLayerTest, LossyRunsAreSeedDeterministic) {
 }
 
 TEST(SimulatorLinkLayerTest, ExactlyOnceUnderLossPlusDuplication) {
-  // Chaos duplicates aggressively below an i.i.d. loss layer: copies are
-  // both multiplied and dropped, retransmits re-deliver already-seen
-  // uids — and the automaton boundary still sees every message exactly
-  // once (checkBroadcastRun's no-duplication clause).
-  ChaosLinkModel::Config chaos;
-  chaos.dupNum = 1;
-  chaos.dupDen = 2;
-  chaos.maxExtraCopies = 2;
-  chaos.reorderJitter = 15;
-  IidLossModel::Config loss;
-  loss.num = 1;
-  loss.den = 5;
-  loss.activeUntil = 8000;
-  auto net = std::make_shared<IidLossModel>(
-      std::make_shared<ChaosLinkModel>(
-          std::make_shared<UniformDelayModel>(20, 40), chaos),
-      loss);
-  const LossyRun r = runEtob(net, 3, 20000);
+  // Chaos duplicates aggressively below an i.i.d. loss layer, and
+  // retransmits re-deliver already-seen sends — yet the automaton
+  // boundary still sees every message exactly once (checkBroadcastRun's
+  // no-duplication clause).
+  const LossyRun r = runEtob(chaosLossyNet(), 3, 20000);
   EXPECT_TRUE(r.checkerPass) << r.firstFailure;
   EXPECT_GT(r.duplicatesSuppressed, 0u);
   EXPECT_GT(r.retransmissions, 0u);
@@ -224,6 +205,212 @@ TEST(SimulatorLinkLayerTest, RetransmissionToCrashedPeerStops) {
   EXPECT_LT(longer.retransmissions, 3 * r.retransmissions);
   EXPECT_LT(longer.drained, 3 * r.drained);
 }
+
+// --- One envelope's lifecycle, counted by hand --------------------------------
+
+struct Request {
+  int n = 0;
+};
+struct Reply {
+  int n = 0;
+};
+
+/// An input makes p0 send Request{n} to p1, which answers each Request
+/// with one Reply; p0 outputs every Reply. Nothing is sent on λ-steps, so
+/// the run goes quiet once the replies are in and the fate of every
+/// envelope (acked, retransmitted, drained) can be derived by hand.
+class RequestReplyAutomaton final
+    : public CloneableAutomaton<RequestReplyAutomaton> {
+ public:
+  void onInput(const StepContext&, const Payload& input, Effects& fx) override {
+    if (const auto* req = input.as<Request>()) fx.send(1, Payload::of(*req));
+  }
+  void onMessage(const StepContext&, ProcessId from, const Payload& msg,
+                 Effects& fx) override {
+    if (const auto* req = msg.as<Request>()) {
+      fx.send(from, Payload::of(Reply{req->n}));
+    } else if (msg.holds<Reply>()) {
+      fx.output(msg);
+    }
+  }
+  void onTimeout(const StepContext&, Effects&) override {}
+};
+
+/// Two processes on `model`; p0 sends one Request at each time in `at`.
+/// The config's maxDelay 40 and λ-period 10 fix rto0 = 91 and the cap at
+/// 16 * 91 = 1456.
+std::unique_ptr<Simulator> runRequests(std::shared_ptr<const NetworkModel> model,
+                                       const std::vector<Time>& at,
+                                       Time p1CrashAt = 0) {
+  SimConfig cfg;
+  cfg.processCount = 2;
+  cfg.maxTime = 20000;
+  cfg.timeoutPeriod = 10;
+  cfg.minDelay = 20;
+  cfg.maxDelay = 40;
+  FailurePattern fp = FailurePattern::noFailures(2);
+  if (p1CrashAt != 0) fp.setCrash(1, p1CrashAt);
+  auto fd = std::make_shared<PerfectFd>(fp);
+  auto sim = std::make_unique<Simulator>(cfg, fp, fd, std::move(model));
+  for (ProcessId p = 0; p < 2; ++p) {
+    sim->addProcess(p, std::make_unique<RequestReplyAutomaton>());
+  }
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    sim->scheduleInput(0, at[i], Payload::of(Request{static_cast<int>(i)}));
+  }
+  sim->run();
+  return sim;
+}
+
+std::shared_ptr<const NetworkModel> armedNeverDrops(
+    std::shared_ptr<const NetworkModel> inner) {
+  IidLossModel::Config loss;
+  loss.num = 0;
+  loss.den = 1;
+  return std::make_shared<IidLossModel>(std::move(inner), loss);
+}
+
+TEST(SimulatorLinkLayerTest, RetriesFollowTheBackoffLadder) {
+  // Every copy on 0 -> 1 arriving before 5000 is lost. The request sent
+  // at 100 is retried at 191, 373, 737, 1465 (the RTO doubles from 91 to
+  // the cap 1456), then at 2921 and 4377 (pinned at the cap): all six
+  // land inside the outage. The 7th, at 5833, arrives at 5873 and the
+  // reply is back at 5913. Both acks beat the next retry, whose timers
+  // then find the envelopes retired and send nothing.
+  OutageSpec cut;
+  cut.start = 0;
+  cut.width = 5000;
+  cut.from = 0;
+  cut.to = 1;
+  const auto sim = runRequests(
+      std::make_shared<OneWayOutageModel>(
+          std::make_shared<UniformDelayModel>(40, 40, /*fixed=*/true),
+          std::vector<OutageSpec>{cut}),
+      {100});
+  EXPECT_EQ(sim->linkDroppedSends(), 1u);
+  EXPECT_EQ(sim->linkRetransmissions(), 7u);
+  EXPECT_EQ(sim->linkAcksScheduled(), 2u);
+  EXPECT_EQ(sim->linkAcksDelivered(), 2u);
+  EXPECT_EQ(sim->linkDrained(), 0u);
+  EXPECT_EQ(sim->pendingLinkTx(), 0u);
+  ASSERT_EQ(sim->trace().outputs(0).size(), 1u);
+  EXPECT_EQ(sim->trace().outputs(0)[0].time, 5913u);
+}
+
+TEST(SimulatorLinkLayerTest, DuplicateAcksRetireEachSendOnce) {
+  // Chaos gives every copy, data and ack alike, one or two extra copies.
+  // Delays 20..30 plus at most 5 + 5 ticks of jitter keep every round
+  // trip under rto0, so nothing is retransmitted. Every received copy is
+  // acked, only the first copy of each send reaches an automaton, and
+  // only the first ack retires the send: the pending count returns to 0.
+  ChaosLinkModel::Config chaos;
+  chaos.dupNum = 1;
+  chaos.dupDen = 1;
+  chaos.maxExtraCopies = 2;
+  chaos.reorderJitter = 5;
+  std::vector<Time> at;
+  for (Time t = 100; t <= 1000; t += 100) at.push_back(t);
+  const auto sim = runRequests(
+      armedNeverDrops(std::make_shared<ChaosLinkModel>(
+          std::make_shared<UniformDelayModel>(20, 30), chaos)),
+      at);
+  EXPECT_EQ(sim->trace().outputs(0).size(), 10u);
+  EXPECT_EQ(sim->linkRetransmissions(), 0u);
+  // 10 requests + 10 replies reached the automata; every other received
+  // copy was suppressed, and each of the 20 sends had at least two.
+  EXPECT_EQ(sim->linkAcksScheduled(), 20u + sim->duplicatesSuppressed());
+  EXPECT_GE(sim->duplicatesSuppressed(), 20u);
+  EXPECT_GE(sim->linkAcksDelivered(), 2 * sim->linkAcksScheduled());
+  EXPECT_EQ(sim->linkDrained(), 0u);
+  EXPECT_EQ(sim->pendingLinkTx(), 0u);
+}
+
+TEST(SimulatorLinkLayerTest, CrashedReceiverDrainsExactlyItsUnackedSends) {
+  // p1 crashes at 1150. The ten requests sent up to 1000 are answered and
+  // both directions are acked before the crash. The ten sent from 1200 on
+  // reach a crashed process, which acks nothing: each drains at its first
+  // retry, and nothing is retransmitted.
+  std::vector<Time> at;
+  for (Time t = 100; t <= 1000; t += 100) at.push_back(t);
+  for (Time t = 1200; t <= 2100; t += 100) at.push_back(t);
+  const auto sim = runRequests(
+      armedNeverDrops(std::make_shared<UniformDelayModel>(40, 40, true)), at,
+      /*p1CrashAt=*/1150);
+  EXPECT_EQ(sim->trace().outputs(0).size(), 10u);
+  EXPECT_EQ(sim->linkDrained(), 10u);
+  EXPECT_EQ(sim->linkRetransmissions(), 0u);
+  EXPECT_EQ(sim->linkAcksScheduled(), 20u);
+  EXPECT_EQ(sim->linkAcksDelivered(), 20u);
+  EXPECT_EQ(sim->pendingLinkTx(), 0u);
+}
+
+// The link layer's exact behaviour, pinned: digest plus every link counter
+// and the processed-event count for the shapes above. The values were
+// recorded from the earlier implementation that kept this state in
+// uid-keyed tables, so they also pin that moving it onto the envelope
+// changed nothing. Any change to ack, retry, backoff, drain or
+// suppression order moves at least one of them. libstdc++ values
+// (std::uniform_int_distribution is implementation-defined), guarded like
+// the golden traces in test_scenarios.cpp.
+#if defined(__GLIBCXX__)
+
+struct LinkPin {
+  std::uint64_t digest;
+  std::uint64_t retransmissions;
+  std::uint64_t drained;
+  std::uint64_t acksScheduled;
+  std::uint64_t acksDelivered;
+  std::uint64_t droppedSends;
+  std::uint64_t duplicatesSuppressed;
+  std::size_t pendingAtEnd;
+  std::uint64_t events;
+};
+
+void expectPin(const LossyRun& r, const LinkPin& pin) {
+  EXPECT_EQ(r.digest, pin.digest);
+  EXPECT_EQ(r.retransmissions, pin.retransmissions);
+  EXPECT_EQ(r.drained, pin.drained);
+  EXPECT_EQ(r.acksScheduled, pin.acksScheduled);
+  EXPECT_EQ(r.acksDelivered, pin.acksDelivered);
+  EXPECT_EQ(r.droppedSends, pin.droppedSends);
+  EXPECT_EQ(r.duplicatesSuppressed, pin.duplicatesSuppressed);
+  EXPECT_EQ(r.pendingAtEnd, pin.pendingAtEnd);
+  EXPECT_EQ(r.events, pin.events);
+}
+
+TEST(SimulatorLinkLayerTest, LinkCountersMatchTheParent) {
+  {
+    SCOPED_TRACE("iid 1/5 until 8000, seed 11");
+    expectPin(runEtob(iidLossyNet(1, 5, 8000), 11, 20000),
+              {0xb4a33a7cf1633aefULL, 1319, 0, 6673, 6079, 494, 584, 17,
+               26155});
+  }
+  {
+    SCOPED_TRACE("chaos 1/2 x2 jitter 15 under iid 1/5, seed 3");
+    expectPin(runEtob(chaosLossyNet(), 3, 20000),
+              {0x01e6fb55d231d650ULL, 868, 0, 11012, 17826, 279, 4927, 20,
+               41785});
+  }
+  {
+    SCOPED_TRACE("iid 1/5 forever, p2 crashes at 1500, seed 5, 30000");
+    expectPin(runEtob(iidLossyNet(1, 5, 0), 5, 30000, 2, 1500),
+              {0x71d96c58c332c89eULL, 3488, 2852, 7734, 6205, 1815, 1506, 39,
+               34907});
+  }
+  {
+    SCOPED_TRACE("same, horizon 60000");
+    expectPin(runEtob(iidLossyNet(1, 5, 0), 5, 60000, 2, 1500),
+              {0xa4d87d2c64006b4dULL, 6879, 5852, 15232, 12212, 3641, 3003,
+               32, 69187});
+  }
+  {
+    SCOPED_TRACE("iid 0/1 (armed, never drops), seed 7");
+    expectPin(runEtob(iidLossyNet(0, 1, 0), 7, 15000),
+              {0x8563313e15ebb792ULL, 0, 0, 4587, 4579, 0, 0, 17, 18250});
+  }
+}
+
+#endif  // defined(__GLIBCXX__)
 
 }  // namespace
 }  // namespace wfd

@@ -226,11 +226,11 @@ TEST(GoldenTraceTest, LegacyLinkDisruptionReproduced) {
   for (ProcessId p = 0; p < 3; ++p) {
     sim.addProcess(p, std::make_unique<EtobAutomaton>());
   }
-  LinkDisruption d;
+  PartitionSpec d;
   d.start = 500;
-  d.end = 2500;
+  d.width = 2000;
   d.affects = [](ProcessId from, ProcessId to) { return from == 2 || to == 2; };
-  sim.addDisruption(d);
+  sim.addPartition(d);
   BroadcastWorkload w;
   w.start = 100;
   w.interval = 50;
