@@ -507,7 +507,15 @@ CampaignReport runCampaign(const CampaignOptions& options,
                                  : static_cast<unsigned>(std::min<std::uint64_t>(
                                        options.jobs, plans.size()));
     std::vector<std::vector<CampaignRunRecord>> shards(workers);
+    std::atomic<bool> stopped{false};
     poolRun(options.jobs, plans.size(), [&](unsigned w, std::uint64_t i) {
+      // The budget is polled before every run: once it is spent, no
+      // worker starts another plan.
+      if (stopped.load(std::memory_order_relaxed) ||
+          (keepGoing && !keepGoing())) {
+        stopped.store(true, std::memory_order_relaxed);
+        return;
+      }
       CampaignRunRecord rec;
       rec.generation = gen;
       rec.index = i;
@@ -517,9 +525,28 @@ CampaignReport runCampaign(const CampaignOptions& options,
       shards[w].push_back(std::move(rec));
     });
 
+    // A generation cut short keeps its longest executed prefix [0, kept):
+    // with jobs > 1 a worker may have finished runs past the first index
+    // nobody started, and those are dropped so the merge still checks
+    // exactly-once coverage of everything that is kept.
+    std::uint64_t kept = plans.size();
+    if (stopped) {
+      std::vector<bool> ran(plans.size(), false);
+      for (const auto& shard : shards) {
+        for (const CampaignRunRecord& rec : shard) ran[rec.index] = true;
+      }
+      kept = static_cast<std::uint64_t>(
+          std::find(ran.begin(), ran.end(), false) - ran.begin());
+      for (auto& shard : shards) {
+        std::erase_if(shard, [kept](const CampaignRunRecord& rec) {
+          return rec.index >= kept;
+        });
+      }
+    }
+
     std::string mergeError;
     std::optional<std::vector<CampaignRunRecord>> merged =
-        mergeCampaignShards(gen, plans.size(), std::move(shards), &mergeError);
+        mergeCampaignShards(gen, kept, std::move(shards), &mergeError);
     WFD_ENSURE_MSG(merged.has_value(), "campaign merge: " << mergeError);
 
     for (CampaignRunRecord& rec : *merged) {
@@ -534,7 +561,11 @@ CampaignReport runCampaign(const CampaignOptions& options,
       }
       report.runs.push_back(std::move(rec));
     }
-    report.runsExecuted += plans.size();
+    report.runsExecuted += kept;
+    if (stopped) {
+      report.truncated = true;
+      break;
+    }
   }
 
   // Shrink every violation — also on the pool. Each shrink is an

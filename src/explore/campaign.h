@@ -1,8 +1,10 @@
-// Parallel fuzz campaigns: a work-stealing thread-pool runner executing
-// thousands of independent FuzzPlans concurrently, with coverage-guided
-// seed scheduling on top.
+// Fuzz campaigns: the one exploration loop. A work-stealing thread-pool
+// runner executes thousands of independent FuzzPlans concurrently, with
+// coverage-guided seed scheduling on top. Generation 0 is the sampled
+// plan stream (sampleFuzzPlan), so a one-generation campaign — the
+// default — is plain randomized exploration; each violation is shrunk
+// with the explorer's delta-debugger (explorer.h).
 //
-// The explorer (explorer.h) runs one plan at a time on one core.
 // FuzzPlans are pure data and every Cluster is self-contained (no module
 // above src/common/ holds shared mutable state — see the thread-affinity
 // contract in api/cluster.h), so a campaign is embarrassingly parallel:
@@ -98,8 +100,8 @@ std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
 
 struct CampaignOptions {
   AlgoStack stack = AlgoStack::kEtob;
-  /// Generation-0 budget: plans sampled exactly like explore() does
-  /// (same seed derivation, same plan stream).
+  /// Generation-0 budget: sampleFuzzPlan(stack, seed, i) for i in
+  /// [0, runs).
   std::uint64_t runs = 100;
   std::uint64_t seed = 1;
   FuzzOracle oracle = FuzzOracle::kSpec;
@@ -109,8 +111,9 @@ struct CampaignOptions {
   /// thread — no pool, no threads, bit-for-bit the sequential path.
   unsigned jobs = 1;
   /// Total generations including generation 0. Generations > 0 run
-  /// coverage-guided mutations of the rarest prior runs.
-  std::uint64_t generations = 2;
+  /// coverage-guided mutations of the rarest prior runs; the default 1
+  /// is exactly the sampled plan stream.
+  std::uint64_t generations = 1;
   /// Mutation budget per generation > 0; 0 derives runs / 4.
   std::uint64_t mutationsPerGeneration = 0;
   /// Opt-in big-cluster genome for generation 0 and refill sampling
@@ -150,8 +153,8 @@ struct CampaignReport {
   std::vector<CampaignViolation> violations;
   /// Accumulated over all runs in (generation, index) order.
   CoverageMap coverage;
-  /// True when keepGoing() stopped the campaign at a generation
-  /// boundary before all generations ran.
+  /// True when keepGoing() stopped the campaign before all its runs
+  /// executed.
   bool truncated = false;
 };
 
@@ -171,16 +174,20 @@ std::optional<std::vector<CampaignRunRecord>> mergeCampaignShards(
 /// subsequent generations are coverage-guided mutations; every plan of a
 /// generation executes on the work-stealing pool, shards merge by index,
 /// and violations shrink on the pool afterwards. The report is a pure
-/// function of `options` (for any jobs value); `keepGoing` (nullable) is
-/// polled at generation boundaries and between shrink attempts, so a
-/// wall-clock budget truncates whole generations — the runs that DID
-/// execute are still the deterministic ones.
+/// function of `options` (for any jobs value). `keepGoing` (nullable) is
+/// polled before each generation, before each run and between shrink
+/// attempts; once it returns false no worker starts another run, the
+/// generation keeps its longest executed prefix of indices, and no later
+/// generation runs — so the runs that DID execute are still the
+/// deterministic ones. With jobs > 1 a run finished past that prefix is
+/// discarded.
 CampaignReport runCampaign(const CampaignOptions& options,
                            const std::function<bool()>& keepGoing = nullptr);
 
-/// Canonical per-run JSON line for campaign mode: fuzzRunJsonLine's
-/// fields plus the generation (sorted keys, no timing, no thread info —
-/// stdout stays byte-identical across --jobs values).
+/// The canonical per-run JSON line wfd_explore prints (and the seed-
+/// stability tests compare): sorted keys, no timing, no thread info, plan
+/// referenced by fingerprint — so stdout stays byte-identical across
+/// --jobs values and 2000-run sweeps stay one short line per run.
 std::string campaignRunJsonLine(const CampaignRunRecord& rec);
 
 /// Canonical per-stack coverage summary line.

@@ -1,13 +1,11 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <utility>
 
 #include "api/cluster.h"
 #include "common/ensure.h"
-#include "common/json.h"
 #include "common/strings.h"
 
 namespace wfd {
@@ -211,7 +209,7 @@ ShrinkResult shrinkFuzzPlan(const FuzzPlan& failing, FuzzOracle oracle,
   ShrinkResult best;
   best.plan = failing;
   // The unshrunk plan is the largest plan the shrinker will ever execute;
-  // callers that just ran it (explore()) pass the result in to skip the
+  // callers that just ran it (runCampaign) pass the result in to skip the
   // most expensive re-simulation.
   best.result = knownResult != nullptr ? *knownResult
                                        : runFuzzPlan(failing, oracle);
@@ -239,58 +237,6 @@ ShrinkResult shrinkFuzzPlan(const FuzzPlan& failing, FuzzOracle oracle,
     }
   }
   return best;
-}
-
-ExploreReport explore(
-    const ExploreOptions& options,
-    const std::function<void(std::uint64_t, const FuzzPlan&,
-                             const ScenarioRunResult&)>& onRun,
-    const std::function<bool()>& keepGoing) {
-  ExploreReport report;
-  for (std::uint64_t i = 0; i < options.runs; ++i) {
-    if (keepGoing && !keepGoing()) break;
-    const FuzzPlan plan = sampleFuzzPlan(options.stack, options.seed, i);
-    const ScenarioRunResult result = runFuzzPlan(plan, options.oracle);
-    ++report.runsExecuted;
-    if (onRun) onRun(i, plan, result);
-    if (!result.pass) {
-      ExploreViolation v;
-      v.runIndex = i;
-      v.plan = plan;
-      v.result = result;
-      if (options.shrink) {
-        v.shrunken = shrinkFuzzPlan(plan, options.oracle,
-                                    options.maxShrinkAttempts, &result,
-                                    keepGoing);
-      } else {
-        v.shrunken.plan = plan;
-        v.shrunken.result = result;
-      }
-      report.violations.push_back(std::move(v));
-    }
-  }
-  return report;
-}
-
-std::string fuzzRunJsonLine(std::uint64_t runIndex, const FuzzPlan& plan,
-                            const ScenarioRunResult& result) {
-  Json j = Json::object();
-  j.set("run", Json::number(runIndex));
-  j.set("stack", Json::str(algoStackName(plan.stack)));
-  j.set("plan", Json::str(hex64(planFingerprint(plan))));
-  j.set("sim_seed", Json::number(plan.simSeed));
-  j.set("processes", Json::number(plan.processCount));
-  j.set("network", Json::str(result.network));
-  j.set("max_time", Json::number(plan.maxTime));
-  j.set("pass", Json::boolean(result.pass));
-  j.set("events", Json::number(result.eventsProcessed));
-  j.set("messages_sent", Json::number(result.messagesSent));
-  j.set("tau_hat", Json::number(result.tauHat));
-  j.set("digest", Json::str(hex64(result.digest)));
-  Json failures = Json::array();
-  for (const std::string& f : result.failures) failures.push(Json::str(f));
-  j.set("failures", std::move(failures));
-  return j.dump();
 }
 
 CorpusEntry makeCorpusEntry(std::string name, std::string foundBy,

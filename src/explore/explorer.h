@@ -1,11 +1,14 @@
-// Randomized schedule exploration with counterexample shrinking.
+// Randomized schedule exploration: the per-plan oracle, counterexample
+// shrinking and corpus replay.
 //
 // The explorer is the active counterpart of the passive checker layer:
-// it samples admissible FuzzPlans from a single 64-bit seed, runs each
-// one through the scenario driver, evaluates the stack's checkers as the
-// oracle, and — on violation — delta-debugs the plan down to a minimal
-// one that still violates the same clause. Minimal plans are what get
-// saved to tests/corpus/ and replayed as regressions.
+// admissible FuzzPlans sampled from a single 64-bit seed (fuzz_plan.h)
+// run through the scenario driver, the stack's checkers are the oracle,
+// and a violating plan is delta-debugged down to a minimal one that
+// still violates the same clause. Minimal plans are what get saved to
+// tests/corpus/ and replayed as regressions. The loop that samples,
+// runs and shrinks lives in campaign.h (runCampaign); this header holds
+// the pieces it and the replay path share.
 //
 // Two oracles:
 //  * kSpec — exactly the clauses that are theorems for every admissible
@@ -18,9 +21,7 @@
 //    the committed corpus entries were produced.
 //
 // Everything is deterministic: plan i of (seed, stack) is the same plan
-// in every invocation, shrinking uses no randomness, and the JSON line
-// emitted per run contains no timing — so two equal invocations of
-// wfd_explore produce byte-identical stdout.
+// in every invocation and shrinking uses no randomness.
 #pragma once
 
 #include <cstdint>
@@ -70,43 +71,6 @@ ShrinkResult shrinkFuzzPlan(const FuzzPlan& failing, FuzzOracle oracle,
                             std::uint64_t maxAttempts = 400,
                             const ScenarioRunResult* knownResult = nullptr,
                             const std::function<bool()>& keepGoing = nullptr);
-
-struct ExploreOptions {
-  AlgoStack stack = AlgoStack::kEtob;
-  std::uint64_t runs = 100;
-  std::uint64_t seed = 1;
-  FuzzOracle oracle = FuzzOracle::kSpec;
-  bool shrink = true;
-  std::uint64_t maxShrinkAttempts = 400;
-};
-
-struct ExploreViolation {
-  std::uint64_t runIndex = 0;
-  FuzzPlan plan;
-  ScenarioRunResult result;
-  ShrinkResult shrunken;
-};
-
-struct ExploreReport {
-  std::uint64_t runsExecuted = 0;
-  std::vector<ExploreViolation> violations;
-};
-
-/// Runs `options.runs` sampled plans. `onRun` (nullable) observes every
-/// run in order; `keepGoing` (nullable) is polled before each run so a
-/// caller can impose a wall-clock budget — stopping early only truncates
-/// the run sequence, it never changes the runs that did execute.
-ExploreReport explore(
-    const ExploreOptions& options,
-    const std::function<void(std::uint64_t, const FuzzPlan&,
-                             const ScenarioRunResult&)>& onRun = nullptr,
-    const std::function<bool()>& keepGoing = nullptr);
-
-/// The canonical per-run JSON line wfd_explore prints (and the seed-
-/// stability tests compare): sorted keys, no timing, plan referenced by
-/// fingerprint so 200-run sweeps stay one short line per run.
-std::string fuzzRunJsonLine(std::uint64_t runIndex, const FuzzPlan& plan,
-                            const ScenarioRunResult& result);
 
 /// Builds the corpus entry pinning `plan`'s outcome under `oracle` —
 /// records the expected failure keys and the current stdlib's digest.

@@ -127,8 +127,6 @@ Time RandomScheduleModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   return inner_->lambdaPeriod(p, basePeriod);
 }
 
-bool RandomScheduleModel::mayDuplicate() const { return inner_->mayDuplicate(); }
-
 bool RandomScheduleModel::mayDrop() const { return inner_->mayDrop(); }
 
 int RandomScheduleModel::compositionRank() const {

@@ -36,7 +36,6 @@ class RandomScheduleModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   /// True iff the plan's loss genome is active — this is what arms the
   /// simulator's retransmission layer for lossy fuzz plans.
   bool mayDrop() const override;

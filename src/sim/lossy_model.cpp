@@ -57,8 +57,6 @@ Time IidLossModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   return inner_->lambdaPeriod(p, basePeriod);
 }
 
-bool IidLossModel::mayDuplicate() const { return inner_->mayDuplicate(); }
-
 std::string IidLossModel::name() const {
   return "iid-loss(" + std::to_string(config_.num) + "/" +
          std::to_string(config_.den) + ") over " + inner_->name();
@@ -138,10 +136,6 @@ Time GilbertElliottLossModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   return inner_->lambdaPeriod(p, basePeriod);
 }
 
-bool GilbertElliottLossModel::mayDuplicate() const {
-  return inner_->mayDuplicate();
-}
-
 std::string GilbertElliottLossModel::name() const {
   return "ge-loss(frame=" + std::to_string(config_.framePeriod) +
          ",burst=" + std::to_string(config_.burstLen) + ",in=" +
@@ -187,8 +181,6 @@ void OneWayOutageModel::schedule(const LinkSend& send, Rng& rng,
 Time OneWayOutageModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   return inner_->lambdaPeriod(p, basePeriod);
 }
-
-bool OneWayOutageModel::mayDuplicate() const { return inner_->mayDuplicate(); }
 
 std::string OneWayOutageModel::name() const {
   return "one-way-outage(" + std::to_string(specs_.size()) + " specs) over " +
@@ -240,8 +232,6 @@ Time GrayFailureModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   if (p != config_.process) return base;
   return std::max<Time>(1, base * config_.lambdaNum / config_.lambdaDen);
 }
-
-bool GrayFailureModel::mayDuplicate() const { return inner_->mayDuplicate(); }
 
 std::string GrayFailureModel::name() const {
   return "gray-failure(p=" + std::to_string(config_.process) + ",delay=" +

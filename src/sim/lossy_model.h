@@ -57,7 +57,6 @@ class IidLossModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -106,7 +105,6 @@ class GilbertElliottLossModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -161,7 +159,6 @@ class OneWayOutageModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -201,7 +198,6 @@ class GrayFailureModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override {
     return config_.lossNum > 0 || inner_->mayDrop();
   }

@@ -149,8 +149,6 @@ Time PartitionModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   return inner_->lambdaPeriod(p, basePeriod);
 }
 
-bool PartitionModel::mayDuplicate() const { return inner_->mayDuplicate(); }
-
 std::string PartitionModel::name() const {
   return "partition(" + std::to_string(specs_.size()) + " specs) over " +
          inner_->name();
@@ -239,8 +237,6 @@ Time ClockSkewModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
   const Skew& s = skews_[p];
   return std::max<Time>(base * s.num / s.den, 1);
 }
-
-bool ClockSkewModel::mayDuplicate() const { return inner_->mayDuplicate(); }
 
 std::string ClockSkewModel::name() const {
   return "clock-skew over " + inner_->name();

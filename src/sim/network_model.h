@@ -90,11 +90,6 @@ class NetworkModel {
     return basePeriod;
   }
 
-  /// True when schedule() may emit more than one arrival for some send.
-  /// Lets the simulator skip duplicate-suppression bookkeeping entirely
-  /// for duplicate-free models.
-  virtual bool mayDuplicate() const { return false; }
-
   /// True when schedule() may emit ZERO arrivals for some send (fair-lossy
   /// links). The simulator activates its stubborn retransmission layer for
   /// any model reporting true — it is a capability bit, not a rate: a
@@ -242,7 +237,6 @@ class PartitionModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override { return inner_->mayDrop(); }
   int compositionRank() const override { return kRankPartition; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -275,7 +269,6 @@ class ChaosLinkModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override { return true; }
   bool mayDrop() const override { return inner_->mayDrop(); }
   int compositionRank() const override { return kRankChaos; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -310,7 +303,6 @@ class ClockSkewModel final : public NetworkModel {
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
   Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDuplicate() const override;
   bool mayDrop() const override { return inner_->mayDrop(); }
   int compositionRank() const override { return kRankClockSkew; }
   const NetworkModel* innerModel() const override { return inner_.get(); }

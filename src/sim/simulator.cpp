@@ -252,10 +252,6 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
                        "network model scheduled no delivery (links are reliable)");
         ++linkDroppedSends_;
       }
-      if (arrivalScratch_.size() > 1) {
-        WFD_ENSURE_MSG(network_->mayDuplicate(),
-                       "model emitted duplicates but mayDuplicate() is false");
-      }
       // One envelope regardless of how many network-layer copies were
       // scheduled; the heap nodes all point at it. The retransmission
       // layer holds one extra reference so the payload survives loss.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -49,6 +50,7 @@ TEST(CampaignTest, ReportIsByteIdenticalAcrossJobs) {
   options.stack = AlgoStack::kEtob;
   options.runs = 12;
   options.seed = 5;
+  options.generations = 2;
   options.jobs = 1;
   const CampaignReport base = runCampaign(options);
   const std::string baseBytes = reportBytes(options.stack, base);
@@ -72,6 +74,7 @@ TEST(CampaignTest, BigClusterCampaignIsByteIdenticalAcrossJobs) {
   options.stack = AlgoStack::kOmegaEc;  // cheap at big n
   options.runs = 10;
   options.seed = 5;
+  options.generations = 2;
   options.jobs = 1;
   options.bigClusterMaxN = 64;
   const CampaignReport base = runCampaign(options);
@@ -96,6 +99,7 @@ TEST(CampaignTest, ViolationsAndCorpusEntriesIdenticalAcrossJobs) {
   options.stack = AlgoStack::kEtob;
   options.runs = 10;
   options.seed = 2;
+  options.generations = 2;
   options.oracle = FuzzOracle::kStrictTob;
   options.maxShrinkAttempts = 60;
   options.jobs = 1;
@@ -125,10 +129,10 @@ TEST(CampaignTest, ViolationsAndCorpusEntriesIdenticalAcrossJobs) {
   }
 }
 
-TEST(CampaignTest, GenerationZeroMatchesThePlainExploreStream) {
-  // --campaign must explore the same generation-0 plans plain explore
-  // does for the same (stack, seed): the campaign extends the explorer,
-  // it does not fork a second sampling scheme.
+TEST(CampaignTest, GenerationZeroIsTheSampledStream) {
+  // Generation 0 must be exactly the sampler's plan stream for the same
+  // (stack, seed): the campaign extends sampling with mutations, it does
+  // not fork a second sampling scheme.
   CampaignOptions options;
   options.stack = AlgoStack::kGossipLww;
   options.runs = 8;
@@ -402,11 +406,11 @@ TEST(CampaignTest, TruncationStopsAtGenerationBoundaries) {
   options.mutationsPerGeneration = 3;
   options.shrink = false;
 
-  // Allow exactly one generation: the keepGoing budget trips before
-  // generation 1 is dispatched.
-  int polls = 0;
-  const CampaignReport report =
-      runCampaign(options, [&polls]() { return ++polls <= 1; });
+  // Allow exactly one generation: one poll at its boundary plus one per
+  // run, so the keepGoing budget trips before generation 1 is dispatched.
+  std::uint64_t polls = 0;
+  const CampaignReport report = runCampaign(
+      options, [&]() { return ++polls <= 1 + options.runs; });
   EXPECT_TRUE(report.truncated);
   EXPECT_EQ(report.runsExecuted, 6u);
   // The runs that DID execute are the same deterministic prefix a full
@@ -416,6 +420,45 @@ TEST(CampaignTest, TruncationStopsAtGenerationBoundaries) {
   for (std::size_t i = 0; i < report.runs.size(); ++i) {
     EXPECT_EQ(campaignRunJsonLine(report.runs[i]),
               campaignRunJsonLine(full.runs[i]));
+  }
+}
+
+TEST(CampaignTest, TimeBudgetTruncatesInsideAGeneration) {
+  CampaignOptions options;
+  options.stack = AlgoStack::kEtob;
+  options.runs = 8;
+  options.seed = 6;
+  options.shrink = false;
+  std::vector<std::string> full;
+  for (const CampaignRunRecord& rec : runCampaign(options).runs) {
+    full.push_back(campaignRunJsonLine(rec));
+  }
+
+  // jobs = 1 runs in index order: the generation poll plus 3 run polls
+  // keep exactly the first 3 runs.
+  std::uint64_t polls = 0;
+  const CampaignReport sequential =
+      runCampaign(options, [&polls]() { return ++polls <= 1 + 3; });
+  EXPECT_TRUE(sequential.truncated);
+  EXPECT_EQ(sequential.runsExecuted, 3u);
+  ASSERT_EQ(sequential.runs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(campaignRunJsonLine(sequential.runs[i]), full[i]);
+  }
+
+  // jobs = 4: workers poll concurrently and may finish runs past the
+  // first one nobody started; whatever is kept is still a prefix.
+  options.jobs = 4;
+  std::atomic<std::uint64_t> sharedPolls{0};
+  CampaignReport threaded;
+  ASSERT_NO_THROW(threaded = runCampaign(options, [&sharedPolls]() {
+                    return sharedPolls.fetch_add(1) < 1 + 3;
+                  }));
+  EXPECT_TRUE(threaded.truncated);
+  EXPECT_EQ(threaded.runsExecuted, threaded.runs.size());
+  ASSERT_LT(threaded.runs.size(), full.size());
+  for (std::size_t i = 0; i < threaded.runs.size(); ++i) {
+    EXPECT_EQ(campaignRunJsonLine(threaded.runs[i]), full[i]);
   }
 }
 

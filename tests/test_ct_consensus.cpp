@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "checkers/ec_checker.h"
 #include "consensus/ct_consensus.h"
@@ -124,6 +125,12 @@ struct CtSweepParam {
   std::size_t n;
   std::size_t crashes;
   bool useSuspects;
+
+  // gtest prints the parameter (and ctest names the test) with this.
+  friend void PrintTo(const CtSweepParam& p, std::ostream* os) {
+    *os << "seed" << p.seed << "_n" << p.n << "_crashes" << p.crashes
+        << (p.useSuspects ? "_suspects" : "_omega");
+  }
 };
 
 class CtSweepTest : public ::testing::TestWithParam<CtSweepParam> {};

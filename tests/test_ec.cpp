@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "checkers/ec_checker.h"
 #include "ec/ec_driver.h"
@@ -147,6 +148,12 @@ struct EcSweepParam {
   std::size_t n;
   Time tau;
   std::size_t crashes;
+
+  // gtest prints the parameter (and ctest names the test) with this.
+  friend void PrintTo(const EcSweepParam& p, std::ostream* os) {
+    *os << "seed" << p.seed << "_n" << p.n << "_tau" << p.tau << "_crashes"
+        << p.crashes;
+  }
 };
 
 class EcSweepTest : public ::testing::TestWithParam<EcSweepParam> {};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <type_traits>
 
@@ -288,6 +289,12 @@ struct EtobSweepParam {
   std::size_t n;
   int mode;
   int edgeMode;
+
+  // gtest prints the parameter (and ctest names the test) with this.
+  friend void PrintTo(const EtobSweepParam& p, std::ostream* os) {
+    *os << "seed" << p.seed << "_n" << p.n << "_mode" << p.mode << "_edge"
+        << p.edgeMode;
+  }
 };
 
 class EtobSweepTest : public ::testing::TestWithParam<EtobSweepParam> {};

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/campaign.h"
 #include "explore/explorer.h"
 #include "explore/fuzz_plan.h"
 #include "explore/random_schedule_model.h"
@@ -224,7 +225,6 @@ TEST(RandomScheduleModelTest, ComposesEveryLayerWithPartitionOutermost) {
   EXPECT_EQ(name.find("random[partition"), 0u) << name;
   EXPECT_LT(name.find("clock-skew"), name.find("chaos")) << name;
   EXPECT_LT(name.find("chaos"), name.find("asymmetric")) << name;
-  EXPECT_TRUE(model.mayDuplicate());
   // Skew scales the lambda period of p1 by 2/1 and p2 by 1/2.
   EXPECT_EQ(model.lambdaPeriod(1, 10), 20u);
   EXPECT_EQ(model.lambdaPeriod(2, 10), 5u);
@@ -235,28 +235,34 @@ TEST(RandomScheduleModelTest, QuietGenomeIsPlainUniformDelay) {
   plan.maxTime = planHorizon(plan);
   RandomScheduleModel model(plan);
   EXPECT_EQ(model.name().find("random[uniform-delay"), 0u) << model.name();
-  EXPECT_FALSE(model.mayDuplicate());
 }
 
 // --- Explorer determinism (the seed-stability satellite) --------------------
 
-std::vector<std::string> collectRunLines(const ExploreOptions& options) {
+/// A one-generation campaign: exactly the sampled plan stream.
+CampaignOptions sampledStream(AlgoStack stack, std::uint64_t runs,
+                              std::uint64_t seed) {
+  CampaignOptions options;
+  options.stack = stack;
+  options.runs = runs;
+  options.seed = seed;
+  options.generations = 1;
+  return options;
+}
+
+std::vector<std::string> runLines(const CampaignReport& report) {
   std::vector<std::string> lines;
-  explore(options, [&lines](std::uint64_t i, const FuzzPlan& plan,
-                            const ScenarioRunResult& result) {
-    lines.push_back(fuzzRunJsonLine(i, plan, result));
-  });
+  for (const CampaignRunRecord& rec : report.runs) {
+    lines.push_back(campaignRunJsonLine(rec));
+  }
   return lines;
 }
 
 TEST(ExplorerTest, SameSeedSameRunsByteForByte) {
   for (AlgoStack stack : {AlgoStack::kEtob, AlgoStack::kOmegaEc}) {
-    ExploreOptions options;
-    options.stack = stack;
-    options.runs = 10;
-    options.seed = 21;
-    const std::vector<std::string> a = collectRunLines(options);
-    const std::vector<std::string> b = collectRunLines(options);
+    const CampaignOptions options = sampledStream(stack, 10, 21);
+    const std::vector<std::string> a = runLines(runCampaign(options));
+    const std::vector<std::string> b = runLines(runCampaign(options));
     ASSERT_EQ(a.size(), 10u);
     EXPECT_EQ(a, b);
   }
@@ -264,32 +270,20 @@ TEST(ExplorerTest, SameSeedSameRunsByteForByte) {
 
 TEST(ExplorerTest, SpecOracleHoldsOnASampledWindow) {
   for (AlgoStack stack : kStacks) {
-    ExploreOptions options;
-    options.stack = stack;
-    options.runs = 8;
-    options.seed = 2024;
-    const ExploreReport report = explore(options);
+    const CampaignReport report = runCampaign(sampledStream(stack, 8, 2024));
     EXPECT_EQ(report.runsExecuted, 8u);
     EXPECT_TRUE(report.violations.empty()) << algoStackName(stack);
   }
 }
 
 TEST(ExplorerTest, TimeBudgetOnlyTruncatesTheSequence) {
-  ExploreOptions options;
-  options.stack = AlgoStack::kEtob;
-  options.runs = 6;
-  options.seed = 5;
-  const std::vector<std::string> full = collectRunLines(options);
-  // A keepGoing() that stops after 3 runs yields exactly the prefix.
-  std::vector<std::string> truncated;
-  std::uint64_t budget = 3;
-  explore(
-      options,
-      [&truncated](std::uint64_t i, const FuzzPlan& plan,
-                   const ScenarioRunResult& result) {
-        truncated.push_back(fuzzRunJsonLine(i, plan, result));
-      },
-      [&budget]() { return budget-- > 0; });
+  const CampaignOptions options = sampledStream(AlgoStack::kEtob, 6, 5);
+  const std::vector<std::string> full = runLines(runCampaign(options));
+  // A keepGoing() that stops after the generation poll and 3 run polls
+  // yields exactly the prefix.
+  std::uint64_t budget = 1 + 3;
+  const std::vector<std::string> truncated = runLines(
+      runCampaign(options, [&budget]() { return budget-- > 0; }));
   ASSERT_EQ(truncated.size(), 3u);
   EXPECT_TRUE(std::equal(truncated.begin(), truncated.end(), full.begin()));
 }
@@ -300,15 +294,12 @@ TEST(ShrinkerTest, StrictOracleWitnessShrinksToItsEssence) {
   // Find the first strict-TOB violation in a short window and shrink it:
   // the result must still violate strong TOB, be admissible, and be no
   // larger than the original in every dimension the passes reduce.
-  ExploreOptions options;
-  options.stack = AlgoStack::kEtob;
-  options.runs = 12;
-  options.seed = 42;
+  CampaignOptions options = sampledStream(AlgoStack::kEtob, 12, 42);
   options.oracle = FuzzOracle::kStrictTob;
-  const ExploreReport report = explore(options);
+  const CampaignReport report = runCampaign(options);
   ASSERT_FALSE(report.violations.empty())
       << "pre-stabilization windows must violate strong TOB somewhere";
-  const ExploreViolation& v = report.violations.front();
+  const CampaignViolation& v = report.violations.front();
 
   EXPECT_FALSE(v.shrunken.result.pass);
   const auto keys = failureKeys(v.shrunken.result);
@@ -328,13 +319,10 @@ TEST(ShrinkerTest, StrictOracleWitnessShrinksToItsEssence) {
 }
 
 TEST(ShrinkerTest, ShrinkingIsDeterministic) {
-  ExploreOptions options;
-  options.stack = AlgoStack::kEtob;
-  options.runs = 12;
-  options.seed = 42;
+  CampaignOptions options = sampledStream(AlgoStack::kEtob, 12, 42);
   options.oracle = FuzzOracle::kStrictTob;
   options.shrink = false;  // find without shrinking, shrink explicitly
-  const ExploreReport report = explore(options);
+  const CampaignReport report = runCampaign(options);
   ASSERT_FALSE(report.violations.empty());
   const FuzzPlan& failing = report.violations.front().plan;
   const ShrinkResult a = shrinkFuzzPlan(failing, FuzzOracle::kStrictTob);

@@ -15,11 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "scenario/scale_scenarios.h"
 
 namespace wfd {
+
+// gtest finds this by ADL in AlgoStack's namespace, so the parameter (and
+// the ctest name) prints as the stack's name rather than its raw bytes.
+void PrintTo(AlgoStack stack, std::ostream* os) { *os << algoStackName(stack); }
+
 namespace {
 
 using scaletest::scalePartitionScenario;
