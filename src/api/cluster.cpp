@@ -220,7 +220,7 @@ void Cluster::scheduleWorkload(const BroadcastWorkload& w) {
   WFD_ENSURE_MSG(w.perProcess == 0 ||
                      (!workloadScheduled_ && !clientIdsIssued_),
                  "one workload per cluster, before any client submission");
-  // Same temporal rule as submitAt/crashAt/partitionLinks: scheduling
+  // Same temporal rule as submitAt/crashAt/isolate: scheduling
   // into the past would log broadcastAt times the run never saw.
   WFD_ENSURE_MSG(w.perProcess == 0 || w.start >= sim_->now(),
                  "workloads are scheduled at >= now");
@@ -327,24 +327,17 @@ void Cluster::crashAt(ProcessId p, Time t) {
   rebuildDetector(t);
 }
 
-void Cluster::partitionLinks(
-    Time start, Time end,
-    std::function<bool(ProcessId from, ProcessId to)> affects) {
-  WFD_ENSURE_MSG(start >= sim_->now(), "partition windows start at >= now");
-  WFD_ENSURE(start <= end);
-  WFD_ENSURE(static_cast<bool>(affects));
-  PartitionSpec spec;
-  spec.start = start;
-  spec.width = end - start;
-  spec.period = 0;  // one-shot window
-  spec.affects = std::move(affects);
-  sim_->addPartition(std::move(spec));
-}
-
 void Cluster::isolate(ProcessId p, Time start, Time end) {
   WFD_ENSURE(p < processCount());
-  partitionLinks(start, end,
-                 [p](ProcessId from, ProcessId to) { return from == p || to == p; });
+  WFD_ENSURE_MSG(start >= sim_->now(), "partition windows start at >= now");
+  WFD_ENSURE(start <= end);
+  PartitionSpec spec;
+  spec.start = start;
+  spec.width = end - start;  // one-shot window
+  spec.affects = [p](ProcessId from, ProcessId to) {
+    return from == p || to == p;
+  };
+  sim_->addPartition(std::move(spec));
 }
 
 Client Cluster::client(ProcessId p) {

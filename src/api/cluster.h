@@ -261,14 +261,12 @@ class Cluster {
   /// At least one process must remain correct.
   void crashAt(ProcessId p, Time t);
 
-  /// Adds a partition window [start, end) (start >= now) on the links
-  /// selected by `affects`; deliveries of affected messages SENT during
-  /// the window defer to `end` (links stay reliable — this models the
-  /// paper's partitions, which delay but never lose). Messages already
-  /// in flight when the call is made keep their scheduled arrival.
-  void partitionLinks(Time start, Time end,
-                      std::function<bool(ProcessId from, ProcessId to)> affects);
-  /// partitionLinks over every link touching p.
+  /// Cuts every link touching p during [start, end) (start >= now): a
+  /// copy of a later send that would ARRIVE on a cut link inside the
+  /// window arrives at `end` instead (links stay reliable — this models
+  /// the paper's partitions, which delay but never lose). The rule is by
+  /// arrival time, so a send just before `start` can be deferred too;
+  /// copies already in flight when the call is made keep their arrival.
   void isolate(ProcessId p, Time start, Time end);
 
   // --- Clients and observers ------------------------------------------------

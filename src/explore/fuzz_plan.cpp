@@ -8,7 +8,7 @@
 #include "common/ensure.h"
 #include "common/hash.h"
 #include "explore/plan_codec.h"
-#include "explore/random_schedule_model.h"
+#include "sim/lossy_model.h"
 
 namespace wfd {
 
@@ -465,6 +465,66 @@ std::vector<std::string> planAdmissibilityViolations(const FuzzPlan& plan) {
   return out;
 }
 
+std::shared_ptr<const NetworkModel> planNetwork(const FuzzPlan& plan) {
+  const std::size_t n = plan.processCount;
+  WFD_ENSURE_MSG(plan.minDelay >= 1 && plan.minDelay <= plan.maxDelay,
+                 "planNetwork: bad delay bounds");
+
+  std::shared_ptr<const NetworkModel> stack;
+  if (plan.slowLink.process != kNoProcess) {
+    WFD_ENSURE(plan.slowLink.process < n && plan.slowLink.factor >= 1);
+    stack = AsymmetricDelayModel::slowProcess(plan.minDelay, plan.maxDelay,
+                                              plan.slowLink.process,
+                                              plan.slowLink.factor);
+  } else {
+    stack = std::make_shared<UniformDelayModel>(plan.minDelay, plan.maxDelay,
+                                                /*fixed=*/false);
+  }
+
+  if (plan.chaos.dupNum > 0) {
+    ChaosLinkModel::Config chaos;
+    chaos.dupNum = plan.chaos.dupNum;
+    chaos.dupDen = plan.chaos.dupDen;
+    chaos.maxExtraCopies = plan.chaos.maxExtraCopies;
+    chaos.reorderJitter = plan.chaos.reorderJitter;
+    if (plan.chaos.onlyTouching != kNoProcess) {
+      WFD_ENSURE(plan.chaos.onlyTouching < n);
+      const ProcessId hub = plan.chaos.onlyTouching;
+      chaos.affects = [hub](ProcessId from, ProcessId to) {
+        return from == hub || to == hub;
+      };
+    }
+    stack = std::make_shared<ChaosLinkModel>(std::move(stack), chaos);
+  }
+
+  if (plan.loss.lossNum > 0) {
+    IidLossModel::Config loss;
+    loss.num = plan.loss.lossNum;
+    loss.den = plan.loss.lossDen;
+    loss.activeUntil = plan.loss.activeUntil;
+    stack = std::make_shared<IidLossModel>(std::move(stack), loss);
+  }
+  if (plan.loss.burstPeriod > 0) {
+    GilbertElliottLossModel::Config ge;
+    ge.framePeriod = plan.loss.burstPeriod;
+    ge.burstLen = plan.loss.burstLen;
+    ge.seed = plan.simSeed;
+    ge.activeUntil = plan.loss.activeUntil;
+    stack = std::make_shared<GilbertElliottLossModel>(std::move(stack), ge);
+  }
+  if (plan.loss.oneWayFrom != kNoProcess) {
+    WFD_ENSURE(plan.loss.oneWayFrom < n);
+    OutageSpec cut;
+    cut.from = plan.loss.oneWayFrom;
+    cut.start = plan.loss.oneWayStart;
+    cut.width = plan.loss.oneWayWidth;
+    cut.period = plan.loss.oneWayPeriod;
+    stack = std::make_shared<OneWayOutageModel>(
+        std::move(stack), std::vector<OutageSpec>{cut});
+  }
+  return stack;
+}
+
 Scenario planScenario(const FuzzPlan& plan) {
   Scenario s;
   s.name = std::string("fuzz-") + algoStackName(plan.stack);
@@ -492,10 +552,25 @@ Scenario planScenario(const FuzzPlan& plan) {
     for (const PlanCrash& c : crashes) fp.setCrash(c.process, c.time);
     return fp;
   };
+  for (const PlanPartition& p : plan.partitions) {
+    PartitionSpec spec;
+    spec.start = p.start;
+    spec.width = p.width;
+    spec.period = p.period;
+    if (p.isolate != kNoProcess) {
+      WFD_ENSURE(p.isolate < plan.processCount);
+      const ProcessId victim = p.isolate;
+      spec.affects = [victim](ProcessId from, ProcessId to) {
+        return from == victim || to == victim;
+      };
+    }
+    s.config.partitions.push_back(std::move(spec));
+  }
+  for (const PlanSkew& skew : plan.skews) {
+    s.config.clockSkew.push_back(ClockSkew{skew.num, skew.den});
+  }
   const FuzzPlan planCopy = plan;
-  s.network = [planCopy](const SimConfig&) -> std::shared_ptr<const NetworkModel> {
-    return std::make_shared<RandomScheduleModel>(planCopy);
-  };
+  s.network = [planCopy](const SimConfig&) { return planNetwork(planCopy); };
 
   s.tauOmega = plan.tauOmega;
   s.omegaMode = plan.omegaMode;

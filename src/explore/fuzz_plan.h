@@ -6,8 +6,9 @@
 // an enum, so a plan can be (a) sampled from a single 64-bit seed,
 // (b) serialized to portable JSON (plan_codec.h), (c) mutated by the
 // shrinker one field at a time, and (d) lowered to a Scenario
-// (planScenario) that reuses the whole PR-2 NetworkModel / checker
-// machinery unchanged.
+// (planScenario) that reuses the NetworkModel and checker machinery
+// unchanged: planNetwork composes the model layers (base, chaos, lossy),
+// and the partition windows and clock skews become SimConfig data.
 //
 // Admissibility: the paper's results quantify over admissible runs only,
 // so the sampler must stay inside that space — crashes leave at least
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -192,10 +194,17 @@ Time planHorizon(const FuzzPlan& plan);
 /// one human-readable violated invariant.
 std::vector<std::string> planAdmissibilityViolations(const FuzzPlan& plan);
 
-/// Lowers the plan to a runnable Scenario (pattern, RandomScheduleModel
-/// network, default Omega detector, per-stack spec checker set). The
-/// scenario's name is "fuzz-<stack>"; run it with
-/// runScenario(planScenario(p), p.simSeed).
+/// The plan's network model, innermost first: uniform delays (or the
+/// slow-process links), then chaos, then the lossy layers (i.i.d.,
+/// Gilbert–Elliott bursts, one-way cut) — the canonical order
+/// ensureCanonicalComposition checks. Each layer is omitted when the
+/// plan disables it, so a quiet genome is exactly UniformDelayModel.
+std::shared_ptr<const NetworkModel> planNetwork(const FuzzPlan& plan);
+
+/// Lowers the plan to a runnable Scenario (pattern, planNetwork network,
+/// partition windows and clock skews in the config, default Omega
+/// detector, per-stack spec checker set). The scenario's name is
+/// "fuzz-<stack>"; run it with runScenario(planScenario(p), p.simSeed).
 Scenario planScenario(const FuzzPlan& plan);
 
 /// Stable 64-bit fingerprint of the plan: FNV-1a over the canonical JSON

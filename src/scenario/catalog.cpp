@@ -244,12 +244,8 @@ std::vector<Scenario> buildCatalog() {
         "convergence argument is stressed, admissibility is kept (every "
         "process still steps forever).";
     s.config = baseConfig(4, 30000);
+    s.config.clockSkew = clockSkewSpread(4, {3, 1}, {1, 2});
     s.tauOmega = 1500;
-    s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
-      return ClockSkewModel::spread(uniformOf(cfg), cfg.processCount,
-                                    ClockSkewModel::Skew{3, 1},
-                                    ClockSkewModel::Skew{1, 2});
-    };
     s.workload = standardWorkload(100, 6);
     s.checks = etobChecks();
     catalog.push_back(std::move(s));
@@ -262,18 +258,15 @@ std::vector<Scenario> buildCatalog() {
         "ticks, forever): deliveries defer past each window and the "
         "sequences re-converge in every gap.";
     s.config = baseConfig(4, 30000);
-    s.tauOmega = 1000;
-    s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
-      PartitionSpec storm;
-      storm.start = 500;
-      storm.width = 400;
-      storm.period = 1500;
-      storm.affects = [](ProcessId from, ProcessId to) {
-        return from == 3 || to == 3;
-      };
-      return std::make_shared<PartitionModel>(
-          uniformOf(cfg), std::vector<PartitionSpec>{storm});
+    PartitionSpec storm;
+    storm.start = 500;
+    storm.width = 400;
+    storm.period = 1500;
+    storm.affects = [](ProcessId from, ProcessId to) {
+      return from == 3 || to == 3;
     };
+    s.config.partitions = {storm};
+    s.tauOmega = 1000;
     s.workload = standardWorkload(100, 5);
     s.checks = etobChecks();
     catalog.push_back(std::move(s));
@@ -286,15 +279,12 @@ std::vector<Scenario> buildCatalog() {
         "Omega is still split-brain: all in-flight traffic defers to the "
         "heal point, then the run must converge normally.";
     s.config = baseConfig(4, 25000);
+    PartitionSpec blackout;
+    blackout.start = 800;
+    blackout.width = 1500;
+    blackout.period = 0;  // one-shot
+    s.config.partitions = {blackout};
     s.tauOmega = 1000;
-    s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
-      PartitionSpec blackout;
-      blackout.start = 800;
-      blackout.width = 1500;
-      blackout.period = 0;  // one-shot
-      return std::make_shared<PartitionModel>(
-          uniformOf(cfg), std::vector<PartitionSpec>{blackout});
-    };
     s.workload = standardWorkload(100, 6);
     s.checks = etobChecks();
     catalog.push_back(std::move(s));
@@ -420,10 +410,11 @@ std::vector<Scenario> buildCatalog() {
     Scenario s;
     s.name = "skewed-chaos-combo";
     s.description =
-        "n=4, composition stress: clock skew OVER duplication+reordering "
-        "OVER uniform delay — three decorated models in one stack, still "
-        "an admissible run.";
+        "n=4, composition stress: clock skew on top of duplication+"
+        "reordering over uniform delay — skewed lambda-steps and a "
+        "decorated network in one run, still admissible.";
     s.config = baseConfig(4, 30000);
+    s.config.clockSkew = clockSkewSpread(4, {2, 1}, {2, 3});
     s.tauOmega = 1500;
     s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
       ChaosLinkModel::Config chaos;
@@ -431,10 +422,7 @@ std::vector<Scenario> buildCatalog() {
       chaos.dupDen = 4;
       chaos.maxExtraCopies = 2;
       chaos.reorderJitter = 40;
-      auto chaotic = std::make_shared<ChaosLinkModel>(uniformOf(cfg), chaos);
-      return ClockSkewModel::spread(chaotic, cfg.processCount,
-                                    ClockSkewModel::Skew{2, 1},
-                                    ClockSkewModel::Skew{2, 3});
+      return std::make_shared<ChaosLinkModel>(uniformOf(cfg), chaos);
     };
     s.workload = standardWorkload(100, 5);
     s.checks = etobChecks();
@@ -589,11 +577,13 @@ std::vector<Scenario> buildCatalog() {
     Scenario s;
     s.name = "lossy-gray-ec";
     s.description =
-        "n=3, Algorithm 4 (EC from Omega) with p2 gray-failed until "
-        "t=8000: its links are 3x slower and drop 1/8 of copies, its "
-        "lambda-steps run at half speed — degraded but correct, so every "
-        "instance must still terminate and agree on a suffix.";
+        "n=3, Algorithm 4 (EC from Omega) with p2 gray-failed: until "
+        "t=8000 its links are 3x slower and drop 1/8 of copies, and its "
+        "lambda-steps run at half speed for the whole run — degraded but "
+        "correct, so every instance must still terminate and agree on a "
+        "suffix.";
     s.config = baseConfig(3, 30000);
+    s.config.clockSkew = {{1, 1}, {1, 1}, {2, 1}};
     s.tauOmega = 1000;
     s.stack = AlgoStack::kOmegaEc;
     s.ecInstances = 40;
@@ -602,8 +592,6 @@ std::vector<Scenario> buildCatalog() {
       gray.process = 2;
       gray.delayNum = 3;
       gray.delayDen = 1;
-      gray.lambdaNum = 2;
-      gray.lambdaDen = 1;
       gray.lossNum = 1;
       gray.lossDen = 8;
       gray.activeUntil = 8000;
@@ -666,23 +654,19 @@ std::vector<Scenario> buildCatalog() {
         "segment every 1100): deferrals chain across windows and the "
         "sequences re-converge in every common gap.";
     s.config = baseConfig(64, 8000);
+    PartitionSpec halves;
+    halves.start = 400;
+    halves.width = 300;
+    halves.period = 900;
+    halves.componentOf = PartitionSpec::splitAt(64, 32);
+    PartitionSpec segment;
+    segment.start = 700;
+    segment.width = 200;
+    segment.period = 1100;
+    segment.componentOf = PartitionSpec::splitAt(64, 16);
+    s.config.partitions = {halves, segment};
     s.tauOmega = 800;
     s.workload = standardWorkload(100, 3);
-    s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
-      PartitionSpec halves;
-      halves.start = 400;
-      halves.width = 300;
-      halves.period = 900;
-      halves.componentOf = PartitionSpec::splitAt(cfg.processCount,
-                                                  cfg.processCount / 2);
-      PartitionSpec segment;
-      segment.start = 700;
-      segment.width = 200;
-      segment.period = 1100;
-      segment.componentOf = PartitionSpec::splitAt(cfg.processCount, 16);
-      return std::make_shared<PartitionModel>(
-          uniformOf(cfg), std::vector<PartitionSpec>{halves, segment});
-    };
     s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }

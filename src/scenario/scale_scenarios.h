@@ -16,13 +16,12 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "api/capabilities.h"
 #include "fd/detectors.h"
 #include "scenario/scenario.h"
 #include "sim/failure_pattern.h"
-#include "sim/network_model.h"
+#include "sim/simulator.h"
 
 namespace wfd::scaletest {
 
@@ -111,21 +110,15 @@ inline Scenario scalePartitionScenario(std::size_t n, Time maxTime = 6000) {
   s.workload.start = 100;
   s.workload.interval = 50;
   s.workload.perProcess = 3;
-  s.network = [n](const SimConfig& cfg)
-      -> std::shared_ptr<const NetworkModel> {
-    auto uniform = std::make_shared<UniformDelayModel>(
-        cfg.minDelay, cfg.maxDelay, cfg.fixedDelay);
-    PartitionSpec spec;
-    spec.start = 400;
-    spec.width = 300;
-    spec.period = 900;
-    // Indexed form of the half/half cut: same link set as the former
-    // (from < n/2) != (to < n/2) predicate, so the pinned digests double
-    // as an index-vs-predicate equivalence check.
-    spec.componentOf = PartitionSpec::splitAt(n, n / 2);
-    return std::make_shared<PartitionModel>(
-        uniform, std::vector<PartitionSpec>{spec});
-  };
+  PartitionSpec spec;
+  spec.start = 400;
+  spec.width = 300;
+  spec.period = 900;
+  // Indexed form of the half/half cut: same link set as the former
+  // (from < n/2) != (to < n/2) predicate, so the pinned digests double
+  // as an index-vs-predicate equivalence check.
+  spec.componentOf = PartitionSpec::splitAt(n, n / 2);
+  s.config.partitions = {spec};
   s.checks.broadcast = true;
   s.checks.convergence = true;
   return s;

@@ -143,7 +143,8 @@ struct Scenario {
 
 /// Lowers a flat entry to the facade's deployment description (every
 /// field except name/description/checks, which are evaluation-side).
-/// `overrides` replaces the base SimConfig (keeping pattern/model/stack).
+/// `overrides` replaces the base SimConfig, partition windows and clock
+/// skew included (keeping pattern/model/stack).
 /// Throws InvariantError on a sharded entry.
 ClusterSpec clusterSpec(const Scenario& s);
 ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides);

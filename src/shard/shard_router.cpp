@@ -99,9 +99,4 @@ void ShardRouter::foldShard(std::size_t s) {
 
 std::size_t ShardRouter::pendingPuts() const { return pending_.size(); }
 
-std::size_t ShardRouter::foldedLen(std::size_t s) const {
-  WFD_ENSURE_MSG(s < folds_.size(), "shard index out of range");
-  return folds_[s].folded.size();
-}
-
 }  // namespace wfd

@@ -83,8 +83,6 @@ class ShardRouter {
   std::uint64_t refolds() const { return refolds_; }
   /// Put ops still unresolved (never observed committed).
   std::size_t pendingPuts() const;
-  /// Committed commands folded so far on shard s.
-  std::size_t foldedLen(std::size_t s) const;
 
  private:
   struct FoldState {

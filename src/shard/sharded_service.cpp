@@ -7,12 +7,17 @@
 
 namespace wfd {
 
+namespace {
+
+/// Per-shard seed: counter-mode splitmix64, domain-tagged ("shard") so a
+/// shard seed can never collide with the key/point hash families of the
+/// ring, and shard schedules are independent draws from the service seed.
 std::uint64_t shardSeed(std::uint64_t serviceSeed, std::size_t shard) {
-  // Counter-mode splitmix64, domain-tagged ("shard") so a shard seed can
-  // never collide with the key/point hash families of the ring.
   return splitmix64(serviceSeed ^
                     (0x7368617264ULL + shard * 0x9e3779b97f4a7c15ULL));
 }
+
+}  // namespace
 
 ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),

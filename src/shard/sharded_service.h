@@ -114,7 +114,6 @@ class ShardedService {
   /// True while >= majority of the shard's replicas have no injected
   /// crash (the §7 proviso's quorum precondition).
   bool hasQuorum(std::size_t s) const;
-  std::size_t majorityOf(std::size_t s) const;
   /// Replicas of `s` with no injected crash.
   std::size_t correctReplicasOf(std::size_t s) const;
   /// Ring removals performed so far (quorum-loss rebalances).
@@ -148,6 +147,8 @@ class ShardedService {
   void isolateReplica(std::size_t s, ProcessId replica, Time start, Time end);
 
  private:
+  std::size_t majorityOf(std::size_t s) const;
+
   ShardedSpec spec_;
   std::uint64_t seed_ = 0;
   Time now_ = 0;
@@ -157,9 +158,5 @@ class ShardedService {
   ConsistentHashRing ring_;
   std::size_t rebalances_ = 0;
 };
-
-/// Per-shard seed derivation — exposed so tests can pin that shard
-/// schedules are independent draws from the service seed.
-std::uint64_t shardSeed(std::uint64_t serviceSeed, std::size_t shard);
 
 }  // namespace wfd

@@ -46,15 +46,10 @@ void IidLossModel::schedule(const LinkSend& send, Rng& rng,
   // Rate 0 makes ZERO draws: the model stays a pure pass-through at the
   // draw-sequence level, which the loss=0 ≡ legacy differential relies on.
   if (config_.num == 0) return;
-  if (config_.affects && !config_.affects(send.from, send.to)) return;
   filterSuffix(arrivals, first, [&](Time at) {
     if (config_.activeUntil != 0 && at >= config_.activeUntil) return true;
     return !rng.chance(config_.num, config_.den);
   });
-}
-
-Time IidLossModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
-  return inner_->lambdaPeriod(p, basePeriod);
 }
 
 std::string IidLossModel::name() const {
@@ -132,10 +127,6 @@ void GilbertElliottLossModel::schedule(const LinkSend& send, Rng& rng,
   });
 }
 
-Time GilbertElliottLossModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
-  return inner_->lambdaPeriod(p, basePeriod);
-}
-
 std::string GilbertElliottLossModel::name() const {
   return "ge-loss(frame=" + std::to_string(config_.framePeriod) +
          ",burst=" + std::to_string(config_.burstLen) + ",in=" +
@@ -178,10 +169,6 @@ void OneWayOutageModel::schedule(const LinkSend& send, Rng& rng,
   });
 }
 
-Time OneWayOutageModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
-  return inner_->lambdaPeriod(p, basePeriod);
-}
-
 std::string OneWayOutageModel::name() const {
   return "one-way-outage(" + std::to_string(specs_.size()) + " specs) over " +
          inner_->name();
@@ -197,9 +184,6 @@ GrayFailureModel::GrayFailureModel(std::shared_ptr<const NetworkModel> inner,
   WFD_ENSURE(config_.delayNum >= 1 && config_.delayDen >= 1);
   WFD_ENSURE_MSG(config_.delayNum >= config_.delayDen,
                  "gray failure inflates delay (factor >= 1)");
-  WFD_ENSURE(config_.lambdaNum >= 1 && config_.lambdaDen >= 1);
-  WFD_ENSURE_MSG(config_.lambdaNum >= config_.lambdaDen,
-                 "gray failure stretches the lambda period (factor >= 1)");
   WFD_ENSURE(config_.lossDen > 0 && config_.lossNum <= config_.lossDen);
   WFD_ENSURE_MSG(config_.lossNum * 4 <= config_.lossDen,
                  "gray-failure loss is mild by definition (<= 25%)");
@@ -225,12 +209,6 @@ void GrayFailureModel::schedule(const LinkSend& send, Rng& rng,
     if (config_.activeUntil != 0 && at >= config_.activeUntil) return true;
     return !rng.chance(config_.lossNum, config_.lossDen);
   });
-}
-
-Time GrayFailureModel::lambdaPeriod(ProcessId p, Time basePeriod) const {
-  const Time base = inner_->lambdaPeriod(p, basePeriod);
-  if (p != config_.process) return base;
-  return std::max<Time>(1, base * config_.lambdaNum / config_.lambdaDen);
 }
 
 std::string GrayFailureModel::name() const {

@@ -8,13 +8,10 @@
 //
 // Design rules shared by all four models:
 //  * Drop decisions are keyed at the copy's TENTATIVE ARRIVAL time, not
-//    its send time. A partition wrapped outside a lossy layer defers the
-//    post-loss schedule; a lossy layer wrapped outside a partition would
-//    sample loss at post-heal times — genuinely different runs, which is
-//    why compositionRank() pins loss INSIDE partitions and the
-//    wrong-order mutation test is non-vacuous.
-//  * All models rank kRankLossy and compose between PartitionModel and
-//    ClockSkewModel.
+//    its send time. The simulator's partition windows defer only the
+//    copies that survived the loss draw, so loss is never sampled at
+//    post-heal times.
+//  * All models rank kRankLossy and compose outside ChaosLinkModel.
 //  * mayDrop() is a capability bit, not a rate: IidLossModel at rate 0
 //    still reports true, engaging the retransmission path for the
 //    loss=0 ≡ legacy differential test. A rate-0 config makes ZERO rng
@@ -26,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -36,8 +32,8 @@
 
 namespace wfd {
 
-/// Independent per-copy drop with probability num/den on every affected
-/// link, optionally only before `activeUntil` (0 = lossy forever). The
+/// Independent per-copy drop with probability num/den on every link,
+/// optionally only before `activeUntil` (0 = lossy forever). The
 /// memoryless baseline adversary: ~rate fraction of copies vanish,
 /// uncorrelated across links and time.
 class IidLossModel final : public NetworkModel {
@@ -48,15 +44,12 @@ class IidLossModel final : public NetworkModel {
     /// Copies arriving at or after this time are never dropped; 0 = no
     /// cutoff. Lets scenarios guarantee a clean tail for convergence.
     Time activeUntil = 0;
-    /// nullptr = all links lossy.
-    std::function<bool(ProcessId from, ProcessId to)> affects;
   };
 
   IidLossModel(std::shared_ptr<const NetworkModel> inner, Config config);
 
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -104,7 +97,6 @@ class GilbertElliottLossModel final : public NetworkModel {
 
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -158,7 +150,6 @@ class OneWayOutageModel final : public NetworkModel {
 
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
   bool mayDrop() const override { return true; }
   int compositionRank() const override { return kRankLossy; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -170,11 +161,11 @@ class OneWayOutageModel final : public NetworkModel {
 };
 
 /// Gray failure: one process is degraded, not dead. Every copy touching
-/// `process` has its delay inflated by delayNum/delayDen (>= 1 tick), the
-/// process's λ-period is stretched by lambdaNum/lambdaDen, and its links
-/// optionally drop copies with lossNum/lossDen. The process is correct by
-/// the paper's definition — it keeps stepping — but slow and flaky, the
-/// regime where FD timeouts either fire spuriously or adapt.
+/// `process` has its delay inflated by delayNum/delayDen (>= 1 tick), and
+/// its links optionally drop copies with lossNum/lossDen. The process is
+/// correct by the paper's definition — it keeps stepping — but slow and
+/// flaky, the regime where FD timeouts either fire spuriously or adapt.
+/// Slow λ-steps for the same process are SimConfig::clockSkew data.
 class GrayFailureModel final : public NetworkModel {
  public:
   struct Config {
@@ -182,9 +173,6 @@ class GrayFailureModel final : public NetworkModel {
     /// Delay inflation factor for links touching `process`.
     std::uint64_t delayNum = 3;
     std::uint64_t delayDen = 1;
-    /// λ-period inflation factor for `process`.
-    std::uint64_t lambdaNum = 2;
-    std::uint64_t lambdaDen = 1;
     /// Mild loss on links touching `process`; 0/1 = lossless.
     std::uint32_t lossNum = 0;
     std::uint32_t lossDen = 1;
@@ -197,7 +185,6 @@ class GrayFailureModel final : public NetworkModel {
 
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
   bool mayDrop() const override {
     return config_.lossNum > 0 || inner_->mayDrop();
   }

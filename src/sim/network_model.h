@@ -1,7 +1,10 @@
 // Pluggable network models: the policy half of the simulator's message
 // scheduling, factored out of Simulator so scenarios can exercise the
 // paper's full space of admissible runs (the results quantify over EVERY
-// message-delay schedule, not just uniform delays).
+// message-delay schedule, not just uniform delays). A model answers one
+// question: when, if ever, each copy of a send arrives. Partition windows
+// and per-process clock skew are SimConfig data the simulator applies
+// itself (sim/simulator.h), after every model layer.
 //
 // Admissibility contract — what a model may and may not do so that every
 // run it produces stays a run of the paper's model (docs/SCENARIOS.md
@@ -24,26 +27,16 @@
 //    handed to the target automaton at most once), preserving the paper's
 //    exactly-once step semantics while still exercising duplicate traffic
 //    in the queues;
-//  * lambdaPeriod must return a finite period >= 1 for every process —
-//    correct processes must keep taking infinitely many λ-steps;
 //  * all nondeterminism must come from the Rng argument, making a
 //    (config, pattern, model, seed) tuple fully determine the run.
 //
-// Models compose by decoration: PartitionModel, the lossy decorators,
-// ChaosLinkModel and ClockSkewModel wrap an inner model and transform
-// its schedule. Composition order matters: a decorator only sees its
-// inner model's output, so when combining partitions with loss or
-// jitter/duplication, put PartitionModel OUTERMOST — a ChaosLinkModel
-// wrapped AROUND a PartitionModel could jitter a deferred arrival back
-// inside a later partition window, silently defeating the partition,
-// and a lossy layer wrapped AROUND a PartitionModel would sample link
-// loss at post-heal times instead of the schedule the partition
-// actually produced. This is no longer prose-only: every decorator
-// reports a compositionRank() and ensureCanonicalComposition() rejects
-// stacks whose ranks are not non-increasing from the outside in
-// (partitions > lossy layers > clock skew > chaos > base). The builders
-// (RandomScheduleModel, the catalog helpers) call the guard; hand-rolled
-// stacks should too.
+// Models compose by decoration: the lossy decorators and ChaosLinkModel
+// wrap an inner model and transform its schedule. Composition order
+// matters: a decorator only sees its inner model's output, so a chaos
+// layer wrapped AROUND a lossy one would duplicate copies the loss draw
+// never saw. Every decorator reports a compositionRank() and
+// ensureCanonicalComposition() rejects stacks whose ranks are not
+// non-increasing from the outside in (lossy > chaos > base).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ensure.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -82,14 +74,6 @@ class NetworkModel {
   virtual void schedule(const LinkSend& send, Rng& rng,
                         std::vector<Time>& arrivals) const = 0;
 
-  /// Effective λ-step period of process p given the configured base
-  /// period. Default: unchanged. Clock-skew models scale it per process;
-  /// the result must be >= 1 and finite (admissibility).
-  virtual Time lambdaPeriod(ProcessId p, Time basePeriod) const {
-    (void)p;
-    return basePeriod;
-  }
-
   /// True when schedule() may emit ZERO arrivals for some send (fair-lossy
   /// links). The simulator activates its stubborn retransmission layer for
   /// any model reporting true — it is a capability bit, not a rate: a
@@ -115,17 +99,13 @@ class NetworkModel {
 /// Composition ranks, outermost-largest. Spaced by 10 so future layers
 /// can slot in without renumbering.
 inline constexpr int kRankBase = 0;
-inline constexpr int kRankChaos = 10;      // duplication / reorder jitter
-inline constexpr int kRankClockSkew = 20;  // λ-period scaling
-inline constexpr int kRankLossy = 30;      // drop decisions (lossy_model.h)
-inline constexpr int kRankPartition = 40;  // deferral past windows
+inline constexpr int kRankChaos = 10;  // duplication / reorder jitter
+inline constexpr int kRankLossy = 20;  // drop decisions (lossy_model.h)
 
 /// Walks the decorator chain of `outermost` via innerModel() and raises
 /// an InvariantError unless compositionRank() is non-increasing from the
-/// outside in. This turns the "partitions OUTERMOST" prose above into an
-/// enforced invariant: loss wrapped around a partition, or chaos wrapped
-/// around loss, is rejected at construction time instead of silently
-/// producing schedules the inner layers never saw.
+/// outside in: chaos wrapped around loss is rejected at construction time
+/// instead of silently producing schedules the inner layers never saw.
 void ensureCanonicalComposition(const NetworkModel& outermost);
 
 /// The legacy Simulator policy, bit-for-bit: one copy per send, delayed
@@ -173,80 +153,6 @@ class AsymmetricDelayModel final : public NetworkModel {
   DelayFn delays_;
 };
 
-/// One recurring or one-shot partition specification. Arrivals that land
-/// inside an active window on an affected link are deferred to the window
-/// end — links heal and deliver, never drop (admissibility).
-struct PartitionSpec {
-  /// First window start.
-  Time start = 0;
-  /// Window width. Must be < period for recurring windows.
-  Time width = 0;
-  /// Recurrence period; 0 = one-shot window [start, start + width).
-  Time period = 0;
-  /// Which links the partition affects. Ignored when `componentOf` is
-  /// set. A null predicate with an empty `componentOf` affects ALL links.
-  std::function<bool(ProcessId from, ProcessId to)> affects;
-  /// Flat component index: when non-empty (size >= processCount), the
-  /// spec cuts exactly the links crossing components —
-  /// componentOf[from] != componentOf[to] — and `affects` is ignored.
-  /// Two array reads per lookup instead of a std::function call, which
-  /// is the difference between O(1) and an indirect call on the deferral
-  /// path every arrival takes at n=256. Symmetric cuts only; one-way
-  /// cuts still need the predicate form.
-  std::vector<std::uint16_t> componentOf;
-
-  /// True iff this spec cuts the (from, to) link.
-  bool cuts(ProcessId from, ProcessId to) const {
-    if (!componentOf.empty()) {
-      WFD_ENSURE_MSG(from < componentOf.size() && to < componentOf.size(),
-                     "componentOf smaller than the process id space");
-      return componentOf[from] != componentOf[to];
-    }
-    return !affects || affects(from, to);
-  }
-
-  /// Component map splitting [0, n) into [0, boundary) vs [boundary, n)
-  /// — the canonical "split the cluster in half" partition at any scale.
-  static std::vector<std::uint16_t> splitAt(std::size_t processCount,
-                                            std::size_t boundary) {
-    std::vector<std::uint16_t> components(processCount, 0);
-    for (std::size_t p = boundary; p < processCount; ++p) components[p] = 1;
-    return components;
-  }
-};
-
-/// Defers `at` past every active partition window of `specs` on the
-/// (from, to) link, iterating to a fixed point (windows of different
-/// specs may chain). An iteration bound rejects — with an InvariantError,
-/// not a hang — spec sets that jointly cover all time on a link: those
-/// would defer forever, i.e. drop the message, which admissibility
-/// forbids. Shared by PartitionModel and Simulator::addPartition so the
-/// deferral algorithm exists exactly once.
-Time deferPastPartitions(const std::vector<PartitionSpec>& specs,
-                         ProcessId from, ProcessId to, Time at);
-
-/// Decorator deferring the inner model's arrivals out of partition
-/// windows. With period > 0 this is a periodic partition (heal storms);
-/// with period == 0 an adversarial one-shot window. Multiple specs
-/// compose (deferral iterates to a fixed point).
-class PartitionModel final : public NetworkModel {
- public:
-  PartitionModel(std::shared_ptr<const NetworkModel> inner,
-                 std::vector<PartitionSpec> specs);
-
-  void schedule(const LinkSend& send, Rng& rng,
-                std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDrop() const override { return inner_->mayDrop(); }
-  int compositionRank() const override { return kRankPartition; }
-  const NetworkModel* innerModel() const override { return inner_.get(); }
-  std::string name() const override;
-
- private:
-  std::shared_ptr<const NetworkModel> inner_;
-  std::vector<PartitionSpec> specs_;
-};
-
 /// Decorator adding bounded duplication and reordering on top of the
 /// inner model: each copy is jittered by up to `reorderJitter` extra
 /// ticks (reordering relative to send order), and with probability
@@ -268,7 +174,6 @@ class ChaosLinkModel final : public NetworkModel {
 
   void schedule(const LinkSend& send, Rng& rng,
                 std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
   bool mayDrop() const override { return inner_->mayDrop(); }
   int compositionRank() const override { return kRankChaos; }
   const NetworkModel* innerModel() const override { return inner_.get(); }
@@ -277,40 +182,6 @@ class ChaosLinkModel final : public NetworkModel {
  private:
   std::shared_ptr<const NetworkModel> inner_;
   Config config_;
-};
-
-/// Decorator applying per-process clock skew to the λ-step period: the
-/// period of p is scaled by num(p)/den(p), clamped to >= 1. Message
-/// scheduling is delegated untouched. Skewed clocks stay admissible —
-/// every process still takes infinitely many steps, just at a different
-/// cadence, which stresses every Δ_t-based convergence argument.
-class ClockSkewModel final : public NetworkModel {
- public:
-  struct Skew {
-    std::uint64_t num = 1;
-    std::uint64_t den = 1;
-  };
-
-  ClockSkewModel(std::shared_ptr<const NetworkModel> inner,
-                 std::vector<Skew> perProcess);
-
-  /// Skews spread linearly from `slowest` (e.g. 3/1) at p=0 down to
-  /// `fastest` (e.g. 1/2) at p=n-1.
-  static std::shared_ptr<ClockSkewModel> spread(
-      std::shared_ptr<const NetworkModel> inner, std::size_t processCount,
-      Skew slowest, Skew fastest);
-
-  void schedule(const LinkSend& send, Rng& rng,
-                std::vector<Time>& arrivals) const override;
-  Time lambdaPeriod(ProcessId p, Time basePeriod) const override;
-  bool mayDrop() const override { return inner_->mayDrop(); }
-  int compositionRank() const override { return kRankClockSkew; }
-  const NetworkModel* innerModel() const override { return inner_.get(); }
-  std::string name() const override;
-
- private:
-  std::shared_ptr<const NetworkModel> inner_;
-  std::vector<Skew> skews_;
 };
 
 }  // namespace wfd

@@ -7,6 +7,67 @@
 
 namespace wfd {
 
+namespace {
+
+/// Deferral point of `at` under one spec; `at` itself if outside windows.
+Time deferOnce(const PartitionSpec& s, ProcessId from, ProcessId to, Time at) {
+  if (!s.cuts(from, to)) return at;
+  if (s.period == 0) {
+    return (at >= s.start && at < s.start + s.width) ? s.start + s.width : at;
+  }
+  if (at < s.start) return at;
+  const Time phase = (at - s.start) % s.period;
+  return phase < s.width ? at + (s.width - phase) : at;
+}
+
+}  // namespace
+
+Time deferPastPartitions(const std::vector<PartitionSpec>& specs,
+                         ProcessId from, ProcessId to, Time at) {
+  // Windows of different specs may chain; iterate to a fixed point. Each
+  // pass that moves strictly advances time past some window, so for any
+  // admissible spec set (every link sees gaps) this converges in a few
+  // passes. Spec sets whose windows jointly cover all time on a link
+  // would iterate forever — that is a dropped message in disguise, so
+  // the pass bound turns it into an invariant error instead of a hang.
+  std::size_t passes = 0;
+  bool moved = true;
+  while (moved) {
+    WFD_ENSURE_MSG(++passes <= 1000,
+                   "partition specs jointly cover all time on a link "
+                   "(message would never be delivered)");
+    moved = false;
+    for (const PartitionSpec& s : specs) {
+      const Time deferred = deferOnce(s, from, to, at);
+      if (deferred != at) {
+        at = deferred;
+        moved = true;
+      }
+    }
+  }
+  return at;
+}
+
+std::vector<ClockSkew> clockSkewSpread(std::size_t processCount,
+                                       ClockSkew slowest, ClockSkew fastest) {
+  WFD_ENSURE(processCount >= 2);
+  // Interpolate the scale factor linearly in integer per-mille so the
+  // spread is exact and platform-independent.
+  const std::int64_t lo =
+      static_cast<std::int64_t>(slowest.num * 1000 / slowest.den);
+  const std::int64_t hi =
+      static_cast<std::int64_t>(fastest.num * 1000 / fastest.den);
+  std::vector<ClockSkew> skews(processCount);
+  for (std::size_t p = 0; p < processCount; ++p) {
+    const std::int64_t permille =
+        lo + (hi - lo) * static_cast<std::int64_t>(p) /
+                 static_cast<std::int64_t>(processCount - 1);
+    skews[p] = ClockSkew{
+        static_cast<std::uint64_t>(std::max<std::int64_t>(permille, 1)), 1000};
+  }
+  return skews;
+}
+
 Simulator::Simulator(SimConfig config, FailurePattern pattern,
                      std::shared_ptr<const FailureDetector> detector,
                      std::shared_ptr<const NetworkModel> network)
@@ -24,6 +85,12 @@ Simulator::Simulator(SimConfig config, FailurePattern pattern,
   WFD_ENSURE(detector_ != nullptr);
   WFD_ENSURE(config_.minDelay >= 1 && config_.minDelay <= config_.maxDelay);
   WFD_ENSURE(config_.timeoutPeriod >= 1);
+  WFD_ENSURE(config_.clockSkew.empty() ||
+             config_.clockSkew.size() == config_.processCount);
+  for (const ClockSkew& s : config_.clockSkew) {
+    WFD_ENSURE(s.num >= 1 && s.den >= 1);
+  }
+  for (const PartitionSpec& spec : config_.partitions) addPartition(spec);
   if (!network_) {
     network_ = std::make_shared<UniformDelayModel>(
         config_.minDelay, config_.maxDelay, config_.fixedDelay);
@@ -55,7 +122,8 @@ void Simulator::scheduleInput(ProcessId p, Time t, Payload input) {
 }
 
 void Simulator::addPartition(PartitionSpec spec) {
-  // Same rule as PartitionModel: recurring windows must leave a gap.
+  // Recurring windows must leave a gap, or deferral would chase the
+  // window forever and delivery would never happen (inadmissible).
   WFD_ENSURE(spec.period == 0 || spec.width < spec.period);
   if (spec.width == 0) return;  // empty window: no-op
   partitions_.push_back(std::move(spec));
@@ -241,7 +309,7 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
     const auto sendOne = [&](ProcessId dest) {
       const std::uint64_t uid = nextMsgUid_++;
       // The model decides when (and how many network-layer copies of)
-      // this send arrives; addPartition windows apply on top.
+      // this send arrives; partition windows apply on top.
       arrivalScratch_.clear();
       network_->schedule(LinkSend{self, dest, now_, uid}, rng_,
                          arrivalScratch_);
@@ -394,7 +462,7 @@ bool Simulator::processOne() {
     case EventKind::kTimeout: {
       automata_[p]->onTimeout(ctx, fx);
       EventNode next;
-      next.time = now_ + network_->lambdaPeriod(p, config_.timeoutPeriod);
+      next.time = now_ + lambdaStepPeriod(config_, p);
       next.kind = EventKind::kTimeout;
       next.target = p;
       push(next);

@@ -1,13 +1,16 @@
 // Deterministic discrete-event simulator of the paper's system model.
 //
 // Produces admissible runs: every correct process takes infinitely many
-// steps (periodic λ-steps with period Δ_t, the "local timeout"), and
-// every message sent to a correct process is eventually received exactly
-// once at the automaton boundary (scheduling policy — delays, partitions,
-// duplication, reordering, clock skew — is delegated to a pluggable
-// NetworkModel; partition windows only defer delivery, never drop). All
-// nondeterminism is drawn from one seeded Rng, so a (config, pattern,
-// model, seed) tuple fully determines the run.
+// steps (periodic λ-steps with period Δ_t, the "local timeout", scaled
+// per process by SimConfig::clockSkew), and every message sent to a
+// correct process is eventually received exactly once at the automaton
+// boundary. When each copy of a send arrives is delegated to a pluggable
+// NetworkModel (delays, duplication, reordering, loss); the simulator
+// then defers every arrival past the partition windows it holds
+// (SimConfig::partitions plus live addPartition calls, one set) —
+// windows only defer delivery, never drop. All nondeterminism is drawn
+// from one seeded Rng, so a (config, pattern, model, seed) tuple fully
+// determines the run.
 //
 // Exactly-once rides the message envelope: every network copy of one
 // send — duplicates and retransmissions alike — points at one
@@ -27,12 +30,14 @@
 // to the legacy reliable path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/ensure.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/automaton.h"
@@ -62,6 +67,71 @@ inline Time nextBackoff(Time rto, Time cap) {
 /// Multiplier applied to the initial RTO to get the backoff cap.
 inline constexpr Time kRtoCapFactor = 16;
 
+/// One recurring or one-shot partition specification. Arrivals that land
+/// inside an active window on an affected link are deferred to the window
+/// end — links heal and deliver, never drop (admissibility).
+struct PartitionSpec {
+  /// First window start.
+  Time start = 0;
+  /// Window width. Must be < period for recurring windows.
+  Time width = 0;
+  /// Recurrence period; 0 = one-shot window [start, start + width).
+  Time period = 0;
+  /// Which links the partition affects. Ignored when `componentOf` is
+  /// set. A null predicate with an empty `componentOf` affects ALL links.
+  std::function<bool(ProcessId from, ProcessId to)> affects;
+  /// Flat component index: when non-empty (size >= processCount), the
+  /// spec cuts exactly the links crossing components —
+  /// componentOf[from] != componentOf[to] — and `affects` is ignored.
+  /// Two array reads per lookup instead of a std::function call, which
+  /// is the difference between O(1) and an indirect call on the deferral
+  /// path every arrival takes at n=256. Symmetric cuts only; one-way
+  /// cuts still need the predicate form.
+  std::vector<std::uint16_t> componentOf;
+
+  /// True iff this spec cuts the (from, to) link.
+  bool cuts(ProcessId from, ProcessId to) const {
+    if (!componentOf.empty()) {
+      WFD_ENSURE_MSG(from < componentOf.size() && to < componentOf.size(),
+                     "componentOf smaller than the process id space");
+      return componentOf[from] != componentOf[to];
+    }
+    return !affects || affects(from, to);
+  }
+
+  /// Component map splitting [0, n) into [0, boundary) vs [boundary, n)
+  /// — the canonical "split the cluster in half" partition at any scale.
+  static std::vector<std::uint16_t> splitAt(std::size_t processCount,
+                                            std::size_t boundary) {
+    std::vector<std::uint16_t> components(processCount, 0);
+    for (std::size_t p = boundary; p < processCount; ++p) components[p] = 1;
+    return components;
+  }
+};
+
+/// Defers `at` past every active partition window of `specs` on the
+/// (from, to) link, iterating to a fixed point (windows of different
+/// specs may chain). An iteration bound rejects — with an InvariantError,
+/// not a hang — spec sets that jointly cover all time on a link: those
+/// would defer forever, i.e. drop the message, which admissibility
+/// forbids.
+Time deferPastPartitions(const std::vector<PartitionSpec>& specs,
+                         ProcessId from, ProcessId to, Time at);
+
+/// Per-process clock skew: the λ-step period is scaled by num/den.
+/// Skewed clocks stay admissible — every process still takes infinitely
+/// many steps, just at a different cadence, which stresses every
+/// Δ_t-based convergence argument.
+struct ClockSkew {
+  std::uint64_t num = 1;
+  std::uint64_t den = 1;
+};
+
+/// Skews spread linearly from `slowest` (e.g. 3/1) at p=0 down to
+/// `fastest` (e.g. 1/2) at p=n-1, in exact integer per-mille.
+std::vector<ClockSkew> clockSkewSpread(std::size_t processCount,
+                                       ClockSkew slowest, ClockSkew fastest);
+
 /// Scheduler parameters.
 struct SimConfig {
   std::size_t processCount = 3;
@@ -84,7 +154,21 @@ struct SimConfig {
   /// Keep full d_i snapshot history in the trace (tests: yes, benches:
   /// usually no — aggregates suffice).
   bool keepDeliverySnapshots = true;
+
+  /// Partition windows applied to every arrival after the network model,
+  /// in one set with the windows addPartition adds later.
+  std::vector<PartitionSpec> partitions;
+  /// Empty, or one λ-period scale per process (num, den >= 1).
+  std::vector<ClockSkew> clockSkew;
 };
+
+/// λ-step period of process p: timeoutPeriod scaled by p's clock skew,
+/// never below 1.
+inline Time lambdaStepPeriod(const SimConfig& config, ProcessId p) {
+  if (config.clockSkew.empty()) return config.timeoutPeriod;
+  const ClockSkew& s = config.clockSkew[p];
+  return std::max<Time>(1, config.timeoutPeriod * s.num / s.den);
+}
 
 /// Discrete-event simulator. Owns the automata, the virtual clock, the
 /// in-flight message queue, and the run trace.
@@ -104,11 +188,11 @@ class Simulator {
   /// Schedules an application input for p at time t.
   void scheduleInput(ProcessId p, Time t, Payload input);
 
-  /// Adds a partition on top of whatever the network model scheduled:
-  /// arrivals on the links `spec` cuts that fall inside one of its
-  /// windows are deferred to the window's end (links stay reliable). The
-  /// live counterpart of a PartitionModel layer; an empty window (width
-  /// 0) is a no-op.
+  /// Adds a window to the set SimConfig::partitions seeded: arrivals on
+  /// the links `spec` cuts that fall inside one of its windows are
+  /// deferred to the window's end (links stay reliable). Recurring
+  /// windows must heal (width < period); an empty window (width 0) is a
+  /// no-op.
   void addPartition(PartitionSpec spec);
 
   /// Runs until maxTime / maxEvents.
@@ -296,8 +380,8 @@ class Simulator {
   std::vector<std::uint32_t> freeMessageSlots_;
   std::vector<Payload> inputArena_;
   std::vector<std::uint32_t> freeInputSlots_;
-  /// addPartition windows, applied through the shared deferral
-  /// (network_model.h) on top of whatever the network model scheduled.
+  /// config.partitions plus addPartition windows, deferred over as one
+  /// set on top of whatever the network model scheduled.
   std::vector<PartitionSpec> partitions_;
   /// Scratch buffer for NetworkModel::schedule (avoids per-send allocs).
   std::vector<Time> arrivalScratch_;

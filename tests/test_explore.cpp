@@ -1,6 +1,6 @@
 // Explorer subsystem tests: sampler admissibility over the whole plan
 // space, seed-stable (byte-identical) exploration, the delta-debugging
-// shrinker's contract, RandomScheduleModel composition, and the
+// shrinker's contract, the plan's network and config lowering, and the
 // FailurePattern edge cases the sampler must survive (crash at time 0,
 // all-but-one crashed, crash exactly at a partition boundary).
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "explore/campaign.h"
 #include "explore/explorer.h"
 #include "explore/fuzz_plan.h"
-#include "explore/random_schedule_model.h"
 #include "scenario/scenario.h"
 
 namespace wfd {
@@ -206,9 +205,9 @@ TEST(FuzzSamplerTest, TobPlansKeepACorrectMajority) {
   }
 }
 
-// --- RandomScheduleModel ----------------------------------------------------
+// --- Plan lowering: network layers and config data --------------------------
 
-TEST(RandomScheduleModelTest, ComposesEveryLayerWithPartitionOutermost) {
+TEST(PlanLoweringTest, ComposesEveryLayerWithPartitionOutermost) {
   FuzzPlan plan;
   plan.processCount = 4;
   plan.partitions.push_back(PlanPartition{500, 200, 1000, 2});
@@ -218,23 +217,34 @@ TEST(RandomScheduleModelTest, ComposesEveryLayerWithPartitionOutermost) {
   plan.maxTime = planHorizon(plan);
   ASSERT_TRUE(planAdmissibilityViolations(plan).empty());
 
-  RandomScheduleModel model(plan);
-  const std::string name = model.name();
-  // Composition order is part of the admissibility story: partitions
-  // outermost (network_model.h's warning), then skew, chaos, base.
-  EXPECT_EQ(name.find("random[partition"), 0u) << name;
-  EXPECT_LT(name.find("clock-skew"), name.find("chaos")) << name;
+  // The model layers: chaos over the slow-process base.
+  const std::string name = planNetwork(plan)->name();
+  EXPECT_EQ(name.find("chaos"), 0u) << name;
   EXPECT_LT(name.find("chaos"), name.find("asymmetric")) << name;
+  // Partitions are config data the simulator applies after every model
+  // layer: the isolating window cuts exactly the links touching p2.
+  const Scenario s = planScenario(plan);
+  ASSERT_EQ(s.config.partitions.size(), 1u);
+  const PartitionSpec& window = s.config.partitions[0];
+  EXPECT_EQ(window.start, 500u);
+  EXPECT_EQ(window.width, 200u);
+  EXPECT_EQ(window.period, 1000u);
+  EXPECT_TRUE(window.cuts(2, 0));
+  EXPECT_TRUE(window.cuts(1, 2));
+  EXPECT_FALSE(window.cuts(0, 1));
   // Skew scales the lambda period of p1 by 2/1 and p2 by 1/2.
-  EXPECT_EQ(model.lambdaPeriod(1, 10), 20u);
-  EXPECT_EQ(model.lambdaPeriod(2, 10), 5u);
+  EXPECT_EQ(lambdaStepPeriod(s.config, 1), 20u);
+  EXPECT_EQ(lambdaStepPeriod(s.config, 2), 5u);
 }
 
-TEST(RandomScheduleModelTest, QuietGenomeIsPlainUniformDelay) {
+TEST(PlanLoweringTest, QuietGenomeIsPlainUniformDelay) {
   FuzzPlan plan;
   plan.maxTime = planHorizon(plan);
-  RandomScheduleModel model(plan);
-  EXPECT_EQ(model.name().find("random[uniform-delay"), 0u) << model.name();
+  EXPECT_EQ(planNetwork(plan)->name().find("uniform-delay"), 0u)
+      << planNetwork(plan)->name();
+  const Scenario s = planScenario(plan);
+  EXPECT_TRUE(s.config.partitions.empty());
+  EXPECT_TRUE(s.config.clockSkew.empty());
 }
 
 // --- Explorer determinism (the seed-stability satellite) --------------------
@@ -371,8 +381,8 @@ TEST(ExploreEdgeCaseTest, AllButOneCrashedStillConvergesForTheSurvivor) {
 TEST(ExploreEdgeCaseTest, CrashExactlyAtPartitionBoundaries) {
   // The victim crashes exactly when its isolation window starts (first
   // case) and exactly when the window heals (second case): both runs
-  // must stay admissible and pass the spec oracle under the composed
-  // RandomScheduleModel.
+  // must stay admissible and pass the spec oracle under the lowered
+  // plan.
   for (Time crashAt : {Time{900}, Time{900 + 300}}) {
     FuzzPlan plan = quietEtobPlan(5);
     plan.partitions.push_back(PlanPartition{900, 300, 0, 4});

@@ -168,14 +168,37 @@ TEST(LargeClusterCatalogTest, FamilyIsRegisteredAndMarked) {
             256u);
 }
 
+// Seed-1 digests of the family, recorded while partition windows were
+// still a network-model decorator; libstdc++ values like every pin.
+struct FamilyPin {
+  const char* name;
+  std::uint64_t digest;
+};
+
+constexpr FamilyPin kFamilyPins[] = {
+    {"large-cluster-leader-256", 0xc959ff97745b08c5ULL},
+    {"large-cluster-cascade-64", 0x3f1cf06739be3b75ULL},
+    {"large-cluster-partitions-64", 0x8862f41b7018c932ULL},
+    {"large-cluster-gossip-128", 0x47e4391c4dc6fcd3ULL},
+};
+
 TEST(LargeClusterCatalogTest, EveryFamilyEntryPassesItsCheckerSet) {
+  std::size_t pinned = 0;
   for (const Scenario& s : scenarioCatalog()) {
     if (!isLargeClusterScenario(s)) continue;
     const ScenarioRunResult r = runScenario(s, 1);
     EXPECT_TRUE(r.pass)
         << s.name << (r.failures.empty() ? "" : ": " + r.failures.front());
     EXPECT_GT(r.eventsProcessed, 0u) << s.name;
+    for (const FamilyPin& pin : kFamilyPins) {
+      if (s.name != pin.name) continue;
+      ++pinned;
+#if defined(__GLIBCXX__)
+      EXPECT_EQ(r.digest, pin.digest) << s.name;
+#endif
+    }
   }
+  EXPECT_EQ(pinned, std::size(kFamilyPins));
 }
 
 TEST(LargeClusterCatalogTest, Leader256IsDeterministic) {

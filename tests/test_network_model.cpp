@@ -1,7 +1,6 @@
 // Unit tests: the pluggable NetworkModel layer — legacy-equivalent
-// uniform delay, per-link asymmetric delay, partition deferral (one-shot
-// and periodic), bounded duplication+reordering with exactly-once at the
-// automaton boundary, and per-process clock skew.
+// uniform delay, per-link asymmetric delay, and bounded duplication+
+// reordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,110 +67,6 @@ TEST(AsymmetricDelayModelTest, SlowProcessStretchesItsLinksOnly) {
   }
 }
 
-TEST(PartitionModelTest, OneShotWindowDefersToHealPoint) {
-  PartitionSpec w;
-  w.start = 100;
-  w.width = 50;
-  w.period = 0;
-  auto m = std::make_shared<PartitionModel>(
-      std::make_shared<UniformDelayModel>(10, 10, true),
-      std::vector<PartitionSpec>{w});
-  Rng rng(1);
-  std::vector<Time> arrivals;
-  m->schedule(send(0, 1, 100), rng, arrivals);  // lands at 110, inside window
-  EXPECT_EQ(arrivals[0], 150u);
-  arrivals.clear();
-  m->schedule(send(0, 1, 200), rng, arrivals);  // after the window: untouched
-  EXPECT_EQ(arrivals[0], 210u);
-}
-
-TEST(PartitionModelTest, PeriodicWindowsDeferEveryRecurrence) {
-  PartitionSpec w;
-  w.start = 0;
-  w.width = 30;
-  w.period = 100;  // closed [0,30), [100,130), [200,230), ...
-  auto m = std::make_shared<PartitionModel>(
-      std::make_shared<UniformDelayModel>(5, 5, true),
-      std::vector<PartitionSpec>{w});
-  Rng rng(1);
-  std::vector<Time> arrivals;
-  m->schedule(send(0, 1, 110), rng, arrivals);  // 115 is inside [100,130)
-  EXPECT_EQ(arrivals[0], 130u);
-  arrivals.clear();
-  m->schedule(send(0, 1, 245), rng, arrivals);  // 250 is in a gap
-  EXPECT_EQ(arrivals[0], 250u);
-  arrivals.clear();
-  m->schedule(send(0, 1, 300), rng, arrivals);  // 305 inside [300,330)
-  EXPECT_EQ(arrivals[0], 330u);
-}
-
-TEST(PartitionModelTest, LinkFilterLimitsTheBlastRadius) {
-  PartitionSpec w;
-  w.start = 0;
-  w.width = 1000;
-  w.period = 0;
-  w.affects = [](ProcessId from, ProcessId) { return from == 0; };
-  auto m = std::make_shared<PartitionModel>(
-      std::make_shared<UniformDelayModel>(10, 10, true),
-      std::vector<PartitionSpec>{w});
-  Rng rng(1);
-  std::vector<Time> affected, unaffected;
-  m->schedule(send(0, 1, 50), rng, affected);
-  m->schedule(send(1, 0, 50), rng, unaffected);
-  EXPECT_EQ(affected[0], 1000u);
-  EXPECT_EQ(unaffected[0], 60u);
-}
-
-TEST(PartitionModelTest, JointlyGaplessSpecsRejectedNotLooped) {
-  // Each spec individually leaves a gap (width < period), but together
-  // they cover all time on the link: A owns [0,10)+20k, B owns
-  // [10,20)+20k. Deferral can never escape; the shared fixed-point must
-  // raise an invariant error instead of hanging.
-  PartitionSpec a;
-  a.start = 0;
-  a.width = 10;
-  a.period = 20;
-  PartitionSpec b;
-  b.start = 10;
-  b.width = 10;
-  b.period = 20;
-  auto m = std::make_shared<PartitionModel>(
-      std::make_shared<UniformDelayModel>(5, 5, true),
-      std::vector<PartitionSpec>{a, b});
-  Rng rng(1);
-  std::vector<Time> arrivals;
-  EXPECT_THROW(m->schedule(send(0, 1, 100), rng, arrivals), InvariantError);
-}
-
-TEST(PartitionModelTest, ChainedWindowsConvergeAcrossSpecs) {
-  // A defers into B's window, B defers out: two passes, then done.
-  PartitionSpec a;
-  a.start = 100;
-  a.width = 50;
-  a.period = 0;
-  PartitionSpec b;
-  b.start = 150;
-  b.width = 25;
-  b.period = 0;
-  auto m = std::make_shared<PartitionModel>(
-      std::make_shared<UniformDelayModel>(10, 10, true),
-      std::vector<PartitionSpec>{a, b});
-  Rng rng(1);
-  std::vector<Time> arrivals;
-  m->schedule(send(0, 1, 100), rng, arrivals);  // 110 -> 150 (A) -> 175 (B)
-  EXPECT_EQ(arrivals[0], 175u);
-}
-
-TEST(PartitionModelTest, RejectsGaplessRecurringWindows) {
-  PartitionSpec w;
-  w.start = 0;
-  w.width = 100;
-  w.period = 100;  // no gap: deferral would never terminate
-  EXPECT_THROW(PartitionModel(std::make_shared<UniformDelayModel>(1, 1),
-                              std::vector<PartitionSpec>{w}),
-               InvariantError);
-}
-
 TEST(ChaosLinkModelTest, AllArrivalsStayCausal) {
   ChaosLinkModel::Config cfg;
   cfg.dupNum = 1;
@@ -210,33 +105,6 @@ TEST(ChaosLinkModelTest, LinkFilterKeepsOtherLinksClean) {
   std::vector<Time> chaotic;
   m.schedule(send(0, 2, 0), rng, chaotic);
   EXPECT_GE(chaotic.size(), 2u);
-}
-
-TEST(ClockSkewModelTest, SpreadEndpointsAreExact) {
-  auto m = ClockSkewModel::spread(std::make_shared<UniformDelayModel>(1, 1), 4,
-                                  ClockSkewModel::Skew{3, 1},
-                                  ClockSkewModel::Skew{1, 2});
-  // p0 is 3x slower, p3 is 2x faster; middle ranks interpolate between.
-  EXPECT_EQ(m->lambdaPeriod(0, 10), 30u);
-  EXPECT_EQ(m->lambdaPeriod(3, 10), 5u);
-  EXPECT_GT(m->lambdaPeriod(1, 10), m->lambdaPeriod(2, 10));
-  EXPECT_LT(m->lambdaPeriod(1, 10), 30u);
-}
-
-TEST(ClockSkewModelTest, PeriodNeverDropsBelowOne) {
-  ClockSkewModel m(std::make_shared<UniformDelayModel>(1, 1),
-                   {ClockSkewModel::Skew{1, 100}, ClockSkewModel::Skew{1, 1}});
-  EXPECT_EQ(m.lambdaPeriod(0, 10), 1u);  // 10/100 clamps to 1
-  EXPECT_EQ(m.lambdaPeriod(1, 10), 10u);
-}
-
-TEST(ClockSkewModelTest, DelegatesSchedulingUntouched) {
-  ClockSkewModel m(std::make_shared<UniformDelayModel>(10, 10, true),
-                   {ClockSkewModel::Skew{2, 1}, ClockSkewModel::Skew{1, 1}});
-  Rng rng(1);
-  std::vector<Time> arrivals;
-  m.schedule(send(0, 1, 100), rng, arrivals);
-  EXPECT_EQ(arrivals, (std::vector<Time>{110}));
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Mutation tests for the indexed partition path (PartitionSpec::componentOf).
+// Partition windows: the deferral rule every arrival goes through, and
+// mutation tests for the indexed path (PartitionSpec::componentOf).
 //
 // The flat component index replaced a std::function predicate on the
 // deferral hot path; an index bug that silently cut nothing (or cut
@@ -20,7 +21,6 @@
 #include "common/ensure.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
-#include "sim/network_model.h"
 #include "sim/simulator.h"
 
 namespace wfd {
@@ -40,12 +40,11 @@ std::pair<std::uint64_t, bool> runWithSpecs(std::vector<PartitionSpec> specs) {
   cfg.timeoutPeriod = 10;
   cfg.minDelay = 20;
   cfg.maxDelay = 40;
+  cfg.partitions = std::move(specs);
   auto fp = FailurePattern::noFailures(kN);
   auto omega =
       std::make_shared<OmegaFd>(fp, 800, OmegaPreStabilization::kSplitBrain);
-  auto base = std::make_shared<UniformDelayModel>(20, 40, false);
-  auto model = std::make_shared<PartitionModel>(base, std::move(specs));
-  Simulator sim(cfg, fp, omega, model);
+  Simulator sim(cfg, fp, omega);
   for (ProcessId p = 0; p < kN; ++p) {
     sim.addProcess(p, std::make_unique<EtobAutomaton>());
   }
@@ -115,6 +114,79 @@ TEST(PartitionSpecCutsTest, SplitAtDegenerateBoundariesCutNothing) {
       EXPECT_FALSE(hi.cuts(a, b));
     }
   }
+}
+
+// --- Deferral: arrivals inside a window move to its end --------------------
+
+TEST(PartitionDeferralTest, OneShotWindowDefersToHealPoint) {
+  PartitionSpec w;
+  w.start = 100;
+  w.width = 50;
+  w.period = 0;
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 110), 150u);  // inside the window
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 210), 210u);  // after: untouched
+}
+
+TEST(PartitionDeferralTest, PeriodicWindowsDeferEveryRecurrence) {
+  PartitionSpec w;
+  w.start = 0;
+  w.width = 30;
+  w.period = 100;  // closed [0,30), [100,130), [200,230), ...
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 115), 130u);  // inside [100,130)
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 250), 250u);  // in a gap
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 305), 330u);  // inside [300,330)
+}
+
+TEST(PartitionDeferralTest, LinkFilterLimitsTheBlastRadius) {
+  PartitionSpec w;
+  w.start = 0;
+  w.width = 1000;
+  w.period = 0;
+  w.affects = [](ProcessId from, ProcessId) { return from == 0; };
+  EXPECT_EQ(deferPastPartitions({w}, 0, 1, 60), 1000u);
+  EXPECT_EQ(deferPastPartitions({w}, 1, 0, 60), 60u);
+}
+
+TEST(PartitionDeferralTest, JointlyGaplessSpecsRejectedNotLooped) {
+  // Each spec individually leaves a gap (width < period), but together
+  // they cover all time on the link: A owns [0,10)+20k, B owns
+  // [10,20)+20k. Deferral can never escape; the fixed point must raise
+  // an invariant error instead of hanging.
+  PartitionSpec a;
+  a.start = 0;
+  a.width = 10;
+  a.period = 20;
+  PartitionSpec b;
+  b.start = 10;
+  b.width = 10;
+  b.period = 20;
+  EXPECT_THROW(deferPastPartitions({a, b}, 0, 1, 105), InvariantError);
+}
+
+TEST(PartitionDeferralTest, ChainedWindowsConvergeAcrossSpecs) {
+  // A defers into B's window, B defers out: two passes, then done.
+  PartitionSpec a;
+  a.start = 100;
+  a.width = 50;
+  a.period = 0;
+  PartitionSpec b;
+  b.start = 150;
+  b.width = 25;
+  b.period = 0;
+  EXPECT_EQ(deferPastPartitions({a, b}, 0, 1, 110), 175u);  // 150 (A) -> 175
+}
+
+TEST(PartitionDeferralTest, RejectsGaplessRecurringWindows) {
+  PartitionSpec w;
+  w.start = 0;
+  w.width = 100;
+  w.period = 100;  // no gap: deferral would never terminate
+  SimConfig cfg;
+  cfg.processCount = 2;
+  cfg.partitions = {w};
+  auto fp = FailurePattern::noFailures(2);
+  EXPECT_THROW(Simulator(cfg, fp, std::make_shared<PerfectFd>(fp)),
+               InvariantError);
 }
 
 TEST(PartitionDeferralTest, JointlyCoveringSpecsAreAnInvariantErrorNotAHang) {

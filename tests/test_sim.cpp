@@ -1,6 +1,6 @@
 // Unit tests: the simulation substrate — failure patterns, payloads,
 // trace bookkeeping, scheduler admissibility (fairness + eventual
-// delivery), crashes and partition windows.
+// delivery), crashes, partition windows and per-process clock skew.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -399,6 +399,62 @@ TEST(SimulatorTest, DisruptionDefersButDelivers) {
     }
   }
   EXPECT_TRUE(delivered);  // reliable links: delivery still happens
+}
+
+TEST(SimulatorPartitionTest, ConfiguredAndLiveWindowsDeferAsOneSet) {
+  // A configured window recurring [0, 100) every 400 and a live one-shot
+  // [350, 450), both on every link. The copy sent at 345 would arrive at
+  // 355; the live window defers it to 450, which the configured window
+  // cuts too, so it arrives at 500 — never inside either window.
+  auto cfg = smallConfig(2);
+  cfg.minDelay = 10;
+  cfg.maxDelay = 10;
+  cfg.fixedDelay = true;
+  PartitionSpec recurring;
+  recurring.start = 0;
+  recurring.width = 100;
+  recurring.period = 400;
+  cfg.partitions = {recurring};
+  auto fp = FailurePattern::noFailures(2);
+  Simulator sim(cfg, fp, std::make_shared<PerfectFd>(fp));
+  for (ProcessId p = 0; p < 2; ++p) sim.addProcess(p, std::make_unique<EchoAutomaton>());
+  PartitionSpec live;
+  live.start = 350;
+  live.width = 100;
+  sim.addPartition(live);
+  sim.scheduleInput(0, 345, Payload::of(Ping{1}));
+  sim.run();
+  std::vector<Time> pongs;
+  for (const auto& ev : sim.trace().outputs(1)) {
+    if (ev.value.holds<Pong>()) pongs.push_back(ev.time);
+  }
+  EXPECT_EQ(pongs, (std::vector<Time>{500}));
+}
+
+// --- Clock skew ---------------------------------------------------------------
+
+TEST(ClockSkewTest, SpreadEndpointsAreExact) {
+  SimConfig cfg;
+  cfg.processCount = 4;
+  cfg.timeoutPeriod = 10;
+  cfg.clockSkew = clockSkewSpread(4, {3, 1}, {1, 2});
+  // p0 is 3x slower, p3 is 2x faster; middle ranks interpolate between.
+  EXPECT_EQ(lambdaStepPeriod(cfg, 0), 30u);
+  EXPECT_EQ(lambdaStepPeriod(cfg, 3), 5u);
+  EXPECT_GT(lambdaStepPeriod(cfg, 1), lambdaStepPeriod(cfg, 2));
+  EXPECT_LT(lambdaStepPeriod(cfg, 1), 30u);
+}
+
+TEST(ClockSkewTest, PeriodNeverDropsBelowOne) {
+  SimConfig cfg;
+  cfg.processCount = 3;
+  cfg.timeoutPeriod = 10;
+  cfg.clockSkew = {{1, 100}, {1, 1}, {2, 1}};
+  EXPECT_EQ(lambdaStepPeriod(cfg, 0), 1u);  // 10/100 clamps to 1
+  EXPECT_EQ(lambdaStepPeriod(cfg, 1), 10u);
+  EXPECT_EQ(lambdaStepPeriod(cfg, 2), 20u);  // a gray process steps slower
+  cfg.clockSkew.clear();
+  EXPECT_EQ(lambdaStepPeriod(cfg, 2), 10u);  // no skew: the base period
 }
 
 TEST(SimulatorTest, RunUntilStopsEarly) {
