@@ -27,8 +27,8 @@ std::size_t ShardRouter::put(std::uint64_t key, std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> ShardRouter::get(std::uint64_t key) {
-  poll();
   const std::size_t s = service_->ownerOf(key);
+  foldShard(s);
   const FoldState& f = folds_[s];
   RouterOp op;
   op.kind = RouterOp::Kind::kGet;
@@ -38,8 +38,8 @@ std::optional<std::uint64_t> ShardRouter::get(std::uint64_t key) {
   const auto it = f.kv.find(key);
   if (it != f.kv.end()) {
     op.hasValue = true;
-    op.value = it->second;
-    op.version = f.versions.at(key);
+    op.value = it->second.value;
+    op.version = it->second.version;
   }
   ops_.push_back(op);
   return op.hasValue ? std::optional<std::uint64_t>(op.value) : std::nullopt;
@@ -57,16 +57,17 @@ void ShardRouter::foldShard(std::size_t s) {
   const std::vector<MsgId>& prefix = c.committedPrefix();
   FoldState& f = folds_[s];
   std::size_t from = f.folded.size();
-  const bool extension =
-      prefix.size() >= f.folded.size() &&
-      std::equal(f.folded.begin(), f.folded.end(), prefix.begin());
-  if (extension && prefix.size() == from) return;  // nothing new committed
-  if (!extension) {
+  const std::size_t common = std::min(prefix.size(), from);
+  if (!std::equal(prefix.begin(), prefix.begin() + static_cast<std::ptrdiff_t>(common),
+                  f.folded.begin())) {
     f.kv.clear();
-    f.versions.clear();
     f.folded.clear();
     ++refolds_;
     from = 0;
+  } else if (prefix.size() <= from) {
+    // Nothing new committed, or a read replica that lags the fold: keep
+    // serving the fold until the replica catches up.
+    return;
   }
   for (std::size_t i = from; i < prefix.size(); ++i) {
     const std::vector<std::uint64_t>* body = c.findBody(prefix[i]);
@@ -75,8 +76,9 @@ void ShardRouter::foldShard(std::size_t s) {
         (*body)[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
       const std::uint64_t key = (*body)[1];
       const std::uint64_t value = (*body)[2];
-      f.kv[key] = value;
-      ++f.versions[key];
+      FoldState::Entry& e = f.kv[key];
+      e.value = value;
+      ++e.version;
       // Resolve the earliest pending put matching this command. The
       // scenario workloads write unique (key, value) pairs, so the
       // match is unambiguous there; with duplicates, first-pending is

@@ -3,18 +3,28 @@
 // from a FOLD of the shard's §7 committed prefix.
 //
 // Write path: put(key, v) routes the command to the owner shard's read
-// replica and remembers the (key, v) pair as pending. Read path: every
-// poll() fetches each shard's committed prefix, decodes the NEW suffix
-// of put commands (Client::findBody) into a per-shard key→value map,
-// and resolves pending writes it sees commit. A committed prefix can
-// only extend under the §7 proviso, so the fold is incremental. Outside
-// the proviso, commit-eTOB's strength join (two leaders committing
-// conflicting prefixes) can replace a committed prefix; the router then
-// refolds from scratch, counted in refolds(). Reads therefore return only
-// COMMITTED state — the read-your-writes guarantee the sharded_kv
-// checker verifies is "my write is visible once the router saw it
-// commit", per shard, the strongest a client can ask of an eventually
-// consistent store without blocking.
+// replica and remembers the (key, v) pair as pending. Read path: a
+// get(key) folds the owner shard only; poll() folds every shard. A fold
+// fetches the shard's committed prefix from its read replica, decodes
+// the NEW suffix of put commands (Client::findBody) into a per-shard
+// key → (value, version) map, and resolves the pending writes it sees
+// commit. A put on another shard therefore stays pending until the next
+// poll() or a get of a key that shard owns; drivers poll at the service
+// tick of their gets, so commit times do not depend on which call saw
+// the commit first.
+//
+// A committed prefix can only extend under the §7 proviso, so the fold
+// is incremental. A prefix that is a strict prefix of the fold is a
+// read replica that lags (a crash moved reads to a follower that has not
+// learned the latest commits yet): the fold is kept and served until
+// the replica catches up. Outside the proviso, commit-eTOB's strength
+// join (two leaders committing conflicting prefixes) can replace a
+// committed prefix; when neither sequence is a prefix of the other the
+// router refolds from scratch, counted in refolds(). Reads therefore
+// return only COMMITTED state — the read-your-writes guarantee the
+// sharded_kv checker verifies is "my write is visible once the router
+// saw it commit", per shard, the strongest a client can ask of an
+// eventually consistent store without blocking.
 //
 // Every op is appended to an op log (RouterOp) carrying the routing
 // decision, the observed value, and the per-(shard, key) fold version —
@@ -66,32 +76,38 @@ class ShardRouter {
   /// shard's now() + 1). Returns the op-log index.
   std::size_t put(std::uint64_t key, std::uint64_t value);
 
-  /// Serves a read of `key` from the owner shard's committed fold
-  /// (poll()s first). nullopt while no committed put for the key has
-  /// been observed on that shard.
+  /// Folds the owner shard's newly committed commands (resolving the
+  /// pending writes among them), then serves a read of `key` from that
+  /// fold. Other shards are left to poll(). nullopt while no committed
+  /// put for the key has been observed on that shard.
   std::optional<std::uint64_t> get(std::uint64_t key);
 
   /// Folds every shard's newly committed commands and resolves pending
-  /// writes. get() calls this; exposed so drivers can resolve commit
-  /// times eagerly while stepping.
+  /// writes. Call it at every service tick that should resolve commit
+  /// times, gets or not: a get resolves only its owner shard's puts.
   void poll();
 
   const std::vector<RouterOp>& ops() const { return ops_; }
-  /// Full refolds forced by a committed-prefix rewrite — a conflicting
-  /// commit resolved by commit-eTOB's strength join, possible only
-  /// outside the §7 proviso.
+  /// Full refolds forced by a committed-prefix rewrite (neither the
+  /// fold nor the read replica's prefix extends the other) — a
+  /// conflicting commit resolved by commit-eTOB's strength join,
+  /// possible only outside the §7 proviso. A read replica that lags the
+  /// fold is not a rewrite: the fold is kept.
   std::uint64_t refolds() const { return refolds_; }
   /// Put ops still unresolved (never observed committed).
   std::size_t pendingPuts() const;
 
  private:
   struct FoldState {
+    struct Entry {
+      std::uint64_t value = 0;
+      /// Put commands folded for the key — the version a get() reports.
+      std::uint64_t version = 0;
+    };
     /// The committed ids already folded (prefix-compare detects
     /// rewrites).
     std::vector<MsgId> folded;
-    std::unordered_map<std::uint64_t, std::uint64_t> kv;
-    /// Put commands folded per key — the version a get() reports.
-    std::unordered_map<std::uint64_t, std::uint64_t> versions;
+    std::unordered_map<std::uint64_t, Entry> kv;
   };
 
   void foldShard(std::size_t s);

@@ -2,7 +2,9 @@
 // service: pinned digests for every sharded-* catalog entry, the
 // cross-shard-independence byte-identity property, the crash-rebalance
 // path (and the mutation proving it matters), service-level stats
-// aggregation, and adversarial op logs against the sharded_kv checker.
+// aggregation, the router's owner-only read fold (differential against
+// polling before every get) and its fold across a lagging read replica,
+// and adversarial op logs against the sharded_kv checker.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -246,6 +248,110 @@ TEST(ShardedKv, StatsAggregateAcrossShards) {
   for (const ShardStats& row : stats.perShard) {
     EXPECT_LT(row.applied, stats.applied);
   }
+}
+
+// --- Router fold ------------------------------------------------------------
+
+void expectSameOps(const std::vector<RouterOp>& a, const std::vector<RouterOp>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << "op " << i;
+    EXPECT_EQ(a[i].key, b[i].key) << "op " << i;
+    EXPECT_EQ(a[i].value, b[i].value) << "op " << i;
+    EXPECT_EQ(a[i].hasValue, b[i].hasValue) << "op " << i;
+    EXPECT_EQ(a[i].time, b[i].time) << "op " << i;
+    EXPECT_EQ(a[i].shard, b[i].shard) << "op " << i;
+    EXPECT_EQ(a[i].committed, b[i].committed) << "op " << i;
+    EXPECT_EQ(a[i].commitTime, b[i].commitTime) << "op " << i;
+    EXPECT_EQ(a[i].version, b[i].version) << "op " << i;
+  }
+}
+
+TEST(ShardedKv, OwnerOnlyGetMatchesAPollBeforeEveryGet) {
+  // Router A polls before every get, folding all S shards as a read
+  // once did; router B's get() folds only the owner shard. Both poll
+  // once per tick after their gets, so every commit is still seen at
+  // the same service tick and the two op logs agree field by field.
+  ShardedService a(smallSpec(4), 31);
+  ShardedService b(smallSpec(4), 31);
+  ShardRouter ra(a);
+  ShardRouter rb(b);
+  ZipfianKeyGenerator putKeys(64, 0.99, 11);
+  ZipfianKeyGenerator getKeys(64, 0.99, 12);
+  // Gets that left a put committed on another shard pending in B.
+  std::size_t heldBack = 0;
+  for (std::uint64_t i = 0; i < 96; ++i) {
+    a.advanceBy(10);
+    b.advanceBy(10);
+    const std::uint64_t key = putKeys.next();
+    ra.put(key, i + 1);
+    rb.put(key, i + 1);
+    for (int g = 0; g < 4; ++g) {
+      const std::uint64_t k = getKeys.next();
+      ra.poll();
+      EXPECT_EQ(ra.get(k), rb.get(k)) << "tick " << i << " key " << k;
+      for (std::size_t op = 0; op < ra.ops().size(); ++op) {
+        if (ra.ops()[op].committed && !rb.ops()[op].committed) {
+          EXPECT_NE(rb.ops()[op].shard, b.ownerOf(k)) << "op " << op;
+          ++heldBack;
+        }
+      }
+    }
+    ra.poll();
+    rb.poll();
+  }
+  for (int t = 0; t < 200; ++t) {
+    a.advanceBy(10);
+    b.advanceBy(10);
+    ra.poll();
+    rb.poll();
+  }
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    ra.poll();
+    EXPECT_EQ(ra.get(k), rb.get(k)) << "key " << k;
+  }
+  expectSameOps(ra.ops(), rb.ops());
+  EXPECT_GT(heldBack, 0u);
+  EXPECT_EQ(rb.pendingPuts(), 0u);
+  const ShardedKvReport report = checkShardedKvRun(rb.ops());
+  EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
+  EXPECT_GT(report.successfulGets, 0u);
+}
+
+TEST(ShardedKv, LaggingReadReplicaKeepsTheFold) {
+  // Replica 0, the Omega leader, learns each commit a link delay before
+  // its followers do. Crashing it while replica 1 lags moves the read
+  // replica to a committed prefix that is a strict prefix of the fold.
+  // That is lag, not a rewrite: the router keeps serving its fold.
+  ShardedService svc(smallSpec(1), 9);
+  ShardRouter router(svc);
+  const auto committedLen = [&svc](ProcessId p) {
+    return svc.shard(0).client(p).committedPrefix().size();
+  };
+  std::uint64_t puts = 0;
+  while (committedLen(0) <= committedLen(1)) {
+    ASSERT_LT(puts, 64u) << "replica 1 never lagged replica 0";
+    router.put(puts, puts + 1);  // distinct keys: each is written once
+    ++puts;
+    for (int t = 0; t < 10 && committedLen(0) <= committedLen(1); ++t) {
+      svc.advanceBy(1);
+    }
+  }
+  // The newest command replica 0 committed and replica 1 has not.
+  const Client leader = svc.shard(0).client(0);
+  const std::vector<std::uint64_t>* body = leader.findBody(leader.committedPrefix().back());
+  ASSERT_NE(body, nullptr);
+  ASSERT_EQ(body->size(), 3u);
+  const std::uint64_t key = (*body)[1];
+
+  router.poll();
+  ASSERT_EQ(router.get(key), key + 1);
+  svc.crashReplica(0, 0, svc.now());
+  ASSERT_EQ(svc.readReplicaOf(0), 1u);
+  EXPECT_EQ(router.get(key), key + 1);
+  const std::vector<RouterOp>& ops = router.ops();
+  EXPECT_GE(ops.back().version, ops[ops.size() - 2].version);
+  EXPECT_EQ(router.refolds(), 0u);
 }
 
 // --- Checker mutations ------------------------------------------------------
