@@ -13,6 +13,10 @@
 # path named in any markdown file must exist on disk, and every committed
 # corpus file must be documented in docs/FUZZING.md (an undocumented
 # counterexample is a counterexample nobody will understand next year).
+#
+# Finally, every backticked source path in the docs (`src/...`,
+# `tests/...`, `sim/simulator.h`, ...) must name a file or directory that
+# exists (see the last section).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -116,6 +120,60 @@ if [ -d tests/corpus ]; then
   done < <(git ls-files --cached --others --exclude-standard 'tests/corpus/*.json')
 fi
 echo "fuzz corpus check: $corpus_mentions corpus paths named in docs verified"
+
+# --- backticked source paths ------------------------------------------------
+# Every backticked repo path (`src/...`, `tests/...`, `bench/...`, ...) must
+# name an existing file or directory once `{a,b}` and `*` are expanded, and
+# so must a `<module>/<file>` path whose module is a directory under src/
+# (read as src/<module>/<file>). At the repo root only README.md and
+# PAPER.md are checked: the other root files are logs, plans and
+# related-work notes, which name files that have since gone or that belong
+# to other repositories.
+path_chars='[A-Za-z0-9_./{},*-]'
+# True iff every brace/glob expansion of $1 exists. The span regex admits
+# only path characters, so the eval can expand but never run anything.
+expands_to_existing() {
+  local expanded p
+  shopt -s nullglob
+  eval "expanded=($1)"
+  shopt -u nullglob
+  [ "${#expanded[@]}" -gt 0 ] || return 1
+  for p in "${expanded[@]}"; do
+    [ -e "$p" ] || return 1
+  done
+}
+doc_files="$(git ls-files --cached --others --exclude-standard '*.md' |
+             grep -E '/|^(README|PAPER)\.md$' || true)"
+# One "file:path" line per backticked span made only of path characters.
+spans="$(xargs -r grep -oHE "\`$path_chars+\`" <<< "$doc_files" | tr -d '`' || true)"
+top_paths="$(grep -E "^[^:]+:(src|tests|bench|tools|examples|scripts|docs|perfbench)/." <<< "$spans" |
+             cut -d: -f2- | sort -u || true)"
+top_count=0
+while IFS= read -r path; do
+  [ -n "$path" ] || continue
+  top_count=$((top_count + 1))
+  if ! expands_to_existing "$path"; then
+    echo "BROKEN: docs name '$path' which does not exist"
+    fail=1
+  fi
+done <<< "$top_paths"
+module_paths="$(grep -E "^[^:]+:[a-z_]+/." <<< "$spans" | cut -d: -f2- | sort -u || true)"
+src_count=0
+while IFS= read -r path; do
+  [ -n "$path" ] || continue
+  [ -d "src/${path%%/*}" ] || continue
+  src_count=$((src_count + 1))
+  if ! expands_to_existing "src/$path"; then
+    echo "BROKEN: docs name '$path' but 'src/$path' does not exist"
+    fail=1
+  fi
+done <<< "$module_paths"
+# A zero count means the span parse broke — a silent no-op, not a pass.
+if [ "$top_count" -eq 0 ]; then
+  echo "BROKEN: no backticked source paths parsed from the docs"
+  fail=1
+fi
+echo "source path check: $top_count top-level and $src_count src/-relative paths in $(wc -l <<< "$doc_files") files verified"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED"

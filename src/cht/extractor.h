@@ -35,7 +35,6 @@
 #include "common/types.h"
 #include "ec/omega_ec.h"
 #include "sim/automaton.h"
-#include "sim/fd_adapter.h"
 
 namespace wfd {
 
@@ -45,13 +44,38 @@ inline TargetFactory omegaEcTarget() {
   return [](ProcessId, std::size_t) { return std::make_unique<OmegaEcAutomaton>(); };
 }
 
-/// Target factory for D = ◊P-style histories: A = Algorithm 4 over the
-/// classical suspect-list -> leader reduction. Demonstrates that the
-/// extractor works for ANY D solving EC, not just Omega itself.
+/// Algorithm 4 over ◊P-style histories: every step hands Algorithm 4 the
+/// leader that leaderFromSuspects derives from the sampled suspect list.
+class SuspectBasedEcAutomaton final
+    : public CloneableAutomaton<SuspectBasedEcAutomaton> {
+ public:
+  void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override {
+    ec_.onInput(withLeader(ctx), input, fx);
+  }
+  void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
+                 Effects& fx) override {
+    ec_.onMessage(withLeader(ctx), from, msg, fx);
+  }
+  void onTimeout(const StepContext& ctx, Effects& fx) override {
+    ec_.onTimeout(withLeader(ctx), fx);
+  }
+
+ private:
+  static StepContext withLeader(const StepContext& ctx) {
+    StepContext out = ctx;
+    out.fd.leader = leaderFromSuspects(ctx.fd.suspects, ctx.self, ctx.processCount);
+    return out;
+  }
+
+  OmegaEcAutomaton ec_;
+};
+
+/// Target factory for D = ◊P-style histories: A = SuspectBasedEcAutomaton.
+/// Demonstrates that the extractor works for ANY D solving EC, not just
+/// Omega itself.
 inline TargetFactory suspectBasedEcTarget() {
   return [](ProcessId, std::size_t) {
-    return std::make_unique<FdAdaptedAutomaton<OmegaEcAutomaton>>(
-        OmegaEcAutomaton{}, leaderFromSuspects());
+    return std::make_unique<SuspectBasedEcAutomaton>();
   };
 }
 

@@ -53,7 +53,6 @@ class FdDag {
   std::size_t vertexCount() const { return vertices_.size(); }
   std::size_t edgeCount() const { return edgeCount_; }
   const DagVertex& vertex(std::size_t i) const { return vertices_[i]; }
-  bool hasVertex(const DagVertex& v) const { return index_.contains(v); }
 
   /// Direct edge test by local indices.
   bool hasEdge(std::size_t from, std::size_t to) const {

@@ -61,11 +61,6 @@ struct StepDescriptor {
   /// For kDeliverOldest: uid of the consumed message, for hook-step
   /// identity across configurations.
   std::uint64_t msgUid = 0;
-
-  bool sameStepAs(const StepDescriptor& other) const {
-    return proc == other.proc && vertexIdx == other.vertexIdx &&
-           action == other.action && msgUid == other.msgUid;
-  }
 };
 
 /// A configuration of the simulated system: automata states, in-flight
@@ -161,10 +156,6 @@ class TreeAnalysis {
   TreeAnalysis(const FdDag& dag, TargetFactory factory, std::size_t processCount,
                TreeLimits limits);
 
-  /// Processes that still have usable samples in the DAG (others have
-  /// crashed or fallen silent; simulated fair paths ignore them).
-  const std::vector<ProcessId>& activeProcs() const { return active_; }
-
   /// Probe-approximated k-tag of a configuration.
   KTag tag(const SimConfigState& config, Instance k) const;
 
@@ -225,6 +216,8 @@ class TreeAnalysis {
   TargetFactory factory_;
   std::size_t processCount_;
   TreeLimits limits_;
+  /// Processes that still have usable samples in the DAG (others have
+  /// crashed or fallen silent; simulated fair paths ignore them).
   std::vector<ProcessId> active_;
   /// Per-process vertex indices in canonical (k, q, d) order — the
   /// eligibility scans' fast path.

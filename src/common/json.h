@@ -38,7 +38,6 @@ class Json {
   static Json object();
 
   Kind kind() const { return kind_; }
-  bool isNull() const { return kind_ == Kind::kNull; }
 
   /// Typed accessors; each WFD_ENSUREs the kind matches.
   bool asBool() const;

@@ -86,28 +86,6 @@ std::string OmegaFd::name() const {
   return "Omega(tau=" + std::to_string(stabilizeAt_) + ")";
 }
 
-SigmaFd::SigmaFd(FailurePattern pattern, Time stabilizeAt)
-    : pattern_(std::move(pattern)), stabilizeAt_(stabilizeAt) {
-  for (ProcessId p = 0; p < pattern_.size(); ++p) everyone_.push_back(p);
-  correct_ = pattern_.correctSet();
-  WFD_ENSURE_MSG(!correct_.empty(), "Sigma needs at least one correct process");
-}
-
-FdValue SigmaFd::valueAt(ProcessId p, Time t) const {
-  WFD_ENSURE(p < pattern_.size());
-  FdValue v;
-  v.quorum = t >= stabilizeAt_ ? correct_ : everyone_;
-  return v;
-}
-
-std::uint64_t SigmaFd::epochAt(ProcessId, Time t) const {
-  return t >= stabilizeAt_ ? 1 : 0;
-}
-
-std::string SigmaFd::name() const {
-  return "Sigma(tau=" + std::to_string(stabilizeAt_) + ")";
-}
-
 PerfectFd::PerfectFd(FailurePattern pattern, Time detectionLag)
     : pattern_(std::move(pattern)),
       lag_(detectionLag),
@@ -168,27 +146,6 @@ std::string EventuallyPerfectFd::name() const {
   return "<>P(tau=" + std::to_string(stabilizeAt_) + ")";
 }
 
-OmegaSigmaFd::OmegaSigmaFd(std::shared_ptr<const OmegaFd> omega,
-                           std::shared_ptr<const SigmaFd> sigma)
-    : omega_(std::move(omega)), sigma_(std::move(sigma)) {
-  WFD_ENSURE(omega_ != nullptr && sigma_ != nullptr);
-}
-
-FdValue OmegaSigmaFd::valueAt(ProcessId p, Time t) const {
-  FdValue v = omega_->valueAt(p, t);
-  v.quorum = sigma_->valueAt(p, t).quorum;
-  return v;
-}
-
-std::uint64_t OmegaSigmaFd::epochAt(ProcessId p, Time t) const {
-  // Sigma's epoch is 0/1, so this fold is injective in the pair.
-  return omega_->epochAt(p, t) * 2 + sigma_->epochAt(p, t);
-}
-
-std::string OmegaSigmaFd::name() const {
-  return omega_->name() + "+" + sigma_->name();
-}
-
 ScriptedFd::ScriptedFd(Script script, std::string name)
     : script_(std::move(script)), name_(std::move(name)) {
   WFD_ENSURE(static_cast<bool>(script_));
@@ -205,15 +162,8 @@ OmegaFromEventuallyPerfect::OmegaFromEventuallyPerfect(
 }
 
 FdValue OmegaFromEventuallyPerfect::valueAt(ProcessId p, Time t) const {
-  const FdValue inner = inner_->valueAt(p, t);
   FdValue v;
-  v.leader = p;  // fallback: trust self if everyone else is suspected
-  for (ProcessId q = 0; q < processCount_; ++q) {
-    if (!std::binary_search(inner.suspects.begin(), inner.suspects.end(), q)) {
-      v.leader = q;
-      break;
-    }
-  }
+  v.leader = leaderFromSuspects(inner_->valueAt(p, t).suspects, p, processCount_);
   return v;
 }
 

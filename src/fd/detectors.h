@@ -55,26 +55,6 @@ class OmegaFd final : public FailureDetector {
   ProcessId leader_;
 };
 
-/// The quorum failure detector Sigma: any two output quorums (any
-/// processes, any times) intersect; eventually quorums at correct
-/// processes contain only correct processes. This oracle outputs Pi
-/// before `stabilizeAt` and correct(F) afterwards — a valid Sigma history
-/// in every environment with at least one correct process.
-class SigmaFd final : public FailureDetector {
- public:
-  SigmaFd(FailurePattern pattern, Time stabilizeAt);
-
-  FdValue valueAt(ProcessId p, Time t) const override;
-  std::uint64_t epochAt(ProcessId p, Time t) const override;
-  std::string name() const override;
-
- private:
-  FailurePattern pattern_;
-  Time stabilizeAt_;
-  std::vector<ProcessId> everyone_;
-  std::vector<ProcessId> correct_;
-};
-
 /// The perfect failure detector P: suspects exactly the crashed processes,
 /// with an optional fixed detection lag (strong accuracy + completeness).
 class PerfectFd final : public FailureDetector {
@@ -114,22 +94,6 @@ class EventuallyPerfectFd final : public FailureDetector {
   std::vector<Time> crashTimes_;
 };
 
-/// The composite Omega + Sigma — the weakest failure detector for strong
-/// consistency in any environment [8]. Fills both `leader` and `quorum`.
-class OmegaSigmaFd final : public FailureDetector {
- public:
-  OmegaSigmaFd(std::shared_ptr<const OmegaFd> omega,
-               std::shared_ptr<const SigmaFd> sigma);
-
-  FdValue valueAt(ProcessId p, Time t) const override;
-  std::uint64_t epochAt(ProcessId p, Time t) const override;
-  std::string name() const override;
-
- private:
-  std::shared_ptr<const OmegaFd> omega_;
-  std::shared_ptr<const SigmaFd> sigma_;
-};
-
 /// Fully scripted history — used by CHT tests to drive exact scenarios.
 class ScriptedFd final : public FailureDetector {
  public:
@@ -144,13 +108,12 @@ class ScriptedFd final : public FailureDetector {
   std::string name_;
 };
 
-/// Derives an Omega history from an eventually-perfect history the
-/// classical way: trust the smallest non-suspected process. Valid because
-/// after ◊P stabilizes, all correct processes compute the same smallest
-/// alive (hence correct) process. Accepts ANY suspicion-style detector
-/// whose suspects are sorted and eventually exact — EventuallyPerfectFd,
-/// or the loss-robust ◇P variants in fd/robust_fd.h (heartbeat-derived
-/// Omega re-stabilizing after loss bursts).
+/// Derives an Omega history from an eventually-perfect history by the
+/// classical rule, leaderFromSuspects (sim/fd_interface.h). Accepts ANY
+/// suspicion-style detector whose suspects are sorted and eventually
+/// exact — EventuallyPerfectFd, or the loss-robust ◇P variants in
+/// fd/robust_fd.h (heartbeat-derived Omega re-stabilizing after loss
+/// bursts).
 class OmegaFromEventuallyPerfect final : public FailureDetector {
  public:
   explicit OmegaFromEventuallyPerfect(

@@ -82,10 +82,6 @@ Time FailurePattern::lastCrashTime() const {
   return last;
 }
 
-FailurePattern Environments::allCorrect(std::size_t n) {
-  return FailurePattern::noFailures(n);
-}
-
 FailurePattern Environments::minorityCrash(std::size_t n, Time when) {
   return staggeredCrashes(n, (n - 1) / 2, when, 0);
 }

@@ -71,8 +71,6 @@ class FailurePattern {
 /// A (finite sample of an) environment: named generator of failure
 /// patterns used by tests and benches.
 struct Environments {
-  /// All processes correct.
-  static FailurePattern allCorrect(std::size_t n);
   /// A minority of processes crash at the given time (floor((n-1)/2)).
   static FailurePattern minorityCrash(std::size_t n, Time when);
   /// A majority of processes crash at the given time (correct set is a

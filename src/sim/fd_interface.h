@@ -9,7 +9,7 @@
 // Properties (completeness/accuracy form). A detector class is specified
 // by a pair of clauses over its histories, one bounding what must
 // eventually be reported (completeness) and one bounding what may be
-// reported (accuracy); the FdValue fields carry the three classical
+// reported (accuracy); the FdValue fields carry the two classical
 // shapes used in this repo:
 //  * leader (Omega)  — Completeness: eventually no correct process
 //    trusts a crashed one. Accuracy: eventually all correct processes
@@ -20,13 +20,14 @@
 //    (EPFD1, P): no process is suspected before it crashes; Eventual
 //    Strong Accuracy (EPFD2, ◇P): eventually no correct process is
 //    suspected.
-//  * quorum (Sigma)  — Completeness: quorums at correct processes
-//    eventually contain only correct processes. Accuracy (intersection):
-//    any two quorums, at any processes and times, intersect.
+// Sigma has no oracle here: Multi-Paxos (consensus/multi_paxos.h)
+// hard-codes majority quorums, which realize it whenever a majority is
+// correct.
 // The checkers and the CHT extractor rely only on these clauses, never
 // on how a particular oracle realizes them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -40,14 +41,12 @@ namespace wfd {
 /// A single failure detector module output d.
 ///
 /// One aggregate covers every detector in this library: Omega uses
-/// `leader`, Sigma uses `quorum`, P / eventually-P use `suspects`,
-/// composites use several fields. Unused fields keep their defaults so
-/// values stay comparable and hashable (the CHT DAG keys on them).
+/// `leader`, P / eventually-P use `suspects`. The unused field keeps its
+/// default so values stay comparable and hashable (the CHT DAG keys on
+/// them).
 struct FdValue {
   /// Omega component: id of the current trusted leader.
   ProcessId leader = kNoProcess;
-  /// Sigma component: current quorum, sorted ascending.
-  std::vector<ProcessId> quorum;
   /// P / eventually-P component: currently suspected processes, sorted.
   std::vector<ProcessId> suspects;
 
@@ -59,11 +58,22 @@ struct FdValue {
 struct FdValueHash {
   std::size_t operator()(const FdValue& v) const {
     std::size_t seed = std::hash<ProcessId>{}(v.leader);
-    hashCombine(seed, hashVector(v.quorum));
     hashCombine(seed, hashVector(v.suspects));
     return seed;
   }
 };
+
+/// The classical ◇P -> Omega rule: trust the smallest process the sorted
+/// `suspects` list does not name, or `self` when it names all of them.
+/// Once ◇P is exact, every correct process picks the same lowest correct
+/// process.
+inline ProcessId leaderFromSuspects(const std::vector<ProcessId>& suspects,
+                                    ProcessId self, std::size_t processCount) {
+  for (ProcessId q = 0; q < processCount; ++q) {
+    if (!std::binary_search(suspects.begin(), suspects.end(), q)) return q;
+  }
+  return self;
+}
 
 /// A failure detector history: deterministic map (p, t) -> FdValue.
 class FailureDetector {

@@ -9,7 +9,6 @@
 
 #include <any>
 #include <memory>
-#include <typeinfo>
 #include <utility>
 
 namespace wfd {
@@ -42,9 +41,6 @@ class Payload {
   }
 
   bool empty() const { return !box_; }
-
-  /// Implementation-defined type name, for diagnostics only.
-  const char* typeName() const { return box_ ? box_->type().name() : "<empty>"; }
 
  private:
   std::shared_ptr<const std::any> box_;

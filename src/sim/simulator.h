@@ -266,9 +266,9 @@ class Simulator {
   /// Network-layer duplicates suppressed at the automaton boundary.
   std::uint64_t duplicatesSuppressed() const { return duplicatesSuppressed_; }
 
-  /// Retransmission-layer statistics; all 0 on lossless (mayDrop() ==
-  /// false) networks, where the layer is fully disabled.
-  bool linkLayerActive() const { return linkActive_; }
+  // Retransmission-layer statistics; all 0 on lossless (mayDrop() ==
+  // false) networks, where the layer is fully disabled.
+
   /// Sends for which the lossy model scheduled zero copies (recovered by
   /// retransmission).
   std::uint64_t linkDroppedSends() const { return linkDroppedSends_; }
@@ -399,7 +399,7 @@ class Simulator {
   };
   std::vector<FdCacheEntry> fdCache_;
   /// Reused per-step context: copy-assigning the cached FdValue into it
-  /// reuses the quorum/suspects vector capacity instead of allocating.
+  /// reuses the suspects vector capacity instead of allocating.
   StepContext ctxScratch_;
   DeliveryHook deliveryHook_;
   OutputHook outputHook_;

@@ -2,11 +2,16 @@
 // satisfy its abstraction's specification by construction.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/ensure.h"
 #include "fd/detectors.h"
+#include "fd/robust_fd.h"
 #include "sim/failure_pattern.h"
 
 namespace wfd {
@@ -73,36 +78,6 @@ TEST(OmegaTest, FaultyEventualLeaderRejected) {
                InvariantError);
 }
 
-// --- Sigma ------------------------------------------------------------------
-
-TEST(SigmaTest, QuorumsAlwaysIntersect) {
-  auto fp = FailurePattern::crashesAt(5, {{4, 100}, {3, 200}});
-  SigmaFd sigma(fp, 400);
-  // Any two quorums output at any processes/times intersect.
-  std::vector<std::vector<ProcessId>> quorums;
-  for (Time t : {0u, 50u, 150u, 399u, 400u, 1000u}) {
-    for (ProcessId p = 0; p < 5; ++p) quorums.push_back(sigma.valueAt(p, t).quorum);
-  }
-  for (const auto& a : quorums) {
-    for (const auto& b : quorums) {
-      bool intersect = false;
-      for (ProcessId x : a) {
-        for (ProcessId y : b) intersect |= x == y;
-      }
-      EXPECT_TRUE(intersect);
-    }
-  }
-}
-
-TEST(SigmaTest, EventuallyOnlyCorrect) {
-  auto fp = FailurePattern::crashesAt(5, {{4, 100}});
-  SigmaFd sigma(fp, 400);
-  for (ProcessId p = 0; p < 5; ++p) {
-    const auto q = sigma.valueAt(p, 500).quorum;
-    EXPECT_EQ(q, fp.correctSet());
-  }
-}
-
 // --- Perfect / eventually perfect -------------------------------------------
 
 TEST(PerfectTest, StrongAccuracyAndCompleteness) {
@@ -144,17 +119,7 @@ TEST(EventuallyPerfectTest, AlwaysSuspectsActuallyCrashed) {
   }
 }
 
-// --- Composites / derived ----------------------------------------------------
-
-TEST(OmegaSigmaTest, CombinesBothComponents) {
-  auto fp = FailurePattern::noFailures(3);
-  auto omega = std::make_shared<OmegaFd>(fp, 0, OmegaPreStabilization::kStable);
-  auto sigma = std::make_shared<SigmaFd>(fp, 0);
-  OmegaSigmaFd both(omega, sigma);
-  const FdValue v = both.valueAt(1, 10);
-  EXPECT_EQ(v.leader, 0u);
-  EXPECT_EQ(v.quorum, fp.correctSet());
-}
+// --- Scripted / derived ------------------------------------------------------
 
 TEST(ScriptedTest, ReturnsScriptedValues) {
   ScriptedFd fd(
@@ -176,6 +141,72 @@ TEST(OmegaFromEventuallyPerfectTest, EventuallyAgreesOnLowestAlive) {
   for (Time t = 200; t < 400; t += 9) {
     for (ProcessId p = 0; p < 3; ++p) {
       EXPECT_EQ(omega.valueAt(p, t).leader, 1u);  // lowest non-suspected
+    }
+  }
+}
+
+TEST(OmegaFromEventuallyPerfectTest, TrustsLowestUnsuspectedElseSelf) {
+  // The inner history suspects nobody at t = 0, {0, 2} at t = 1 and every
+  // process at t = 2.
+  auto inner = std::make_shared<ScriptedFd>(
+      [](ProcessId, Time t) {
+        FdValue v;
+        if (t == 1) v.suspects = {0, 2};
+        if (t == 2) v.suspects = {0, 1, 2};
+        return v;
+      },
+      "scripted-<>P");
+  OmegaFromEventuallyPerfect omega(inner, 3);
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_EQ(omega.valueAt(p, 0).leader, 0u);
+    EXPECT_EQ(omega.valueAt(p, 1).leader, 1u);
+    EXPECT_EQ(omega.valueAt(p, 2).leader, p) << "all suspected: trust self";
+  }
+}
+
+// FailureDetector::epochAt promises that equal epochs at p mean equal
+// values at p; the simulator's per-process FD cache serves a stale value
+// from any detector that breaks it. Checked tick by tick for every
+// shipped oracle, across crashes before and after stabilization.
+TEST(EpochContractTest, EqualEpochsMeanEqualValues) {
+  constexpr std::size_t n = 5;
+  constexpr Time tau = 1000;
+  auto fp = FailurePattern::crashesAt(n, {{4, 0}, {2, 300}, {0, 1700}});
+  const std::vector<std::pair<Time, Time>> bursts = {{500, 900}, {2000, 2600}};
+  AdaptiveHeartbeatFd::Params hb;
+  hb.burstWindows = bursts;
+  SwimFd::Params swim;
+  swim.burstWindows = bursts;
+  auto diamondP = std::make_shared<EventuallyPerfectFd>(fp, tau);
+  auto heartbeat = std::make_shared<AdaptiveHeartbeatFd>(fp, hb);
+
+  const std::vector<std::pair<std::string, std::shared_ptr<const FailureDetector>>>
+      detectors = {
+          {"Omega stable",
+           std::make_shared<OmegaFd>(fp, tau, OmegaPreStabilization::kStable)},
+          {"Omega rotating",
+           std::make_shared<OmegaFd>(fp, tau, OmegaPreStabilization::kRotating)},
+          {"Omega split-brain",
+           std::make_shared<OmegaFd>(fp, tau, OmegaPreStabilization::kSplitBrain)},
+          {"P lag 0", std::make_shared<PerfectFd>(fp, 0)},
+          {"P lag 37", std::make_shared<PerfectFd>(fp, 37)},
+          {"<>P", diamondP},
+          {"Omega from <>P", std::make_shared<OmegaFromEventuallyPerfect>(diamondP, n)},
+          {"Omega from heartbeat",
+           std::make_shared<OmegaFromEventuallyPerfect>(heartbeat, n)},
+          {"heartbeat", heartbeat},
+          {"SWIM", std::make_shared<SwimFd>(fp, swim)},
+      };
+  for (const auto& [label, fd] : detectors) {
+    for (ProcessId p = 0; p < n; ++p) {
+      std::map<std::uint64_t, FdValue> valueOfEpoch;
+      for (Time t = 0; t < 4000; ++t) {
+        const FdValue v = fd->valueAt(p, t);
+        const auto [it, fresh] = valueOfEpoch.try_emplace(fd->epochAt(p, t), v);
+        ASSERT_TRUE(fresh || it->second == v)
+            << label << ": epoch " << it->first << " maps to two values (p" << p
+            << ", t=" << t << ")";
+      }
     }
   }
 }
