@@ -34,8 +34,8 @@
 // src/common/: the only function-local statics in the library are const)
 // is shared between instances. DISTINCT Clusters may therefore run on
 // distinct threads with no synchronization, which is what the campaign
-// runner's work-stealing pool does (explore/campaign.h): each worker
-// constructs, drives and destroys its own Cluster per plan. A SINGLE
+// runner's worker threads do (explore/campaign.h): each worker
+// constructs, drives and destroys its own Cluster per plan it claims. A SINGLE
 // Cluster (and its Client handles, which borrow it) is not synchronized
 // and must stay confined to one thread at a time. TSan enforces the
 // audit in CI (the `tsan` preset + campaign smoke).

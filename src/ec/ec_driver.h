@@ -69,8 +69,6 @@ class ProposalDriverAutomaton final
     drain(ctx, cfx, fx);
   }
 
-  const Impl& inner() const { return inner_; }
-
  private:
   void propose(const StepContext& ctx, Effects& fx) {
     if (next_ > maxInstances_) return;

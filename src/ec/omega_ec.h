@@ -36,7 +36,6 @@ class OmegaEcAutomaton final : public CloneableAutomaton<OmegaEcAutomaton> {
                  Effects& fx) override;
   void onTimeout(const StepContext& ctx, Effects& fx) override;
 
-  Instance currentInstance() const { return count_; }
   bool decided(Instance l) const {
     return l < kDenseKeyLimit
                ? l < denseDecided_.size() && denseDecided_[l]

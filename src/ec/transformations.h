@@ -96,9 +96,6 @@ class EcToEtobAutomaton final
     return pending == toDeliver_.end() ? nullptr : &pending->second;
   }
 
-  Instance currentInstance() const { return count_; }
-  const EcImpl& inner() const { return ec_; }
-
  private:
   /// NewBatch(d_i, toDeliver_i): all received messages not yet in d_i,
   /// in deterministic (MsgId) order.
@@ -193,9 +190,6 @@ class EtobToEcAutomaton final
     maybeDecide(ctx, fx);
   }
 
-  Instance currentInstance() const { return count_; }
-  const EtobImpl& inner() const { return etob_; }
-
  private:
   void drain(const StepContext&, Effects& cfx, Effects& fx) {
     relayChildSends(fx, kEtobChannel, cfx);
@@ -267,9 +261,6 @@ class EcToEicAutomaton final
     drain(ctx, cfx, fx);
   }
 
-  const std::vector<Value>& decisionSequence() const { return decision_; }
-  const EcImpl& inner() const { return ec_; }
-
  private:
   void drain(const StepContext&, Effects& cfx, Effects& fx) {
     relayChildSends(fx, kEcChannel, cfx);
@@ -332,8 +323,6 @@ class EicToEcAutomaton final
     eic_.onTimeout(ctx, cfx);
     drain(ctx, cfx, fx);
   }
-
-  const EicImpl& inner() const { return eic_; }
 
  private:
   void drain(const StepContext&, Effects& cfx, Effects& fx) {

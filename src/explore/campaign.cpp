@@ -1,9 +1,7 @@
 #include "explore/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <iterator>
 #include <limits>
@@ -12,7 +10,6 @@
 #include <utility>
 
 #include "api/capabilities.h"
-#include "common/ensure.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -27,10 +24,6 @@ void CoverageMap::add(const std::string& feature, std::uint64_t hits) {
 
 void CoverageMap::addSignature(const std::vector<std::string>& features) {
   for (const std::string& f : features) add(f);
-}
-
-void CoverageMap::merge(const CoverageMap& other) {
-  for (const auto& [feature, hits] : other.counts_) add(feature, hits);
 }
 
 std::uint64_t CoverageMap::count(const std::string& feature) const {
@@ -274,138 +267,63 @@ std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
   return std::nullopt;
 }
 
-// --- Work-stealing pool ------------------------------------------------------
+// --- Claim counter -----------------------------------------------------------
 
 namespace {
 
-/// Runs fn(worker, task) for every task in [0, count) across `jobs`
-/// worker threads. Each worker owns a deque seeded with a contiguous
-/// slice of the index space; a worker that drains its own deque steals
-/// the back half of the first non-empty victim's. Tasks never spawn
-/// tasks, so "every deque empty" is a complete termination condition.
-/// jobs <= 1 executes inline on the calling thread — no threads, no
-/// locks, bit-for-bit the sequential path.
-void poolRun(unsigned jobs, std::uint64_t count,
-             const std::function<void(unsigned, std::uint64_t)>& fn) {
-  if (count == 0) return;
-  if (jobs <= 1 || count == 1) {
-    for (std::uint64_t i = 0; i < count; ++i) fn(0, i);
-    return;
-  }
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::uint64_t>(jobs, count));
-  struct Queue {
-    std::mutex m;
-    std::deque<std::uint64_t> q;
-  };
-  std::vector<Queue> queues(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    const std::uint64_t lo = count * w / workers;
-    const std::uint64_t hi = count * (w + 1) / workers;
-    for (std::uint64_t i = lo; i < hi; ++i) queues[w].q.push_back(i);
-  }
-
-  std::atomic<bool> abort{false};
-  std::mutex errorMutex;
+/// Runs fn(i) for i = 0, 1, 2, ... across up to `jobs` threads, handing
+/// out the indices of [0, count) in order from one mutex-guarded counter.
+/// Each claim first polls `keepGoing` (nullable) under that lock; the
+/// first refusal or the first exception from fn stops all further claims.
+/// So the claimed indices are exactly [0, k) and every claimed fn(i)
+/// finishes; returns k (then rethrows the first exception, if any).
+/// jobs <= 1 runs on the calling thread and starts no threads.
+std::uint64_t poolRun(unsigned jobs, std::uint64_t count,
+                      const std::function<bool()>& keepGoing,
+                      const std::function<void(std::uint64_t)>& fn) {
+  std::mutex m;
+  std::uint64_t next = 0;
+  bool stopped = false;
   std::exception_ptr firstError;
 
-  auto workerLoop = [&](unsigned w) {
-    try {
-      while (!abort.load(std::memory_order_relaxed)) {
-        std::uint64_t task = 0;
-        bool have = false;
-        {
-          std::lock_guard<std::mutex> lock(queues[w].m);
-          if (!queues[w].q.empty()) {
-            task = queues[w].q.front();
-            queues[w].q.pop_front();
-            have = true;
-          }
-        }
-        if (!have) {
-          // Steal the back half of the first non-empty victim. Loot is
-          // staged locally so no two queue locks are ever held at once.
-          std::vector<std::uint64_t> loot;
-          for (unsigned off = 1; off < workers && loot.empty(); ++off) {
-            Queue& victim = queues[(w + off) % workers];
-            std::lock_guard<std::mutex> lock(victim.m);
-            const std::size_t take = (victim.q.size() + 1) / 2;
-            for (std::size_t i = 0; i < take; ++i) {
-              loot.push_back(victim.q.back());
-              victim.q.pop_back();
-            }
-          }
-          if (loot.empty()) return;  // everything drained — done
-          std::lock_guard<std::mutex> lock(queues[w].m);
-          for (std::uint64_t t : loot) queues[w].q.push_back(t);
-          continue;
-        }
-        fn(w, task);
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(errorMutex);
+  auto claim = [&](std::uint64_t* i) {
+    std::lock_guard<std::mutex> lock(m);
+    if (stopped || next == count) return false;
+    if (keepGoing && !keepGoing()) {
+      stopped = true;
+      return false;
+    }
+    *i = next++;
+    return true;
+  };
+  auto worker = [&]() {
+    std::uint64_t i = 0;
+    while (claim(&i)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(m);
         if (!firstError) firstError = std::current_exception();
+        stopped = true;
       }
-      abort.store(true, std::memory_order_relaxed);
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) threads.emplace_back(workerLoop, w);
-  for (std::thread& t : threads) t.join();
+  const std::uint64_t workers = std::min<std::uint64_t>(jobs, count);
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (std::uint64_t w = 0; w < workers; ++w) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
+  }
   if (firstError) std::rethrow_exception(firstError);
-}
-
-}  // namespace
-
-// --- Shard merge -------------------------------------------------------------
-
-std::optional<std::vector<CampaignRunRecord>> mergeCampaignShards(
-    std::uint64_t generation, std::uint64_t expectedCount,
-    std::vector<std::vector<CampaignRunRecord>> shards, std::string* error) {
-  auto fail = [error](std::string why) -> std::optional<std::vector<CampaignRunRecord>> {
-    if (error != nullptr) *error = std::move(why);
-    return std::nullopt;
-  };
-  std::vector<CampaignRunRecord> merged(expectedCount);
-  std::vector<bool> seen(expectedCount, false);
-  std::uint64_t total = 0;
-  for (std::vector<CampaignRunRecord>& shard : shards) {
-    for (CampaignRunRecord& rec : shard) {
-      if (rec.generation != generation) {
-        return fail("record from generation " + std::to_string(rec.generation) +
-                    " merged into generation " + std::to_string(generation));
-      }
-      if (rec.index >= expectedCount) {
-        return fail("record index " + std::to_string(rec.index) +
-                    " outside [0, " + std::to_string(expectedCount) + ")");
-      }
-      if (seen[rec.index]) {
-        return fail("plan " + std::to_string(rec.index) +
-                    " double-counted across shards");
-      }
-      seen[rec.index] = true;
-      merged[rec.index] = std::move(rec);
-      ++total;
-    }
-  }
-  if (total != expectedCount) {
-    for (std::uint64_t i = 0; i < expectedCount; ++i) {
-      if (!seen[i]) {
-        return fail("plan " + std::to_string(i) +
-                    " missing from every shard (a worker's results were "
-                    "dropped)");
-      }
-    }
-  }
-  return merged;
+  return next;
 }
 
 // --- Campaign runner ---------------------------------------------------------
 
-namespace {
 
 std::uint64_t deriveMutationSeed(std::uint64_t masterSeed,
                                  std::uint64_t generation, std::uint64_t slot,
@@ -493,63 +411,23 @@ CampaignReport runCampaign(const CampaignOptions& options,
                                  &nextSampleIndex);
     }
     if (plans.empty()) break;
-    if (keepGoing && !keepGoing()) {
-      report.truncated = true;
-      break;
-    }
 
-    // Execute the generation on the pool: worker w appends only to
-    // shard w, and the merge re-orders by index — so the merged result
-    // (and everything derived from it) is independent of which worker
-    // ran which plan, i.e. of the thread count and the steal schedule.
-    const unsigned workers = options.jobs <= 1
-                                 ? 1
-                                 : static_cast<unsigned>(std::min<std::uint64_t>(
-                                       options.jobs, plans.size()));
-    std::vector<std::vector<CampaignRunRecord>> shards(workers);
-    std::atomic<bool> stopped{false};
-    poolRun(options.jobs, plans.size(), [&](unsigned w, std::uint64_t i) {
-      // The budget is polled before every run: once it is spent, no
-      // worker starts another plan.
-      if (stopped.load(std::memory_order_relaxed) ||
-          (keepGoing && !keepGoing())) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      CampaignRunRecord rec;
-      rec.generation = gen;
-      rec.index = i;
-      rec.plan = plans[i];
-      rec.result = runFuzzPlan(rec.plan, options.oracle);
-      rec.signature = coverageSignature(rec.plan, rec.result);
-      shards[w].push_back(std::move(rec));
-    });
-
-    // A generation cut short keeps its longest executed prefix [0, kept):
-    // with jobs > 1 a worker may have finished runs past the first index
-    // nobody started, and those are dropped so the merge still checks
-    // exactly-once coverage of everything that is kept.
-    std::uint64_t kept = plans.size();
-    if (stopped) {
-      std::vector<bool> ran(plans.size(), false);
-      for (const auto& shard : shards) {
-        for (const CampaignRunRecord& rec : shard) ran[rec.index] = true;
-      }
-      kept = static_cast<std::uint64_t>(
-          std::find(ran.begin(), ran.end(), false) - ran.begin());
-      for (auto& shard : shards) {
-        std::erase_if(shard, [kept](const CampaignRunRecord& rec) {
-          return rec.index >= kept;
+    // Each run writes only the slot of the index it claimed, so the
+    // records (and everything derived from them) are independent of
+    // which thread ran which plan, i.e. of the thread count.
+    std::vector<CampaignRunRecord> records(plans.size());
+    const std::uint64_t kept =
+        poolRun(options.jobs, plans.size(), keepGoing, [&](std::uint64_t i) {
+          CampaignRunRecord& rec = records[i];
+          rec.generation = gen;
+          rec.index = i;
+          rec.plan = std::move(plans[i]);
+          rec.result = runFuzzPlan(rec.plan, options.oracle);
+          rec.signature = coverageSignature(rec.plan, rec.result);
         });
-      }
-    }
+    records.resize(kept);
 
-    std::string mergeError;
-    std::optional<std::vector<CampaignRunRecord>> merged =
-        mergeCampaignShards(gen, kept, std::move(shards), &mergeError);
-    WFD_ENSURE_MSG(merged.has_value(), "campaign merge: " << mergeError);
-
-    for (CampaignRunRecord& rec : *merged) {
+    for (CampaignRunRecord& rec : records) {
       report.coverage.addSignature(rec.signature);
       if (!rec.result.pass) {
         CampaignViolation v;
@@ -561,8 +439,7 @@ CampaignReport runCampaign(const CampaignOptions& options,
       }
       report.runs.push_back(std::move(rec));
     }
-    report.runsExecuted += kept;
-    if (stopped) {
+    if (kept < plans.size()) {
       report.truncated = true;
       break;
     }
@@ -570,9 +447,11 @@ CampaignReport runCampaign(const CampaignOptions& options,
 
   // Shrink every violation — also on the pool. Each shrink is an
   // independent deterministic search writing to its own slot, so the
-  // shrunken witnesses are thread-count-independent too.
-  poolRun(options.jobs, report.violations.size(),
-          [&](unsigned, std::uint64_t i) {
+  // shrunken witnesses are thread-count-independent too. No claim is
+  // refused here: the shrinker polls keepGoing between attempts itself,
+  // so a violation whose budget is spent is still reported, unshrunk.
+  poolRun(options.jobs, report.violations.size(), nullptr,
+          [&](std::uint64_t i) {
             CampaignViolation& v = report.violations[i];
             if (options.shrink) {
               v.shrunken = shrinkFuzzPlan(v.plan, options.oracle,
@@ -613,7 +492,7 @@ std::string campaignCoverageJsonLine(AlgoStack stack,
                                      const CampaignReport& report) {
   Json j = Json::object();
   j.set("coverage", Json::str(algoStackName(stack)));
-  j.set("runs", Json::number(report.runsExecuted));
+  j.set("runs", Json::number(report.runs.size()));
   j.set("distinct_features", Json::number(report.coverage.distinctFeatures()));
   j.set("feature_hits", Json::number(report.coverage.totalHits()));
   j.set("features", report.coverage.toJson());

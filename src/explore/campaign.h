@@ -1,5 +1,5 @@
-// Fuzz campaigns: the one exploration loop. A work-stealing thread-pool
-// runner executes thousands of independent FuzzPlans concurrently, with
+// Fuzz campaigns: the one exploration loop. A pool of worker threads
+// executes thousands of independent FuzzPlans concurrently, with
 // coverage-guided seed scheduling on top. Generation 0 is the sampled
 // plan stream (sampleFuzzPlan), so a one-generation campaign — the
 // default — is plain randomized exploration; each violation is shrunk
@@ -8,8 +8,9 @@
 // FuzzPlans are pure data and every Cluster is self-contained (no module
 // above src/common/ holds shared mutable state — see the thread-affinity
 // contract in api/cluster.h), so a campaign is embarrassingly parallel:
-// each worker thread owns the Cluster of the plan it is running, and
-// results merge by (generation, index) so the merged report — and
+// workers claim plan indices 0, 1, 2, ... from one mutex-guarded counter,
+// each owns the Cluster of the plan it is running, and each run writes
+// only the report slot of the index it claimed. The report — and
 // therefore wfd_explore's stdout — is byte-identical regardless of the
 // thread count. `--jobs 8` may only ever be FASTER than `--jobs 1`,
 // never different.
@@ -25,13 +26,8 @@
 // least behaviour. Mutation draws are seeded from
 // (master seed, generation, slot, parent fingerprint) — no wall clock,
 // no thread ids — so the whole campaign is a pure function of its
-// options, and generation g+1 depends only on the MERGED results of
-// generations <= g, never on completion order.
-//
-// Determinism is load-bearing enough to be adversarially tested: the
-// per-generation shard merge (mergeCampaignShards) refuses — loudly —
-// any worker result set that drops or double-counts a plan, and the
-// campaign-level mutation tests in tests/test_campaign.cpp prove it.
+// options, and generation g+1 depends only on the results of
+// generations <= g in index order, never on completion order.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +44,12 @@
 namespace wfd {
 
 /// Order-independent accumulator of feature-string hit counts. Summing
-/// counts commutes, so merging per-run (or per-shard) maps in ANY order
-/// yields the same map — the property the campaign's byte-identity
-/// across thread counts rests on (pinned in tests/test_campaign.cpp).
+/// counts commutes, so adding signatures in ANY order yields the same
+/// map (pinned in tests/test_campaign.cpp).
 class CoverageMap {
  public:
   void add(const std::string& feature, std::uint64_t hits = 1);
   void addSignature(const std::vector<std::string>& features);
-  void merge(const CoverageMap& other);
 
   /// Hit count of one feature (0 when never seen).
   std::uint64_t count(const std::string& feature) const;
@@ -127,7 +121,7 @@ struct CampaignOptions {
 };
 
 /// One executed campaign run, addressed by (generation, index) — the
-/// merge key that makes reports thread-count-independent.
+/// report slot its run writes, whichever thread ran it.
 struct CampaignRunRecord {
   std::uint64_t generation = 0;
   std::uint64_t index = 0;
@@ -145,8 +139,7 @@ struct CampaignViolation {
 };
 
 struct CampaignReport {
-  std::uint64_t runsExecuted = 0;
-  /// Every run, sorted by (generation, index).
+  /// Every executed run, sorted by (generation, index).
   std::vector<CampaignRunRecord> runs;
   /// Every violation, sorted by (generation, index), each shrunken
   /// (shrinking itself executes on the pool).
@@ -158,29 +151,17 @@ struct CampaignReport {
   bool truncated = false;
 };
 
-/// Validates and merges per-worker result shards for one generation:
-/// the union of the shards must cover indices [0, expectedCount) of
-/// `generation` EXACTLY once. A dropped worker shard, a double-counted
-/// plan, or a record from the wrong generation returns nullopt with a
-/// diagnosis in *error — the campaign treats that as a fatal internal
-/// defect (WFD_ENSURE), never as data. Exposed (rather than buried in
-/// the runner) so the campaign-level mutation tests can prove the merge
-/// fails loudly.
-std::optional<std::vector<CampaignRunRecord>> mergeCampaignShards(
-    std::uint64_t generation, std::uint64_t expectedCount,
-    std::vector<std::vector<CampaignRunRecord>> shards, std::string* error);
-
 /// Runs the campaign: generation 0 is the sampled plan stream,
-/// subsequent generations are coverage-guided mutations; every plan of a
-/// generation executes on the work-stealing pool, shards merge by index,
-/// and violations shrink on the pool afterwards. The report is a pure
-/// function of `options` (for any jobs value). `keepGoing` (nullable) is
-/// polled before each generation, before each run and between shrink
-/// attempts; once it returns false no worker starts another run, the
-/// generation keeps its longest executed prefix of indices, and no later
-/// generation runs — so the runs that DID execute are still the
-/// deterministic ones. With jobs > 1 a run finished past that prefix is
-/// discarded.
+/// subsequent generations are coverage-guided mutations; the workers
+/// claim a generation's plan indices in order, each run writes its own
+/// slot, and violations shrink on the pool afterwards. The report is a
+/// pure function of `options` (for any jobs value). `keepGoing`
+/// (nullable) is polled before each claim and between shrink attempts;
+/// the first false stops all claims, so a generation keeps exactly the
+/// runs [0, k) it started, `truncated` is set and no later generation
+/// runs — the runs that DID execute are still the deterministic ones, at
+/// any jobs value. Claims poll under one lock; shrink attempts poll from
+/// the worker threads concurrently.
 CampaignReport runCampaign(const CampaignOptions& options,
                            const std::function<bool()>& keepGoing = nullptr);
 

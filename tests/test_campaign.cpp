@@ -1,12 +1,11 @@
-// Campaign subsystem tests: byte-identity of the merged report across
-// thread counts (the property wfd_explore --jobs rests on), coverage-map
+// Campaign subsystem tests: byte-identity of the report across thread
+// counts (the property wfd_explore --jobs rests on), coverage-map
 // order-independence, the mutator's admissibility/fairness contract, the
-// coverage-guided scheduler's determinism, loud merge failure on dropped
-// or double-counted worker results, and sorted corpus-directory listing.
+// coverage-guided scheduler's determinism, budget cuts that keep the same
+// runs at every thread count, and sorted corpus-directory listing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ensure.h"
 #include "explore/campaign.h"
 #include "explore/explorer.h"
 #include "explore/fuzz_plan.h"
@@ -54,14 +52,12 @@ TEST(CampaignTest, ReportIsByteIdenticalAcrossJobs) {
   options.jobs = 1;
   const CampaignReport base = runCampaign(options);
   const std::string baseBytes = reportBytes(options.stack, base);
-  EXPECT_EQ(base.runsExecuted, base.runs.size());
   EXPECT_GT(base.runs.size(), options.runs);  // mutations actually ran
 
   for (unsigned jobs : {2u, 8u}) {
     options.jobs = jobs;
     const CampaignReport r = runCampaign(options);
     EXPECT_EQ(reportBytes(options.stack, r), baseBytes) << "jobs=" << jobs;
-    EXPECT_EQ(r.runsExecuted, base.runsExecuted) << "jobs=" << jobs;
   }
 }
 
@@ -161,22 +157,7 @@ TEST(CoverageMapTest, AccumulationIsOrderIndependent) {
     backward.addSignature(*it);
   }
 
-  // Shard-merge shape: two partial maps merged in either order.
-  CoverageMap shardA, shardB;
-  shardA.addSignature(signatures[0]);
-  shardA.addSignature(signatures[3]);
-  shardB.addSignature(signatures[1]);
-  shardB.addSignature(signatures[2]);
-  shardB.addSignature(signatures[4]);
-  CoverageMap mergedAB = shardA;
-  mergedAB.merge(shardB);
-  CoverageMap mergedBA = shardB;
-  mergedBA.merge(shardA);
-
-  const std::string want = forward.toJson().dump();
-  EXPECT_EQ(backward.toJson().dump(), want);
-  EXPECT_EQ(mergedAB.toJson().dump(), want);
-  EXPECT_EQ(mergedBA.toJson().dump(), want);
+  EXPECT_EQ(backward.toJson().dump(), forward.toJson().dump());
   EXPECT_EQ(forward.count("b"), 3u);
   EXPECT_EQ(forward.count("e"), 1u);
   EXPECT_EQ(forward.count("missing"), 0u);
@@ -238,85 +219,6 @@ TEST(MutateFuzzPlanTest, MutationIsAFunctionOfPlanAndSeed) {
   EXPECT_NE(planFingerprint(*a), planFingerprint(base));
 }
 
-// --- Merge (campaign-level mutation tests) ----------------------------------
-
-std::vector<CampaignRunRecord> makeRecords(std::uint64_t generation,
-                                           std::uint64_t count) {
-  std::vector<CampaignRunRecord> recs(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    recs[i].generation = generation;
-    recs[i].index = i;
-    recs[i].plan = sampleFuzzPlan(AlgoStack::kEtob, 1, i);
-  }
-  return recs;
-}
-
-TEST(MergeCampaignShardsTest, MergesShardsByIndexRegardlessOfSplit) {
-  const std::vector<CampaignRunRecord> recs = makeRecords(0, 6);
-  // Interleaved split, reversed inside one shard — worker scheduling
-  // noise the merge must erase.
-  std::vector<std::vector<CampaignRunRecord>> shards(2);
-  shards[0] = {recs[5], recs[1], recs[3]};
-  shards[1] = {recs[0], recs[2], recs[4]};
-  std::string error;
-  const auto merged = mergeCampaignShards(0, 6, shards, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  ASSERT_EQ(merged->size(), 6u);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ((*merged)[i].index, i);
-    EXPECT_EQ(planFingerprint((*merged)[i].plan),
-              planFingerprint(recs[i].plan));
-  }
-}
-
-TEST(MergeCampaignShardsTest, RejectsADroppedWorkerShard) {
-  const std::vector<CampaignRunRecord> recs = makeRecords(0, 4);
-  // Worker 1's results vanish (the bug class: a shard lost on the floor
-  // would silently halve coverage if the merge tolerated it).
-  std::vector<std::vector<CampaignRunRecord>> shards(2);
-  shards[0] = {recs[0], recs[1]};
-  std::string error;
-  EXPECT_FALSE(mergeCampaignShards(0, 4, shards, &error).has_value());
-  EXPECT_NE(error.find("missing"), std::string::npos) << error;
-}
-
-TEST(MergeCampaignShardsTest, RejectsADoubleCountedPlan) {
-  const std::vector<CampaignRunRecord> recs = makeRecords(0, 3);
-  std::vector<std::vector<CampaignRunRecord>> shards(2);
-  shards[0] = {recs[0], recs[1]};
-  shards[1] = {recs[1], recs[2]};  // index 1 ran "twice"
-  std::string error;
-  EXPECT_FALSE(mergeCampaignShards(0, 3, shards, &error).has_value());
-  EXPECT_NE(error.find("double-counted"), std::string::npos) << error;
-}
-
-TEST(MergeCampaignShardsTest, RejectsRecordsFromAnotherGeneration) {
-  std::vector<std::vector<CampaignRunRecord>> shards(1);
-  shards[0] = makeRecords(2, 2);
-  std::string error;
-  EXPECT_FALSE(mergeCampaignShards(1, 2, shards, &error).has_value());
-  EXPECT_NE(error.find("generation"), std::string::npos) << error;
-}
-
-TEST(MergeCampaignShardsTest, RejectsAnOutOfRangeIndex) {
-  std::vector<std::vector<CampaignRunRecord>> shards(1);
-  shards[0] = makeRecords(0, 3);  // indices 0..2 but only 2 expected
-  std::string error;
-  EXPECT_FALSE(mergeCampaignShards(0, 2, shards, &error).has_value());
-  EXPECT_NE(error.find("outside"), std::string::npos) << error;
-}
-
-TEST(MergeCampaignShardsTest, CampaignTreatsMergeDefectsAsInvariantErrors) {
-  // The runner wraps a failed merge in WFD_ENSURE — the same loud-throw
-  // contract every internal invariant uses (common/ensure.h), so a
-  // corrupted merge can never masquerade as a clean small report.
-  std::string error;
-  const auto merged = mergeCampaignShards(0, 1, {}, &error);
-  ASSERT_FALSE(merged.has_value());
-  EXPECT_THROW(WFD_ENSURE_MSG(merged.has_value(), "campaign merge: " << error),
-               InvariantError);
-}
-
 // --- Corpus directory listing ------------------------------------------------
 
 TEST(ListCorpusFilesTest, ListsSortedJsonOnly) {
@@ -376,7 +278,7 @@ TEST(CampaignTest, LaterGenerationsMutateRatherThanResample) {
   options.mutationsPerGeneration = 6;
   options.shrink = false;
   const CampaignReport report = runCampaign(options);
-  ASSERT_EQ(report.runsExecuted, 12u + 6u + 6u);
+  ASSERT_EQ(report.runs.size(), 12u + 6u + 6u);
 
   // Generation > 0 plans must not all be fresh samples: the scheduler's
   // whole point is re-queuing mutations of rare-coverage parents. (A
@@ -406,13 +308,13 @@ TEST(CampaignTest, TruncationStopsAtGenerationBoundaries) {
   options.mutationsPerGeneration = 3;
   options.shrink = false;
 
-  // Allow exactly one generation: one poll at its boundary plus one per
-  // run, so the keepGoing budget trips before generation 1 is dispatched.
+  // Allow exactly one generation: one poll per run, so the keepGoing
+  // budget refuses generation 1's first claim.
   std::uint64_t polls = 0;
   const CampaignReport report = runCampaign(
-      options, [&]() { return ++polls <= 1 + options.runs; });
+      options, [&]() { return ++polls <= options.runs; });
   EXPECT_TRUE(report.truncated);
-  EXPECT_EQ(report.runsExecuted, 6u);
+  EXPECT_EQ(report.runs.size(), 6u);
   // The runs that DID execute are the same deterministic prefix a full
   // campaign produces.
   const CampaignReport full = runCampaign(options);
@@ -434,32 +336,30 @@ TEST(CampaignTest, TimeBudgetTruncatesInsideAGeneration) {
     full.push_back(campaignRunJsonLine(rec));
   }
 
-  // jobs = 1 runs in index order: the generation poll plus 3 run polls
-  // keep exactly the first 3 runs.
+  // One poll per claim: 3 admitted polls keep exactly the first 3 runs.
   std::uint64_t polls = 0;
   const CampaignReport sequential =
-      runCampaign(options, [&polls]() { return ++polls <= 1 + 3; });
+      runCampaign(options, [&polls]() { return ++polls <= 3; });
   EXPECT_TRUE(sequential.truncated);
-  EXPECT_EQ(sequential.runsExecuted, 3u);
   ASSERT_EQ(sequential.runs.size(), 3u);
+  std::vector<std::string> sequentialLines;
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(campaignRunJsonLine(sequential.runs[i]), full[i]);
+    sequentialLines.push_back(campaignRunJsonLine(sequential.runs[i]));
+    EXPECT_EQ(sequentialLines[i], full[i]);
   }
 
-  // jobs = 4: workers poll concurrently and may finish runs past the
-  // first one nobody started; whatever is kept is still a prefix.
+  // jobs = 4: claims poll under the claim lock, so the same plain
+  // counter admits the same 3 claims, and every claimed run is kept.
   options.jobs = 4;
-  std::atomic<std::uint64_t> sharedPolls{0};
-  CampaignReport threaded;
-  ASSERT_NO_THROW(threaded = runCampaign(options, [&sharedPolls]() {
-                    return sharedPolls.fetch_add(1) < 1 + 3;
-                  }));
+  polls = 0;
+  const CampaignReport threaded =
+      runCampaign(options, [&polls]() { return ++polls <= 3; });
   EXPECT_TRUE(threaded.truncated);
-  EXPECT_EQ(threaded.runsExecuted, threaded.runs.size());
-  ASSERT_LT(threaded.runs.size(), full.size());
-  for (std::size_t i = 0; i < threaded.runs.size(); ++i) {
-    EXPECT_EQ(campaignRunJsonLine(threaded.runs[i]), full[i]);
+  std::vector<std::string> threadedLines;
+  for (const CampaignRunRecord& rec : threaded.runs) {
+    threadedLines.push_back(campaignRunJsonLine(rec));
   }
+  EXPECT_EQ(threadedLines, sequentialLines);
 }
 
 }  // namespace

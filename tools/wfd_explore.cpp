@@ -16,10 +16,10 @@
 //       every invocation is a campaign (src/explore/campaign.h):
 //       generation 0 is the sampled plan stream, each later generation
 //       mutates rare-coverage plans (--mutations per generation, default
-//       runs / 4); all runs execute on a work-stealing pool with --jobs
-//       worker threads. Output is byte-identical for every --jobs value —
-//       the merged report depends only on (stack, seed, runs,
-//       generations, mutations, genomes), never on thread scheduling.
+//       runs / 4); --jobs worker threads (1 to 256) claim the runs in
+//       index order. Output is byte-identical for every --jobs value —
+//       the report depends only on (stack, seed, runs, generations,
+//       mutations, genomes), never on thread scheduling.
 //   wfd_explore --replay tests/corpus/foo.json
 //       re-run a saved plan and verify it reproduces its recorded
 //       outcome (failure keys always; digest when pinned for this
@@ -29,8 +29,9 @@
 //   wfd_explore --time-budget 60 ...
 //       wall-clock cap per stack, checked before every run (truncates
 //       the run sequence; the runs that execute are still the
-//       deterministic prefix) — the one flag that breaks byte-identity
-//       across invocations.
+//       deterministic prefix, and every run started is kept, at any
+//       --jobs) — the one flag that breaks byte-identity across
+//       invocations.
 //
 // Exit status: 0 iff every executed run met its oracle (spec mode), no
 // shrink invariant broke (strict mode exits 1 when violations were
@@ -53,6 +54,10 @@
 #include "explore/plan_codec.h"
 
 namespace {
+
+/// Upper bound of --jobs: far above any core count the campaign is run
+/// on, and low enough that a typo cannot start millions of threads.
+constexpr std::uint64_t kMaxJobs = 256;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -111,8 +116,9 @@ int main(int argc, char** argv) {
       options.shrink = false;
     } else if (arg == "--jobs") {
       const std::uint64_t jobs = parseU64("--jobs", next());
-      if (jobs == 0) {
-        std::fprintf(stderr, "--jobs: must be >= 1\n");
+      if (jobs < 1 || jobs > kMaxJobs) {
+        std::fprintf(stderr, "--jobs: must be in [1, %llu]\n",
+                     static_cast<unsigned long long>(kMaxJobs));
         return 2;
       }
       options.jobs = static_cast<unsigned>(jobs);
@@ -210,12 +216,15 @@ int main(int argc, char** argv) {
   for (wfd::AlgoStack stack : stacks) {
     options.stack = stack;
 
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(timeBudgetSec);
     std::function<bool()> keepGoing;
     if (timeBudgetSec > 0) {
-      keepGoing = [deadline]() {
-        return std::chrono::steady_clock::now() < deadline;
+      // Elapsed whole seconds against the budget, both as uint64: a
+      // deadline of now() + budget would overflow the clock for huge
+      // budgets and wrap into the past.
+      keepGoing = [start = std::chrono::steady_clock::now(), timeBudgetSec]() {
+        const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
+            std::chrono::steady_clock::now() - start);
+        return static_cast<std::uint64_t>(elapsed.count()) < timeBudgetSec;
       };
     }
 
@@ -273,7 +282,7 @@ int main(int argc, char** argv) {
     summary.set("oracle", wfd::Json::str(oracleName));
     summary.set("seed", wfd::Json::number(options.seed));
     summary.set("generations", wfd::Json::number(options.generations));
-    summary.set("runs_executed", wfd::Json::number(report.runsExecuted));
+    summary.set("runs_executed", wfd::Json::number(report.runs.size()));
     summary.set("violations", wfd::Json::number(report.violations.size()));
     std::printf("%s\n", summary.dump().c_str());
     std::fflush(stdout);
