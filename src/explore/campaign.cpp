@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <iterator>
 #include <limits>
@@ -335,57 +336,70 @@ std::uint64_t deriveMutationSeed(std::uint64_t masterSeed,
   return s;
 }
 
-/// Builds generation `gen` (> 0): mutations of the rarest-coverage prior
-/// runs, deterministically — the ranking depends only on the MERGED
-/// report of generations < gen. Slots whose mutation lands inadmissible
-/// fall back to the continued sampled plan stream, so the generation
-/// size is always exactly the budget.
-std::vector<FuzzPlan> scheduleGeneration(const CampaignReport& sofar,
-                                         const CampaignOptions& options,
-                                         std::uint64_t gen,
-                                         std::uint64_t budget,
-                                         std::uint64_t* nextSampleIndex) {
-  std::vector<FuzzPlan> out;
-  if (budget == 0 || sofar.runs.empty()) return out;
-
-  struct Ranked {
-    std::uint64_t rarity;
-    const CampaignRunRecord* rec;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(sofar.runs.size());
-  for (const CampaignRunRecord& rec : sofar.runs) {
-    ranked.push_back({sofar.coverage.rarity(rec.signature), &rec});
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.rarity != b.rarity) return a.rarity < b.rarity;
-    if (a.rec->generation != b.rec->generation) {
-      return a.rec->generation < b.rec->generation;
+/// Generation `gen` (> 0): `budget` mutations of the rarest-coverage
+/// prior runs, deterministically — the ranking depends only on the
+/// MERGED report of generations < gen. next() makes the plan of the next
+/// slot, so plans are made in slot order as the runs claim them, never
+/// ahead. A slot whose mutation lands inadmissible falls back to the
+/// continued sampled plan stream, so every slot gets a plan.
+class MutantSchedule {
+ public:
+  MutantSchedule(const CampaignReport& sofar, const CampaignOptions& options,
+                 std::uint64_t gen, std::uint64_t budget,
+                 std::uint64_t* nextSampleIndex)
+      : options_(options), gen_(gen), nextSampleIndex_(nextSampleIndex) {
+    struct Ranked {
+      std::uint64_t rarity;
+      const CampaignRunRecord* rec;
+    };
+    std::vector<Ranked> ranked;
+    ranked.reserve(sofar.runs.size());
+    for (const CampaignRunRecord& rec : sofar.runs) {
+      ranked.push_back({sofar.coverage.rarity(rec.signature), &rec});
     }
-    return a.rec->index < b.rec->index;
-  });
+    std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+      if (a.rarity != b.rarity) return a.rarity < b.rarity;
+      if (a.rec->generation != b.rec->generation) {
+        return a.rec->generation < b.rec->generation;
+      }
+      return a.rec->index < b.rec->index;
+    });
 
-  // A few mutants per rare seed beats one mutant from many mediocre
-  // seeds (greybox "energy"); 4 matches common power-schedule defaults.
-  constexpr std::uint64_t kMutantsPerSeed = 4;
-  const std::uint64_t seedCount = std::min<std::uint64_t>(
-      ranked.size(),
-      std::max<std::uint64_t>(1, (budget + kMutantsPerSeed - 1) / kMutantsPerSeed));
-
-  out.reserve(budget);
-  for (std::uint64_t slot = 0; slot < budget; ++slot) {
-    const FuzzPlan& parent = ranked[slot % seedCount].rec->plan;
-    const std::uint64_t mseed = deriveMutationSeed(
-        options.seed, gen, slot, planFingerprint(parent));
-    std::optional<FuzzPlan> mutated = mutateFuzzPlan(parent, mseed);
-    out.push_back(mutated ? std::move(*mutated)
-                          : sampleFuzzPlan(options.stack, options.seed,
-                                           (*nextSampleIndex)++,
-                                           options.bigClusterMaxN,
-                                           options.lossGenome));
+    // A few mutants per rare seed beats one mutant from many mediocre
+    // seeds (greybox "energy"); 4 matches common power-schedule defaults.
+    constexpr std::uint64_t kMutantsPerSeed = 4;
+    const std::uint64_t seedCount = std::min<std::uint64_t>(
+        ranked.size(),
+        std::max<std::uint64_t>(1, budget / kMutantsPerSeed +
+                                       (budget % kMutantsPerSeed != 0)));
+    parents_.reserve(seedCount);
+    for (std::uint64_t i = 0; i < seedCount; ++i) {
+      parents_.push_back(&ranked[i].rec->plan);
+    }
   }
-  return out;
-}
+
+  /// Plan of the next slot.
+  FuzzPlan next() {
+    const std::uint64_t slot = slot_++;
+    const FuzzPlan& parent = *parents_[slot % parents_.size()];
+    const std::uint64_t mseed = deriveMutationSeed(
+        options_.seed, gen_, slot, planFingerprint(parent));
+    std::optional<FuzzPlan> mutated = mutateFuzzPlan(parent, mseed);
+    return mutated ? std::move(*mutated)
+                   : sampleFuzzPlan(options_.stack, options_.seed,
+                                    (*nextSampleIndex_)++,
+                                    options_.bigClusterMaxN,
+                                    options_.lossGenome);
+  }
+
+ private:
+  const CampaignOptions& options_;
+  std::uint64_t gen_;
+  std::uint64_t* nextSampleIndex_;
+  /// The `seedCount` rarest prior runs' plans, rarest first.
+  std::vector<const FuzzPlan*> parents_;
+  std::uint64_t slot_ = 0;
+};
 
 }  // namespace
 
@@ -398,34 +412,46 @@ CampaignReport runCampaign(const CampaignOptions& options,
   std::uint64_t nextSampleIndex = options.runs;
 
   for (std::uint64_t gen = 0; gen < options.generations; ++gen) {
-    std::vector<FuzzPlan> plans;
-    if (gen == 0) {
-      plans.reserve(options.runs);
-      for (std::uint64_t i = 0; i < options.runs; ++i) {
-        plans.push_back(sampleFuzzPlan(options.stack, options.seed, i,
-                                       options.bigClusterMaxN,
-                                       options.lossGenome));
-      }
-    } else {
-      plans = scheduleGeneration(report, options, gen, mutationBudget,
-                                 &nextSampleIndex);
+    // Plans are made as the runs claim them, never ahead, so neither a
+    // huge --runs nor a huge --mutations is paid for before the first
+    // run. Generation 0's plan i is a pure function of i, so the run that
+    // claims i samples it; later generations make theirs in slot order.
+    const std::uint64_t count =
+        gen == 0 ? options.runs : (report.runs.empty() ? 0 : mutationBudget);
+    if (count == 0) break;
+    std::optional<MutantSchedule> mutants;
+    if (gen > 0) {
+      mutants.emplace(report, options, gen, count, &nextSampleIndex);
     }
-    if (plans.empty()) break;
 
-    // Each run writes only the slot of the index it claimed, so the
-    // records (and everything derived from them) are independent of
-    // which thread ran which plan, i.e. of the thread count.
-    std::vector<CampaignRunRecord> records(plans.size());
+    // The record slots grow with the claims. A deque keeps every slot in
+    // place as it grows, and each run writes only the slot of the index
+    // it claimed, so the records (and everything derived from them) are
+    // independent of which thread ran which plan, i.e. of the thread
+    // count.
+    std::deque<CampaignRunRecord> records;
+    std::mutex recordsMutex;
     const std::uint64_t kept =
-        poolRun(options.jobs, plans.size(), keepGoing, [&](std::uint64_t i) {
-          CampaignRunRecord& rec = records[i];
-          rec.generation = gen;
-          rec.index = i;
-          rec.plan = std::move(plans[i]);
-          rec.result = runFuzzPlan(rec.plan, options.oracle);
-          rec.signature = coverageSignature(rec.plan, rec.result);
+        poolRun(options.jobs, count, keepGoing, [&](std::uint64_t i) {
+          CampaignRunRecord* rec = nullptr;
+          {
+            std::lock_guard<std::mutex> lock(recordsMutex);
+            while (records.size() <= i) {
+              records.emplace_back();
+              if (mutants) records.back().plan = mutants->next();
+            }
+            rec = &records[i];
+          }
+          rec->generation = gen;
+          rec->index = i;
+          if (gen == 0) {
+            rec->plan = sampleFuzzPlan(options.stack, options.seed, i,
+                                       options.bigClusterMaxN,
+                                       options.lossGenome);
+          }
+          rec->result = runFuzzPlan(rec->plan, options.oracle);
+          rec->signature = coverageSignature(rec->plan, rec->result);
         });
-    records.resize(kept);
 
     for (CampaignRunRecord& rec : records) {
       report.coverage.addSignature(rec.signature);
@@ -439,7 +465,7 @@ CampaignReport runCampaign(const CampaignOptions& options,
       }
       report.runs.push_back(std::move(rec));
     }
-    if (kept < plans.size()) {
+    if (kept < count) {
       report.truncated = true;
       break;
     }

@@ -10,7 +10,9 @@
 // contract in api/cluster.h), so a campaign is embarrassingly parallel:
 // workers claim plan indices 0, 1, 2, ... from one mutex-guarded counter,
 // each owns the Cluster of the plan it is running, and each run writes
-// only the report slot of the index it claimed. The report — and
+// only the report slot of the index it claimed. Plans and slots are made
+// as indices are claimed, never ahead, so the size of a generation costs
+// nothing until its runs happen. The report — and
 // therefore wfd_explore's stdout — is byte-identical regardless of the
 // thread count. `--jobs 8` may only ever be FASTER than `--jobs 1`,
 // never different.
@@ -153,8 +155,9 @@ struct CampaignReport {
 
 /// Runs the campaign: generation 0 is the sampled plan stream,
 /// subsequent generations are coverage-guided mutations; the workers
-/// claim a generation's plan indices in order, each run writes its own
-/// slot, and violations shrink on the pool afterwards. The report is a
+/// claim a generation's plan indices in order, the plan of an index is
+/// made when it is claimed, each run writes its own slot, and violations
+/// shrink on the pool afterwards. The report is a
 /// pure function of `options` (for any jobs value). `keepGoing`
 /// (nullable) is polled before each claim and between shrink attempts;
 /// the first false stops all claims, so a generation keeps exactly the

@@ -19,18 +19,26 @@ void GossipLwwStore::onInput(const StepContext&, const Payload& input, Effects& 
   adopt(m.body[1], e, fx);
 }
 
-void GossipLwwStore::onMessage(const StepContext&, ProcessId, const Payload& msg,
-                               Effects& fx) {
+void GossipLwwStore::onMessage(const StepContext&, ProcessId from,
+                               const Payload& msg, Effects& fx) {
   const auto* gossip = msg.as<GossipStateMsg>();
   if (gossip == nullptr) return;
-  for (const auto& [key, entry] : gossip->table) {
+  if (from >= lastMerged_.size()) lastMerged_.resize(from + 1);
+  if (lastMerged_[from] == gossip->table) return;
+  lastMerged_[from] = gossip->table;
+  for (const auto& [key, entry] : *gossip->table) {
     clock_ = std::max(clock_, entry.timestamp);
     adopt(key, entry, fx);
   }
 }
 
 void GossipLwwStore::onTimeout(const StepContext&, Effects& fx) {
-  if (!table_.empty()) fx.broadcast(Payload::of(GossipStateMsg{table_}));
+  if (table_.empty()) return;
+  if (published_.empty()) {
+    published_ =
+        Payload::of(GossipStateMsg{std::make_shared<const Table>(table_)});
+  }
+  fx.broadcast(published_);
 }
 
 void GossipLwwStore::adopt(std::uint64_t key, const Entry& entry, Effects& fx) {
@@ -38,6 +46,7 @@ void GossipLwwStore::adopt(std::uint64_t key, const Entry& entry, Effects& fx) {
   const bool wins = it == table_.end() || entry.newerThan(it->second);
   if (!wins) return;
   table_[key] = entry;
+  published_ = Payload();
   if (seen_.insert(entry.sourceMsg).second) {
     fx.output(Payload::of(GossipApplied{entry.sourceMsg, key}));
   }

@@ -118,7 +118,7 @@ void Simulator::scheduleInput(ProcessId p, Time t, Payload input) {
   e.target = p;
   e.slot = allocInputSlot(std::move(input));
   ++pendingInputs_;
-  push(e);
+  queue_.push(e);
 }
 
 void Simulator::addPartition(PartitionSpec spec) {
@@ -127,37 +127,6 @@ void Simulator::addPartition(PartitionSpec spec) {
   WFD_ENSURE(spec.period == 0 || spec.width < spec.period);
   if (spec.width == 0) return;  // empty window: no-op
   partitions_.push_back(std::move(spec));
-}
-
-void Simulator::push(EventNode e) {
-  e.seq = nextSeq_++;
-  heap_.push_back(e);
-  // Sift up.
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!nodeBefore(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void Simulator::popHeap() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  // Sift down.
-  const std::size_t size = heap_.size();
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= size) break;
-    const std::size_t right = left + 1;
-    std::size_t smallest =
-        (right < size && nodeBefore(heap_[right], heap_[left])) ? right : left;
-    if (!nodeBefore(heap_[smallest], heap_[i])) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
 }
 
 std::uint32_t Simulator::allocMessageSlot() {
@@ -228,7 +197,7 @@ void Simulator::scheduleLinkAck(std::uint32_t slot) {
     e.slot = slot;
     // No latestScheduledArrival_ update: link-layer traffic is not
     // pending protocol work, so it must not defer quiescence detection.
-    push(e);
+    queue_.push(e);
   }
 }
 
@@ -238,7 +207,7 @@ void Simulator::scheduleLinkRetry(std::uint32_t slot, Time delay) {
   e.kind = EventKind::kLinkRetry;
   e.target = messageArena_[slot].msg.from;
   e.slot = slot;
-  push(e);
+  queue_.push(e);
 }
 
 void Simulator::handleLinkAck(std::uint32_t slot) {
@@ -281,7 +250,7 @@ void Simulator::handleLinkRetry(std::uint32_t slot) {
     // Retransmitted DATA copies are pending protocol work (unlike acks
     // and retry timers), so they do push the quiescence horizon.
     latestScheduledArrival_ = std::max(latestScheduledArrival_, e.time);
-    push(e);
+    queue_.push(e);
   }
   // No trace countSend: retransmissions are link-layer traffic, invisible
   // to the protocol-level trace and its digests. The fired timer's
@@ -300,7 +269,7 @@ void Simulator::ensureStarted() {
     e.time = 1 + p;
     e.kind = EventKind::kTimeout;
     e.target = p;
-    push(e);
+    queue_.push(e);
   }
 }
 
@@ -321,7 +290,7 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
         ++linkDroppedSends_;
       }
       // One envelope regardless of how many network-layer copies were
-      // scheduled; the heap nodes all point at it. The retransmission
+      // scheduled; the queued nodes all point at it. The retransmission
       // layer holds one extra reference so the payload survives loss.
       const std::uint32_t slot = allocMessageSlot();
       MessageRecord& rec = messageArena_[slot];
@@ -344,7 +313,7 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
         e.target = dest;
         e.slot = slot;
         latestScheduledArrival_ = std::max(latestScheduledArrival_, e.time);
-        push(e);
+        queue_.push(e);
       }
       if (linkActive_) {
         ++pendingLinkTx_;
@@ -379,11 +348,10 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
 }
 
 bool Simulator::processOne() {
-  if (heap_.empty()) return false;
+  if (queue_.empty()) return false;
   if (eventsProcessed_ >= config_.maxEvents) return false;
-  const EventNode e = heap_.front();
-  if (e.time > config_.maxTime) return false;
-  popHeap();
+  if (queue_.top().time > config_.maxTime) return false;
+  const EventNode e = queue_.pop();
   now_ = std::max(now_, e.time);
   ++eventsProcessed_;
   if (e.kind == EventKind::kInput) --pendingInputs_;
@@ -429,7 +397,9 @@ bool Simulator::processOne() {
     }
     rec.delivered = true;
     msgFrom = rec.msg.from;
-    body = rec.msg.payload;
+    // This copy is the payload's last reader: every later copy of the
+    // send is suppressed above, so the handle moves out of the envelope.
+    body = std::move(rec.msg.payload);
     releaseMessageSlot(e.slot);
   } else {
     if (e.kind == EventKind::kInput) {
@@ -465,7 +435,7 @@ bool Simulator::processOne() {
       next.time = now_ + lambdaStepPeriod(config_, p);
       next.kind = EventKind::kTimeout;
       next.target = p;
-      push(next);
+      queue_.push(next);
       break;
     }
     case EventKind::kInput:
@@ -489,16 +459,16 @@ void Simulator::run() {
 
 bool Simulator::runUntilTime(Time t) {
   ensureStarted();
-  while (!heap_.empty() && heap_.front().time <= t) {
+  while (!queue_.empty() && queue_.top().time <= t) {
     if (!processOne()) return false;
   }
-  return !heap_.empty() && heap_.front().time <= config_.maxTime &&
+  return !queue_.empty() && queue_.top().time <= config_.maxTime &&
          eventsProcessed_ < config_.maxEvents;
 }
 
 std::optional<Time> Simulator::nextEventTime() const {
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().time;
+  if (queue_.empty()) return std::nullopt;
+  return queue_.top().time;
 }
 
 void Simulator::setCrash(ProcessId p, Time t) {

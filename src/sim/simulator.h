@@ -10,7 +10,10 @@
 // (SimConfig::partitions plus live addPartition calls, one set) —
 // windows only defer delivery, never drop. All nondeterminism is drawn
 // from one seeded Rng, so a (config, pattern, model, seed) tuple fully
-// determines the run.
+// determines the run. Pending events pop in (time, seq) order, seq being
+// the push order, from an EventQueue (sim/event_queue.h): a 128-tick
+// wheel of FIFO buckets for the near future over a binary-heap overflow
+// tier.
 //
 // Exactly-once rides the message envelope: every network copy of one
 // send — duplicates and retransmissions alike — points at one
@@ -41,6 +44,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/automaton.h"
+#include "sim/event_queue.h"
 #include "sim/failure_pattern.h"
 #include "sim/fd_interface.h"
 #include "sim/message.h"
@@ -307,15 +311,15 @@ class Simulator {
     kLinkRetry,
   };
 
-  /// Slim heap node: what the binary heap actually sifts. The message /
-  /// input body lives in a side arena addressed by `slot`, so heap
+  /// Slim queue node: what the event queue actually moves. The message /
+  /// input body lives in a side arena addressed by `slot`, so queue
   /// operations move 32 trivially-copyable bytes instead of a ~100-byte
   /// struct with two shared_ptr members (refcount traffic on every
   /// sift level was a top cost at n=256). Event order is a pure function
   /// of (time, seq) — identical to the old priority_queue.
   struct EventNode {
     Time time = 0;
-    std::uint64_t seq = 0;  // FIFO tie-break
+    std::uint64_t seq = 0;  // FIFO tie-break, stamped by EventQueue::push
     std::uint32_t slot = kNoSlot;
     EventKind kind = EventKind::kTimeout;
     ProcessId target = kNoProcess;
@@ -330,9 +334,9 @@ class Simulator {
   /// retry timer never reads a recycled slot.
   struct MessageRecord {
     Message msg;
-    /// Copies still in the heap, plus the link layer's hold while tracked.
+    /// Copies still queued, plus the link layer's hold while tracked.
     std::uint32_t refs = 0;
-    /// Ack and retry events in the heap that name this slot.
+    /// Queued ack and retry events that name this slot.
     std::uint32_t linkEvents = 0;
     /// Current retransmission timeout (link layer armed only).
     Time rto = 0;
@@ -343,15 +347,8 @@ class Simulator {
     bool tracked = false;
   };
 
-  static bool nodeBefore(const EventNode& a, const EventNode& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
-  void push(EventNode e);
-  void popHeap();
   std::uint32_t allocMessageSlot();
-  /// Drops one reference (a heap copy or the link hold).
+  /// Drops one reference (a queued copy or the link hold).
   void releaseMessageSlot(std::uint32_t slot);
   /// Drops the reference of one fired ack or retry event.
   void releaseLinkEvent(std::uint32_t slot);
@@ -374,8 +371,9 @@ class Simulator {
   std::shared_ptr<const NetworkModel> network_;
   Rng rng_;
   std::vector<std::unique_ptr<Automaton>> automata_;
-  /// Binary min-heap over (time, seq); bodies live in the arenas below.
-  std::vector<EventNode> heap_;
+  /// Pending events in (time, seq) order; bodies live in the arenas
+  /// below.
+  EventQueue<EventNode> queue_;
   std::vector<MessageRecord> messageArena_;
   std::vector<std::uint32_t> freeMessageSlots_;
   std::vector<Payload> inputArena_;
@@ -425,7 +423,6 @@ class Simulator {
   std::uint64_t duplicatesSuppressed_ = 0;
   std::uint64_t pendingInputs_ = 0;
   Time latestScheduledArrival_ = 0;
-  std::uint64_t nextSeq_ = 0;
   std::uint64_t nextMsgUid_ = 0;
   bool started_ = false;
 };

@@ -189,6 +189,38 @@ TEST(ReplicaTest, EtobReplicaWorksWithMinorityCorrect) {
 
 // --- Gossip LWW strawman -----------------------------------------------------
 
+Payload gossipMsg(GossipLwwStore::Table table) {
+  return Payload::of(GossipStateMsg{
+      std::make_shared<const GossipLwwStore::Table>(std::move(table))});
+}
+
+/// Puts key := value at `store` as a local input from process `origin`.
+void gossipPut(GossipLwwStore& store, ProcessId origin, std::uint64_t seq,
+               std::uint64_t key, std::uint64_t value) {
+  StepContext ctx;
+  ctx.self = origin;
+  ctx.processCount = 2;
+  Effects fx;
+  AppMsg m;
+  m.id = makeMsgId(origin, seq);
+  m.origin = origin;
+  m.body = makePut(key, value);
+  store.onInput(ctx, Payload::of(BroadcastInput{std::move(m)}), fx);
+}
+
+/// The table one λ-step of `store` broadcasts.
+std::shared_ptr<const GossipLwwStore::Table> gossipTableOf(GossipLwwStore& store) {
+  StepContext ctx;
+  ctx.processCount = 2;
+  Effects fx;
+  store.onTimeout(ctx, fx);
+  EXPECT_EQ(fx.sends().size(), 1u);
+  const auto* msg = fx.sends().at(0).payload.as<GossipStateMsg>();
+  EXPECT_NE(msg, nullptr);
+  EXPECT_EQ(fx.sends().at(0).weight, 1u);
+  return msg == nullptr ? nullptr : msg->table;
+}
+
 TEST(GossipLwwTest, ConvergesToSameTable) {
   auto cfg = rsmConfig(3);
   auto fp = FailurePattern::noFailures(3);
@@ -232,14 +264,14 @@ TEST(GossipLwwTest, LwwPicksHighestTimestamp) {
   remote.timestamp = 99;
   remote.origin = 1;
   remote.sourceMsg = makeMsgId(1, 0);
-  store.onMessage(ctx, 1, Payload::of(GossipStateMsg{{{7, remote}}}), fx);
+  store.onMessage(ctx, 1, gossipMsg({{7, remote}}), fx);
   EXPECT_EQ(store.table().at(7).value, 2u);
   // A remote entry with a lower timestamp loses.
   GossipLwwStore::Entry stale = remote;
   stale.timestamp = 1;
   stale.value = 3;
   stale.sourceMsg = makeMsgId(1, 1);
-  store.onMessage(ctx, 1, Payload::of(GossipStateMsg{{{7, stale}}}), fx);
+  store.onMessage(ctx, 1, gossipMsg({{7, stale}}), fx);
   EXPECT_EQ(store.table().at(7).value, 2u);
 }
 
@@ -254,13 +286,75 @@ TEST(GossipLwwTest, EmitsAppliedEventOncePerUpdate) {
   e.timestamp = 5;
   e.origin = 1;
   e.sourceMsg = makeMsgId(1, 0);
-  store.onMessage(ctx, 1, Payload::of(GossipStateMsg{{{1, e}}}), fx);
-  store.onMessage(ctx, 1, Payload::of(GossipStateMsg{{{1, e}}}), fx);
+  store.onMessage(ctx, 1, gossipMsg({{1, e}}), fx);
+  store.onMessage(ctx, 1, gossipMsg({{1, e}}), fx);
   std::size_t applied = 0;
   for (const auto& out : fx.outputs()) {
     if (out.holds<GossipApplied>()) ++applied;
   }
   EXPECT_EQ(applied, 1u);
+}
+
+TEST(GossipLwwTest, BroadcastsShareOneTableUntilItChanges) {
+  GossipLwwStore store;
+  gossipPut(store, 0, 0, 1, 10);
+  const auto first = gossipTableOf(store);
+  const auto second = gossipTableOf(store);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, second) << "no change between broadcasts: one object";
+
+  gossipPut(store, 0, 1, 1, 20);
+  const auto third = gossipTableOf(store);
+  ASSERT_NE(third, nullptr);
+  EXPECT_NE(third, first) << "a change publishes a new object";
+  EXPECT_EQ(third->at(1).value, 20u);
+  EXPECT_EQ(first->at(1).value, 10u) << "a sent table never changes";
+}
+
+TEST(GossipLwwTest, OlderTableFromTheSameSenderAdoptsNothing) {
+  GossipLwwStore sender;
+  gossipPut(sender, 1, 0, 1, 10);
+  const auto t1 = gossipTableOf(sender);
+  gossipPut(sender, 1, 1, 1, 20);
+  gossipPut(sender, 1, 2, 2, 30);
+  const auto t2 = gossipTableOf(sender);
+
+  GossipLwwStore receiver;
+  StepContext ctx;
+  ctx.processCount = 2;
+  Effects fx;
+  receiver.onMessage(ctx, 1, Payload::of(GossipStateMsg{t2}), fx);
+  EXPECT_EQ(fx.outputs().size(), 2u);
+  const GossipLwwStore::Table afterT2 = receiver.table();
+
+  fx.clear();
+  receiver.onMessage(ctx, 1, Payload::of(GossipStateMsg{t1}), fx);
+  EXPECT_TRUE(fx.outputs().empty());
+  EXPECT_EQ(receiver.table(), afterT2);
+  EXPECT_EQ(receiver.table().at(1).value, 20u);
+}
+
+TEST(GossipLwwTest, MergesATablePublishedAgainAfterAChange) {
+  GossipLwwStore sender;
+  gossipPut(sender, 1, 0, 1, 10);
+  const auto t1 = gossipTableOf(sender);
+
+  GossipLwwStore receiver;
+  StepContext ctx;
+  ctx.processCount = 2;
+  Effects fx;
+  receiver.onMessage(ctx, 1, Payload::of(GossipStateMsg{t1}), fx);
+  receiver.onMessage(ctx, 1, Payload::of(GossipStateMsg{t1}), fx);
+  EXPECT_EQ(fx.outputs().size(), 1u);
+
+  gossipPut(sender, 1, 1, 2, 30);
+  const auto t2 = gossipTableOf(sender);
+  ASSERT_NE(t2, t1);
+  fx.clear();
+  receiver.onMessage(ctx, 1, Payload::of(GossipStateMsg{t2}), fx);
+  ASSERT_EQ(fx.outputs().size(), 1u);
+  EXPECT_EQ(fx.outputs()[0].as<GossipApplied>()->key, 2u);
+  EXPECT_TRUE(receiver.sameTable(sender));
 }
 
 }  // namespace

@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "fd/detectors.h"
 #include "helpers.h"
 #include "common/rng.h"
 #include "sim/composite.h"
+#include "sim/event_queue.h"
 #include "sim/failure_pattern.h"
 #include "sim/payload.h"
 #include "sim/simulator.h"
@@ -238,6 +243,66 @@ TEST(TraceTest, RecordDeliveredMatchesTheFullScanOnRandomHistories) {
     }
     EXPECT_GT(extensions, 50u);
   }
+}
+
+// --- EventQueue --------------------------------------------------------------
+
+struct QueueNode {
+  Time time = 0;
+  std::uint64_t seq = 0;
+};
+
+// Random pushes and pops against a std::priority_queue over (time, seq).
+// Push times land on now's tick, near it, on the wheel's last tick, on
+// the first tick past the wheel, far beyond it, and before now (which
+// Simulator::scheduleInput accepts).
+TEST(EventQueueTest, PopsInTheReferenceOrder) {
+  constexpr Time kWheel = EventQueue<QueueNode>::kWheelTicks;
+  using Key = std::pair<Time, std::uint64_t>;
+  std::uint64_t pops = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue<QueueNode> queue;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> reference;
+    std::uint64_t nextSeq = 0;
+    Time now = 0;
+    const auto popBoth = [&] {
+      ASSERT_FALSE(queue.empty());
+      EXPECT_EQ(queue.top().time, reference.top().first);
+      const QueueNode got = queue.pop();
+      ASSERT_EQ(Key(got.time, got.seq), reference.top())
+          << "seed " << seed << ", pop " << pops;
+      reference.pop();
+      now = std::max(now, got.time);
+      ++pops;
+    };
+    for (int op = 0; op < 20000; ++op) {
+      if (reference.empty() || rng.chance(11, 20)) {
+        Time t = 0;
+        switch (rng.below(7)) {
+          case 0: t = now; break;
+          case 1: t = now + rng.between(1, 60); break;
+          case 2: t = now + kWheel - 1; break;
+          case 3: t = now + kWheel; break;
+          case 4: t = now + kWheel + rng.below(400); break;
+          case 5: t = now - std::min<Time>(now, rng.between(1, 50)); break;
+          default: t = now + rng.below(2 * kWheel); break;
+        }
+        queue.push(QueueNode{t, 0});
+        reference.push({t, nextSeq++});
+      } else {
+        popBoth();
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    while (!reference.empty()) {
+      popBoth();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+  EXPECT_GT(pops, 200000u);
 }
 
 // --- Simulator --------------------------------------------------------------
