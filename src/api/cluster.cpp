@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "checkers/trace_digest.h"
 #include "common/ensure.h"
-#include "common/hash.h"
 #include "ec/ec_driver.h"
 #include "ec/ec_types.h"
 #include "ec/omega_ec.h"
@@ -206,10 +206,9 @@ Cluster::Cluster(ClusterSpec spec, std::uint64_t seed)
 }
 
 void Cluster::scheduleWorkload(const BroadcastWorkload& w) {
-  // A kvReplica cluster's inputs are ClientCommands (Client::put); the
-  // workload generator schedules raw BroadcastInputs, which the replica
-  // would silently drop while log() still records them — reject instead
-  // of producing phantom checker failures.
+  // A workload's bodies are {origin, i} markers, not state-machine
+  // commands: a KvStore replica would throw on {1, i} and erase key i on
+  // {2, i}. KV writes go through Client::put.
   WFD_ENSURE_MSG(w.perProcess == 0 || !spec_.kvReplica,
                  "a kvReplica cluster takes writes through Client::put, "
                  "not a broadcast workload");
@@ -259,20 +258,14 @@ bool Cluster::runUntil(const std::function<bool(const Simulator&)>& pred,
 
 std::uint64_t Cluster::observableFingerprint() const {
   const Trace& trace = sim_->trace();
-  std::uint64_t h = kFnv64OffsetBasis;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= kFnv64Prime;
-    }
-  };
+  TraceHasher h;
   for (ProcessId p = 0; p < processCount(); ++p) {
-    mix(trace.outputs(p).size());
+    h.mix(trace.outputs(p).size());
     const std::vector<MsgId>& d = trace.currentDelivered(p);
-    mix(d.size());
-    for (MsgId id : d) mix(id);
+    h.mix(d.size());
+    for (MsgId id : d) h.mix(id);
   }
-  return h;
+  return h.digest();
 }
 
 Time Cluster::runUntilQuiescent(Time window) {
@@ -359,14 +352,6 @@ MsgId Cluster::submitAt(ProcessId p, Time t,
                         std::vector<std::uint64_t> body,
                         std::vector<MsgId> causalDeps) {
   WFD_ENSURE_MSG(t >= sim_->now(), "submissions are scheduled at >= now");
-  if (spec_.kvReplica) {
-    // The replica turns commands into broadcasts itself (allocating ids
-    // from its own counter in processing order).
-    WFD_ENSURE_MSG(causalDeps.empty(),
-                   "a kvReplica cluster derives causality from the command log");
-    sim_->scheduleInput(p, t, Payload::of(ClientCommand{std::move(body)}));
-    return kNoMsgId;
-  }
   AppMsg m;
   m.id = makeMsgId(p, nextClientSeq_[p]++);
   clientIdsIssued_ = true;

@@ -101,9 +101,9 @@ struct ClusterSpec {
 
   /// Wrap the ordering stack in a replicated KvStore (ReplicaAutomaton):
   /// clients gain put()/kvGet() on top of the broadcast surface. Only
-  /// valid for the broadcast stacks (eTOB, commit-eTOB, TOB). Writes go
-  /// through Client::put — a broadcast `workload` is rejected here
-  /// (replicas consume ClientCommands, not raw BroadcastInputs).
+  /// valid for the broadcast stacks (eTOB, commit-eTOB, TOB). A put is an
+  /// ordinary client broadcast whose body is the command. A broadcast
+  /// `workload` is rejected here: its marker bodies are not commands.
   bool kvReplica = false;
 
   /// Escape hatch: install custom automata instead of the stack lowering
@@ -126,9 +126,8 @@ class Client {
   /// Broadcasts an application message from this process at time t (must
   /// be >= now; submit() uses now() + 1). The facade allocates the MsgId,
   /// records the submission in the cluster's broadcast log (so checkers
-  /// see it), and schedules the input. On a kvReplica cluster the body
-  /// is a state-machine Command routed through the replica, which
-  /// allocates ids internally — kNoMsgId is returned there.
+  /// see it), schedules the input and returns the id, on every stack. On
+  /// a kvReplica cluster the body is a state-machine Command.
   /// Requires capabilities().submits.
   MsgId submitAt(Time t, std::vector<std::uint64_t> body,
                  std::vector<MsgId> causalDeps = {});
@@ -136,7 +135,8 @@ class Client {
                std::vector<MsgId> causalDeps = {});
 
   /// Replicated KV write at time t (put() uses now() + 1): an LWW put on
-  /// the gossip stack, a KvStore put command on a kvReplica cluster.
+  /// the gossip stack, a KvStore put command on a kvReplica cluster —
+  /// either way a client broadcast, whose MsgId is returned.
   /// Requires capabilities().kv.
   MsgId putAt(Time t, std::uint64_t key, std::uint64_t value);
   MsgId put(std::uint64_t key, std::uint64_t value);
@@ -219,7 +219,8 @@ class Cluster {
   std::size_t processCount() const { return sim_->config().processCount; }
   Time now() const { return sim_->now(); }
   /// Input history of every scheduled workload message and every client
-  /// submission — what the broadcast checkers verify against.
+  /// submission, KV writes included — what the broadcast checkers verify
+  /// against.
   const BroadcastLog& log() const { return log_; }
   const FailurePattern& pattern() const { return sim_->failurePattern(); }
 
@@ -292,6 +293,8 @@ class Cluster {
  private:
   friend class Client;
 
+  /// The one submission path: allocates the MsgId, logs the message and
+  /// schedules its BroadcastInput at p.
   MsgId submitAt(ProcessId p, Time t, std::vector<std::uint64_t> body,
                  std::vector<MsgId> causalDeps);
   std::uint64_t observableFingerprint() const;

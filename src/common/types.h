@@ -27,10 +27,6 @@ inline constexpr ProcessId kNoProcess = std::numeric_limits<ProcessId>::max();
 /// without coordination.
 using MsgId = std::uint64_t;
 
-/// Sentinel "no message" value (returned e.g. by facade submissions whose
-/// ids are allocated deeper in the stack).
-inline constexpr MsgId kNoMsgId = std::numeric_limits<MsgId>::max();
-
 /// Builds a MsgId from its components.
 constexpr MsgId makeMsgId(ProcessId origin, std::uint32_t seq) {
   return (static_cast<MsgId>(origin) << 32) | seq;

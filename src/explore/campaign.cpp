@@ -103,9 +103,7 @@ std::vector<std::string> coverageSignature(const FuzzPlan& plan,
   if (result.pass) {
     sig.push_back("outcome:pass");
   } else {
-    for (const std::string& f : result.failures) {
-      sig.push_back("fail:" + f.substr(0, f.find(" (")));
-    }
+    for (const std::string& key : failureKeys(result)) sig.push_back("fail:" + key);
   }
   sig.push_back("tau-hat-log2:" + std::to_string(log2Class(result.tauHat)));
   // 6-bit delivered-sequence digest class: a cheap behavioural bucket —

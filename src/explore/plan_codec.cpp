@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -87,6 +88,18 @@ class Reader {
     if (f == nullptr) return required ? fail(key, "missing") : true;
     if (f->kind() != Json::Kind::kUInt) return fail(key, "not a number");
     *out = f->asUInt();
+    return true;
+  }
+
+  /// uintField for a 32-bit field: a larger value is a decode error, not
+  /// a silent wrap.
+  bool u32Field(const char* key, std::uint32_t* out, bool required = true) {
+    std::uint64_t v = *out;
+    if (!uintField(key, &v, required)) return false;
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      return fail(key, "above 4294967295");
+    }
+    *out = static_cast<std::uint32_t>(v);
     return true;
   }
 
@@ -344,16 +357,13 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
       return std::nullopt;
     }
     Reader cr(*chaos, error);
-    std::uint64_t dupNum = 0, dupDen = 1, maxExtra = 0;
-    if (!cr.uintField("dup_num", &dupNum) || !cr.uintField("dup_den", &dupDen) ||
-        !cr.uintField("max_extra_copies", &maxExtra) ||
+    if (!cr.u32Field("dup_num", &plan.chaos.dupNum) ||
+        !cr.u32Field("dup_den", &plan.chaos.dupDen) ||
+        !cr.u32Field("max_extra_copies", &plan.chaos.maxExtraCopies) ||
         !cr.uintField("reorder_jitter", &plan.chaos.reorderJitter) ||
         !cr.processField("only_touching", &plan.chaos.onlyTouching)) {
       return std::nullopt;
     }
-    plan.chaos.dupNum = static_cast<std::uint32_t>(dupNum);
-    plan.chaos.dupDen = static_cast<std::uint32_t>(dupDen);
-    plan.chaos.maxExtraCopies = static_cast<std::uint32_t>(maxExtra);
   } else if (error != nullptr && !error->empty()) {
     return std::nullopt;
   }
@@ -399,10 +409,10 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
       return std::nullopt;
     }
     Reader lr(*loss, error);
-    std::uint64_t lossNum = 0, lossDen = 1, oneWayFrom = 0;
+    std::uint64_t oneWayFrom = 0;
     const bool hasOneWay = loss->find("one_way_from") != nullptr;
-    if (!lr.uintField("loss_num", &lossNum, /*required=*/false) ||
-        !lr.uintField("loss_den", &lossDen, /*required=*/false) ||
+    if (!lr.u32Field("loss_num", &plan.loss.lossNum, /*required=*/false) ||
+        !lr.u32Field("loss_den", &plan.loss.lossDen, /*required=*/false) ||
         !lr.uintField("burst_period", &plan.loss.burstPeriod,
                       /*required=*/false) ||
         !lr.uintField("burst_len", &plan.loss.burstLen, /*required=*/false) ||
@@ -417,8 +427,6 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
                       /*required=*/false)) {
       return std::nullopt;
     }
-    plan.loss.lossNum = static_cast<std::uint32_t>(lossNum);
-    plan.loss.lossDen = static_cast<std::uint32_t>(lossDen);
     if (hasOneWay) plan.loss.oneWayFrom = static_cast<ProcessId>(oneWayFrom);
   } else if (error != nullptr && !error->empty()) {
     return std::nullopt;

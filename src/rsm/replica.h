@@ -3,29 +3,26 @@
 // Plugging EtobAutomaton gives the paper's eventually consistent
 // replicated service (an "eventually linearizable universal
 // construction", §6); plugging TobViaConsensusAutomaton gives the
-// classical strongly consistent replica. The replica replays the
-// ordering service's delivery sequence d_i into the state machine: when
-// d_i grows by a suffix, the new commands are applied incrementally; when
-// d_i is rewritten (possible in ETOB before τ), the machine is rebuilt
-// from scratch — state = fold(apply, initial, d_i).
+// classical strongly consistent replica. A command is an ordinary
+// BroadcastInput whose body is the command (the facade allocates its
+// MsgId). Every step, with the caller's Effects, passes straight to the
+// ordering layer; the replica then replays the d_i that step set into
+// the machine: when d_i grows by a suffix, the new commands are applied
+// incrementally; when d_i is rewritten (possible in ETOB before τ), the
+// machine is rebuilt from scratch — state = fold(apply, initial, d_i).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/ensure.h"
 #include "common/types.h"
-#include "rsm/state_machines.h"
 #include "sim/app_msg.h"
 #include "sim/automaton.h"
 
 namespace wfd {
-
-/// Client request: apply a command to the replicated machine.
-struct ClientCommand {
-  Command command;
-};
 
 template <typename Ordering, typename Machine>
 class ReplicaAutomaton final
@@ -34,28 +31,19 @@ class ReplicaAutomaton final
   explicit ReplicaAutomaton(Ordering ordering) : ordering_(std::move(ordering)) {}
 
   void onInput(const StepContext& ctx, const Payload& input, Effects& fx) override {
-    const auto* cmd = input.as<ClientCommand>();
-    if (cmd == nullptr) return;
-    AppMsg m;
-    m.id = makeMsgId(ctx.self, nextSeq_++);
-    m.origin = ctx.self;
-    m.body = cmd->command;
-    Effects cfx;
-    ordering_.onInput(ctx, Payload::of(BroadcastInput{std::move(m)}), cfx);
-    drain(cfx, fx);
+    ordering_.onInput(ctx, input, fx);
+    fold(fx);
   }
 
   void onMessage(const StepContext& ctx, ProcessId from, const Payload& msg,
                  Effects& fx) override {
-    Effects cfx;
-    ordering_.onMessage(ctx, from, msg, cfx);
-    drain(cfx, fx);
+    ordering_.onMessage(ctx, from, msg, fx);
+    fold(fx);
   }
 
   void onTimeout(const StepContext& ctx, Effects& fx) override {
-    Effects cfx;
-    ordering_.onTimeout(ctx, cfx);
-    drain(cfx, fx);
+    ordering_.onTimeout(ctx, fx);
+    fold(fx);
   }
 
   const Machine& machine() const { return machine_; }
@@ -65,19 +53,10 @@ class ReplicaAutomaton final
   std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
-  void drain(Effects& cfx, Effects& fx) {
-    // The replica adds no wire messages; ordering traffic passes through.
-    for (const OutboundMsg& m : cfx.sends()) {
-      if (m.to == kBroadcast) {
-        fx.broadcast(m.payload, m.weight);
-      } else {
-        fx.send(m.to, m.payload, m.weight);
-      }
-    }
-    for (const Payload& out : cfx.outputs()) fx.output(out);
-    if (!cfx.delivered().has_value()) return;
-    fx.deliverSequence(*cfx.delivered());
-    syncMachine(*cfx.delivered());
+  /// The step began with empty Effects (sim/automaton.h), so a d_i in
+  /// them is the one the ordering layer just set.
+  void fold(const Effects& fx) {
+    if (fx.delivered().has_value()) syncMachine(*fx.delivered());
   }
 
   void syncMachine(const std::vector<MsgId>& seq) {
@@ -101,7 +80,6 @@ class ReplicaAutomaton final
   Ordering ordering_;
   Machine machine_;
   std::vector<MsgId> applied_;
-  std::uint32_t nextSeq_ = 0;
   std::uint64_t rebuilds_ = 0;
 };
 

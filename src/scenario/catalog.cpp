@@ -49,8 +49,8 @@ CheckerSet etobChecks(bool strong = false) {
 
 /// The shape every sharded-* entry shares: S commit-eTOB shards x 3
 /// replicas on the base scheduler, 120 keyed puts every 10 ticks with a
-/// read after every 4th, commit safety and progress required on top of
-/// the always-on sharded_kv clauses.
+/// read after every 4th, each shard's broadcast clauses, commit safety
+/// and progress required on top of the always-on sharded_kv clauses.
 Scenario shardedEntry(std::size_t shards, std::uint64_t keys) {
   Scenario s;
   s.config = baseConfig(3, 40'000);
@@ -60,6 +60,7 @@ Scenario shardedEntry(std::size_t shards, std::uint64_t keys) {
   s.shards = shards;
   s.keyed.puts = 120;
   s.keyed.keys = keys;
+  s.checks.broadcast = true;
   s.checks.commit = true;
   s.checks.requireCommitProgress = true;
   return s;

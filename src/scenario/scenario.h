@@ -72,7 +72,9 @@ struct ShardFault {
 /// outcome clauses the scenario asserts.
 struct CheckerSet {
   /// checkBroadcastRun core properties (validity, agreement, no-creation,
-  /// no-duplication, causal order).
+  /// no-duplication, causal order). On a sharded entry they run on every
+  /// shard's trace and log(), which holds each put routed there; a
+  /// failure's detail names the shard ("broadcast: validity (shard 2)").
   bool broadcast = false;
   /// Additionally require tau-hat == 0 (strong TOB; paper property (2)).
   bool requireStrongTob = false;

@@ -14,7 +14,7 @@ ShardRouter::ShardRouter(ShardedService& service) : service_(&service) {
 std::size_t ShardRouter::put(std::uint64_t key, std::uint64_t value) {
   const std::size_t s = service_->ownerOf(key);
   Client c = service_->shard(s).client(service_->readReplicaOf(s));
-  c.put(key, value);
+  const MsgId id = c.put(key, value);
   RouterOp op;
   op.kind = RouterOp::Kind::kPut;
   op.key = key;
@@ -22,7 +22,7 @@ std::size_t ShardRouter::put(std::uint64_t key, std::uint64_t value) {
   op.time = service_->now() + 1;
   op.shard = s;
   ops_.push_back(op);
-  pending_.push_back(ops_.size() - 1);
+  folds_[s].pending.emplace(id, ops_.size() - 1);
   return ops_.size() - 1;
 }
 
@@ -74,31 +74,26 @@ void ShardRouter::foldShard(std::size_t s) {
     WFD_ENSURE_MSG(body != nullptr, "committed command with unknown content");
     if (body->size() == 3 &&
         (*body)[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
-      const std::uint64_t key = (*body)[1];
-      const std::uint64_t value = (*body)[2];
-      FoldState::Entry& e = f.kv[key];
-      e.value = value;
+      FoldState::Entry& e = f.kv[(*body)[1]];
+      e.value = (*body)[2];
       ++e.version;
-      // Resolve the earliest pending put matching this command. The
-      // scenario workloads write unique (key, value) pairs, so the
-      // match is unambiguous there; with duplicates, first-pending is
-      // the conservative reading (a later duplicate can only commit
-      // later).
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        RouterOp& op = ops_[*it];
-        if (op.shard == s && op.key == key && op.value == value) {
-          op.committed = true;
-          op.commitTime = service_->now();
-          pending_.erase(it);
-          break;
-        }
-      }
+    }
+    const auto it = f.pending.find(prefix[i]);
+    if (it != f.pending.end()) {
+      RouterOp& op = ops_[it->second];
+      op.committed = true;
+      op.commitTime = service_->now();
+      f.pending.erase(it);
     }
   }
   f.folded.insert(f.folded.end(),
                   prefix.begin() + static_cast<std::ptrdiff_t>(from), prefix.end());
 }
 
-std::size_t ShardRouter::pendingPuts() const { return pending_.size(); }
+std::size_t ShardRouter::pendingPuts() const {
+  std::size_t n = 0;
+  for (const FoldState& f : folds_) n += f.pending.size();
+  return n;
+}
 
 }  // namespace wfd

@@ -3,12 +3,13 @@
 // from a FOLD of the shard's §7 committed prefix.
 //
 // Write path: put(key, v) routes the command to the owner shard's read
-// replica and remembers the (key, v) pair as pending. Read path: a
-// get(key) folds the owner shard only; poll() folds every shard. A fold
+// replica and keeps the MsgId Client::put returns as pending. Read path:
+// a get(key) folds the owner shard only; poll() folds every shard. A fold
 // fetches the shard's committed prefix from its read replica, decodes
 // the NEW suffix of put commands (Client::findBody) into a per-shard
-// key → (value, version) map, and resolves the pending writes it sees
-// commit. A put on another shard therefore stays pending until the next
+// key → (value, version) map, and resolves each pending put whose id it
+// sees commit — so a retried write is credited to the attempt that
+// committed. A put on another shard therefore stays pending until the next
 // poll() or a get of a key that shard owns; drivers poll at the service
 // tick of their gets, so commit times do not depend on which call saw
 // the commit first.
@@ -108,6 +109,9 @@ class ShardRouter {
     /// rewrites).
     std::vector<MsgId> folded;
     std::unordered_map<std::uint64_t, Entry> kv;
+    /// MsgId → op-log index of each put routed here and not yet seen
+    /// committed (ids are unique per cluster only, hence per shard).
+    std::unordered_map<MsgId, std::size_t> pending;
   };
 
   void foldShard(std::size_t s);
@@ -115,8 +119,6 @@ class ShardRouter {
   ShardedService* service_;
   std::vector<RouterOp> ops_;
   std::vector<FoldState> folds_;
-  /// Op-log indices of puts not yet seen committed.
-  std::vector<std::size_t> pending_;
   std::uint64_t refolds_ = 0;
 };
 

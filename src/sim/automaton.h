@@ -41,7 +41,10 @@ struct OutboundMsg {
   std::size_t weight = 1;
 };
 
-/// Collector for the sends and outputs of a single step.
+/// Collector for the sends and outputs of a single step. Every caller
+/// hands a step an empty Effects (the simulator clears its scratch; a
+/// wrapper or the CHT tree makes a fresh one), so an automaton that
+/// passes its Effects to an inner one can read back what that step did.
 class Effects {
  public:
   /// Sends a payload to every process, including the sender (the paper's

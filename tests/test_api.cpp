@@ -269,8 +269,12 @@ TEST(ClientTest, KvReplicaPutGetRoundTrip) {
   spec.workload.perProcess = 0;
   Cluster cluster(spec, 3);
   Client c0 = cluster.client(0);
-  EXPECT_EQ(c0.putAt(100, 5, 55), kNoMsgId);  // replica allocates internally
-  EXPECT_EQ(c0.putAt(200, 6, 66), kNoMsgId);
+  // A put is an ordinary client broadcast: the facade allocates its id
+  // and logs it.
+  EXPECT_EQ(c0.putAt(100, 5, 55), makeMsgId(0, 0));
+  EXPECT_EQ(c0.putAt(200, 6, 66), makeMsgId(0, 1));
+  EXPECT_TRUE(cluster.log().contains(makeMsgId(0, 0)));
+  EXPECT_TRUE(cluster.log().contains(makeMsgId(0, 1)));
   cluster.runUntilQuiescent();
   for (ProcessId p = 0; p < cluster.processCount(); ++p) {
     Client c = cluster.client(p);
@@ -289,8 +293,7 @@ TEST(ClientTest, GossipPutGetRoundTrip) {
     return std::make_shared<PerfectFd>(fp);
   };
   Cluster cluster(spec, 3);
-  const MsgId id = cluster.client(2).putAt(100, 9, 90);
-  EXPECT_NE(id, kNoMsgId);
+  EXPECT_EQ(cluster.client(2).putAt(100, 9, 90), makeMsgId(2, 0));
   cluster.runUntilQuiescent();
   for (ProcessId p = 0; p < cluster.processCount(); ++p) {
     EXPECT_EQ(cluster.client(p).kvGet(9), std::make_optional<std::uint64_t>(90))
@@ -471,8 +474,8 @@ TEST(ClientTest, PastTimeWorkloadIsRejected) {
 }
 
 TEST(ClusterSpecTest, KvReplicaRejectsABroadcastWorkload) {
-  // Replicas consume ClientCommands; a scheduled BroadcastInput workload
-  // would be silently dropped while still recorded in log().
+  // A workload's {origin, i} marker bodies are not KvStore commands:
+  // the replica would throw on {1, i} and erase key i on {2, i}.
   ClusterSpec spec = tinySpec(AlgoStack::kEtob);  // perProcess = 3
   spec.kvReplica = true;
   EXPECT_THROW(Cluster(spec, 1), InvariantError);

@@ -3,7 +3,10 @@
 // stops a hand-edited corpus file from smuggling an inadmissible run in.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "common/json.h"
 #include "explore/explorer.h"
@@ -254,6 +257,52 @@ TEST(PlanCodecTest, RejectsInadmissibleLossPlans) {
   plan.maxTime = planHorizon(plan);
   EXPECT_FALSE(decodeFuzzPlan(encodeFuzzPlan(plan), &error).has_value());
   EXPECT_NE(error.find("heal"), std::string::npos) << error;
+}
+
+TEST(PlanCodecTest, ThirtyTwoBitFieldsRejectValuesThatWouldWrap) {
+  // These plan fields are 32-bit: 2^32 + v must be a decode error naming
+  // the field, not a silent replay of the plan with v.
+  FuzzPlan plan = sampleFuzzPlan(AlgoStack::kEtob, 1, 0);
+  plan.chaos.dupNum = 1;
+  plan.chaos.dupDen = 2;
+  plan.chaos.maxExtraCopies = 1;
+  plan.chaos.reorderJitter = 20;
+  plan.chaos.onlyTouching = kNoProcess;
+  plan.loss.lossNum = 1;
+  plan.loss.lossDen = 8;
+  plan.loss.activeUntil = 5000;
+  plan.maxTime = planHorizon(plan);
+  const Json base = encodeFuzzPlan(plan);
+  struct Field {
+    const char* section;
+    const char* key;
+    std::uint64_t value;
+  };
+  const Field fields[] = {{"chaos", "dup_num", 1},
+                          {"chaos", "dup_den", 2},
+                          {"chaos", "max_extra_copies", 1},
+                          {"loss", "loss_num", 1},
+                          {"loss", "loss_den", 8}};
+  for (const Field& f : fields) {
+    SCOPED_TRACE(f.key);
+    for (const std::uint64_t value : {(std::uint64_t{1} << 32) + f.value, f.value}) {
+      Json j = base;
+      Json section = *j.find(f.section);
+      section.set(f.key, Json::number(value));
+      j.set(f.section, std::move(section));
+      std::string error;
+      const std::optional<FuzzPlan> decoded = decodeFuzzPlan(j, &error);
+      if (value == f.value) {
+        ASSERT_TRUE(decoded.has_value()) << error;
+        EXPECT_EQ(encodeFuzzPlan(*decoded).dump(), base.dump());
+      } else {
+        EXPECT_FALSE(decoded.has_value());
+        EXPECT_NE(error.find(std::string("field '") + f.key + "'"),
+                  std::string::npos)
+            << error;
+      }
+    }
+  }
 }
 
 // --- Corpus entries ---------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
@@ -80,6 +81,16 @@ SimConfig rsmConfig(std::size_t n, std::uint64_t seed = 1) {
   return cfg;
 }
 
+/// A command submitted at `origin` as an ordinary broadcast whose id the
+/// caller allocates (the Cluster facade does this for Client::put).
+Payload command(ProcessId origin, std::uint32_t seq, Command body) {
+  AppMsg m;
+  m.id = makeMsgId(origin, seq);
+  m.origin = origin;
+  m.body = std::move(body);
+  return Payload::of(BroadcastInput{std::move(m)});
+}
+
 template <typename Replica>
 bool machinesConverged(const Simulator& sim, std::size_t expectApplied) {
   const auto correct = sim.failurePattern().correctSet();
@@ -105,7 +116,7 @@ TEST(ReplicaTest, EtobKvReplicasConverge) {
   for (int i = 0; i < 5; ++i) {
     for (ProcessId p = 0; p < 3; ++p) {
       sim.scheduleInput(p, 100 + 50 * i + 7 * p,
-                        Payload::of(ClientCommand{makePut(p * 10 + i, i)}));
+                        command(p, i, makePut(p * 10 + i, i)));
     }
   }
   ASSERT_TRUE(sim.runUntil([&](const Simulator& s) {
@@ -125,8 +136,7 @@ TEST(ReplicaTest, StrongReplicaNeverRebuilds) {
     sim.addProcess(p, std::make_unique<TobReplica>(TobViaConsensusAutomaton(p, 3)));
   }
   for (int i = 0; i < 4; ++i) {
-    sim.scheduleInput(i % 3, 100 + 60 * i,
-                      Payload::of(ClientCommand{makePut(i, i)}));
+    sim.scheduleInput(i % 3, 100 + 60 * i, command(i % 3, i / 3, makePut(i, i)));
   }
   ASSERT_TRUE(sim.runUntil([&](const Simulator& s) {
     return machinesConverged<TobReplica>(s, 4);
@@ -150,7 +160,7 @@ TEST(ReplicaTest, EtobReplicaRebuildsOnlyBeforeTau) {
   for (int i = 0; i < 6; ++i) {
     for (ProcessId p = 0; p < 3; ++p) {
       sim.scheduleInput(p, 80 + 45 * i + 5 * p,
-                        Payload::of(ClientCommand{makeAppend(i * 10 + p)}));
+                        command(p, i, makeAppend(i * 10 + p)));
     }
   }
   ASSERT_TRUE(sim.runUntil([&](const Simulator& s) {
@@ -178,9 +188,8 @@ TEST(ReplicaTest, EtobReplicaWorksWithMinorityCorrect) {
   }
   // Commands from the two eventually-correct processes, after the crashes.
   for (int i = 0; i < 4; ++i) {
-    sim.scheduleInput(0, 1300 + 50 * i, Payload::of(ClientCommand{makePut(i, i)}));
-    sim.scheduleInput(1, 1320 + 50 * i,
-                      Payload::of(ClientCommand{makePut(100 + i, i)}));
+    sim.scheduleInput(0, 1300 + 50 * i, command(0, i, makePut(i, i)));
+    sim.scheduleInput(1, 1320 + 50 * i, command(1, i, makePut(100 + i, i)));
   }
   ASSERT_TRUE(sim.runUntil([&](const Simulator& s) {
     return s.now() > 3000 && machinesConverged<EtobReplica>(s, 8);

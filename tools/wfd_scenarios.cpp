@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,16 @@ int main(int argc, char** argv) {
   }
   if (seedCount == 0) {
     std::fprintf(stderr, "--seed-count must be >= 1\n");
+    return 2;
+  }
+  if (seedCount - 1 > std::numeric_limits<std::uint64_t>::max() - firstSeed) {
+    std::fprintf(stderr,
+                 "--seed %llu with --seed-count %llu runs past the last seed "
+                 "%llu\n",
+                 static_cast<unsigned long long>(firstSeed),
+                 static_cast<unsigned long long>(seedCount),
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<std::uint64_t>::max()));
     return 2;
   }
 
