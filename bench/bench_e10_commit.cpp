@@ -43,13 +43,13 @@ Result run(std::size_t n, Time tauOmega, std::size_t crashes, Time crashAt,
   cfg.maxDelay = 40;
   auto fp = crashes == 0 ? FailurePattern::noFailures(n)
                          : Environments::staggeredCrashes(n, crashes, crashAt, 50);
-  auto cluster = makeScenarioCluster("commit-stable-majority", cfg, fp,
-                                     tauOmega, OmegaPreStabilization::kRotating);
-  Simulator& sim = cluster.sim();
   BroadcastWorkload w;
   w.start = crashes > 0 && crashAt < 2000 ? crashAt + 800 : 150;
   w.perProcess = 6;
-  cluster.scheduleWorkload(w);
+  auto cluster = makeScenarioCluster("commit-stable-majority", cfg, fp,
+                                     tauOmega, OmegaPreStabilization::kRotating,
+                                     w);
+  Simulator& sim = cluster.sim();
   cluster.runToHorizon();
   const auto commit = checkCommitSafety(sim.trace(), fp);
   Result r;

@@ -80,13 +80,15 @@ double medianHops(std::size_t n, std::uint64_t seed, MakeCluster make) {
 
 double etobHops(std::size_t n, std::uint64_t seed) {
   return medianHops(n, seed, [](SimConfig cfg, FailurePattern fp) {
-    return makeEtobCluster(cfg, std::move(fp), 0, OmegaPreStabilization::kStable);
+    return makeEtobCluster(cfg, std::move(fp), 0, OmegaPreStabilization::kStable,
+                           kNoWorkload);
   });
 }
 
 double tobHops(std::size_t n, std::uint64_t seed) {
   return medianHops(n, seed, [](SimConfig cfg, FailurePattern fp) {
-    return makeTobCluster(cfg, std::move(fp), 0, OmegaPreStabilization::kStable);
+    return makeTobCluster(cfg, std::move(fp), 0, OmegaPreStabilization::kStable,
+                          kNoWorkload);
   });
 }
 

@@ -39,13 +39,12 @@ template <typename MakeCluster>
 Outcome run(std::uint64_t seed, MakeCluster make) {
   auto cfg = e2Config(seed);
   auto fp = Environments::majorityCrash(5, 2000);  // 3 of 5 crash
-  auto cluster = make(cfg, fp);
-  Simulator& sim = cluster.sim();
   BroadcastWorkload w;
   w.start = 3000;  // after the majority is gone
   w.interval = 50;
   w.perProcess = 10;
-  cluster.scheduleWorkload(w);
+  auto cluster = make(cfg, fp, w);
+  Simulator& sim = cluster.sim();
   const BroadcastLog& log = cluster.log();
   cluster.runToHorizon();
   Outcome out;
@@ -64,16 +63,18 @@ Outcome run(std::uint64_t seed, MakeCluster make) {
 }
 
 Outcome etobRun(std::uint64_t seed) {
-  return run(seed, [](SimConfig cfg, FailurePattern fp) {
+  return run(seed, [](SimConfig cfg, FailurePattern fp,
+                      const BroadcastWorkload& w) {
     return makeEtobCluster(cfg, std::move(fp), 2500,
-                           OmegaPreStabilization::kSplitBrain);
+                           OmegaPreStabilization::kSplitBrain, w);
   });
 }
 
 Outcome tobRun(std::uint64_t seed) {
-  return run(seed, [](SimConfig cfg, FailurePattern fp) {
+  return run(seed, [](SimConfig cfg, FailurePattern fp,
+                      const BroadcastWorkload& w) {
     return makeTobCluster(cfg, std::move(fp), 2500,
-                          OmegaPreStabilization::kSplitBrain);
+                          OmegaPreStabilization::kSplitBrain, w);
   });
 }
 

@@ -31,16 +31,16 @@ Result run(Time tauOmega, std::uint64_t seed) {
   cfg.minDelay = 20;
   cfg.maxDelay = 40;
   auto fp = FailurePattern::noFailures(3);
-  auto cluster =
-      makeEtobCluster(cfg, fp, tauOmega,
-                      tauOmega == 0 ? OmegaPreStabilization::kStable
-                                    : OmegaPreStabilization::kSplitBrain);
-  Simulator& sim = cluster.sim();
   BroadcastWorkload w;
   w.start = 100;
   w.interval = 50;
   w.perProcess = 10;
-  cluster.scheduleWorkload(w);
+  auto cluster =
+      makeEtobCluster(cfg, fp, tauOmega,
+                      tauOmega == 0 ? OmegaPreStabilization::kStable
+                                    : OmegaPreStabilization::kSplitBrain,
+                      w);
+  Simulator& sim = cluster.sim();
   const BroadcastLog& log = cluster.log();
   cluster.runUntil([&](const Simulator& s) {
     return s.now() > tauOmega + 2000 && broadcastConverged(s, log);

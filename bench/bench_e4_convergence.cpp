@@ -33,14 +33,13 @@ Result run(Time tauOmega, Time deltaT, std::uint64_t seed) {
   cfg.minDelay = kDeltaC / 2;
   cfg.maxDelay = kDeltaC;
   auto fp = FailurePattern::noFailures(3);
-  auto cluster =
-      makeEtobCluster(cfg, fp, tauOmega, OmegaPreStabilization::kSplitBrain);
-  Simulator& sim = cluster.sim();
   BroadcastWorkload w;
   w.start = 100;
   w.interval = 60;
   w.perProcess = 12;
-  cluster.scheduleWorkload(w);
+  auto cluster = makeEtobCluster(cfg, fp, tauOmega,
+                                 OmegaPreStabilization::kSplitBrain, w);
+  Simulator& sim = cluster.sim();
   const BroadcastLog& log = cluster.log();
   cluster.runUntil([&](const Simulator& s) {
     return s.now() > tauOmega + 10 * (deltaT + kDeltaC) &&

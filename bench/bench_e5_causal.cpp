@@ -70,7 +70,8 @@ Result etobRun(std::uint64_t seed) {
   auto cfg = e5Config(4, seed);
   auto fp = FailurePattern::noFailures(4);
   auto cluster =
-      makeEtobCluster(cfg, fp, 4000, OmegaPreStabilization::kSplitBrain);
+      makeEtobCluster(cfg, fp, 4000, OmegaPreStabilization::kSplitBrain,
+                      kNoWorkload);
   Simulator& sim = cluster.sim();
   scheduleClientSessionWorkload(
       cluster, [](MsgId, std::size_t i) { return Command{i}; });
@@ -95,7 +96,7 @@ Result gossipRun(std::uint64_t seed) {
   auto fp = FailurePattern::noFailures(4);
   auto cluster =
       makeScenarioCluster("gossip-lww-convergence", cfg, fp, 0,
-                          OmegaPreStabilization::kStable);
+                          OmegaPreStabilization::kStable, kNoWorkload);
   Simulator& sim = cluster.sim();
   // Same client-session workload; bodies are LWW puts with per-message
   // keys so nothing is shadowed and every update is applied somewhere.

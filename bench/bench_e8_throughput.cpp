@@ -40,13 +40,12 @@ template <typename MakeCluster>
 Result run(std::size_t n, std::uint64_t seed, Time tauOmega, MakeCluster make) {
   auto cfg = e8Config(n, seed);
   auto fp = FailurePattern::noFailures(n);
-  auto cluster = make(cfg, fp, tauOmega);
-  Simulator& sim = cluster.sim();
   BroadcastWorkload w;
   w.start = 200;
   w.interval = 30;
   w.perProcess = 25;
-  cluster.scheduleWorkload(w);
+  auto cluster = make(cfg, fp, tauOmega, w);
+  Simulator& sim = cluster.sim();
   const BroadcastLog& log = cluster.log();
   Result r;
   const bool done = cluster.runUntil(
@@ -60,18 +59,22 @@ Result run(std::size_t n, std::uint64_t seed, Time tauOmega, MakeCluster make) {
 }
 
 Result etobRun(std::size_t n, std::uint64_t seed, Time tauOmega) {
-  return run(n, seed, tauOmega, [](SimConfig cfg, FailurePattern fp, Time tau) {
+  return run(n, seed, tauOmega, [](SimConfig cfg, FailurePattern fp, Time tau,
+                                   const BroadcastWorkload& w) {
     return makeEtobCluster(cfg, std::move(fp), tau,
                            tau == 0 ? OmegaPreStabilization::kStable
-                                    : OmegaPreStabilization::kSplitBrain);
+                                    : OmegaPreStabilization::kSplitBrain,
+                           w);
   });
 }
 
 Result tobRun(std::size_t n, std::uint64_t seed, Time tauOmega) {
-  return run(n, seed, tauOmega, [](SimConfig cfg, FailurePattern fp, Time tau) {
+  return run(n, seed, tauOmega, [](SimConfig cfg, FailurePattern fp, Time tau,
+                                   const BroadcastWorkload& w) {
     return makeTobCluster(cfg, std::move(fp), tau,
                           tau == 0 ? OmegaPreStabilization::kStable
-                                   : OmegaPreStabilization::kSplitBrain);
+                                   : OmegaPreStabilization::kSplitBrain,
+                          w);
   });
 }
 

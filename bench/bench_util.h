@@ -4,11 +4,10 @@
 // Benches no longer hand-roll simulator setup: each builder lowers a
 // named catalog entry (src/scenario/catalog.cpp) to a ClusterSpec and
 // applies the bench's swept knobs (config, pattern, tau_Omega,
-// pre-stabilization mode) — the "scenario variant" idiom documented in
-// docs/SCENARIOS.md, now expressed through the wfd::Cluster facade
-// (docs/API.md). The bench schedules its own workload through
-// Cluster::scheduleWorkload, so the variant's catalog workload is
-// cleared.
+// pre-stabilization mode, workload) — the "scenario variant" idiom
+// documented in docs/SCENARIOS.md, now expressed through the wfd::Cluster
+// facade (docs/API.md). The bench's workload replaces the catalog
+// entry's in the spec, so the cluster schedules it at construction.
 #pragma once
 
 #include <cstdio>
@@ -58,17 +57,21 @@ inline std::string fmt(double v, int precision = 2) {
   return buf;
 }
 
+/// Workload argument of a bench that schedules no broadcast workload.
+inline constexpr BroadcastWorkload kNoWorkload{.perProcess = 0};
+
 /// Cluster for a variant of catalog entry `base` with the bench's knobs
 /// applied, seeded with cfg.seed. The variant keeps the entry's stack
-/// but pins the bench's exact config, pattern and Omega parameters,
-/// uses the uniform network from the config, and schedules no catalog
-/// workload (benches drive their own via Cluster::scheduleWorkload).
+/// but pins the bench's exact config, pattern, Omega parameters and
+/// workload, and uses the uniform network from the config.
 inline Cluster makeScenarioCluster(const std::string& base, SimConfig cfg,
                                    FailurePattern fp, Time tauOmega,
-                                   OmegaPreStabilization mode) {
+                                   OmegaPreStabilization mode,
+                                   const BroadcastWorkload& workload) {
   const Scenario* found = findScenario(base);
   WFD_ENSURE_MSG(found != nullptr, "unknown catalog scenario");
-  ClusterSpec spec = clusterSpec(*found, cfg);
+  ClusterSpec spec = clusterSpec(*found);
+  spec.config = cfg;
   spec.pattern = [fp = std::move(fp)](std::size_t) { return fp; };
   spec.tauOmega = tauOmega;
   spec.omegaMode = mode;
@@ -76,23 +79,25 @@ inline Cluster makeScenarioCluster(const std::string& base, SimConfig cfg,
   // the tauOmega/mode arguments (the cluster only consults them when
   // detector is null) — clear it so the bench's knobs always apply.
   spec.detector = nullptr;
-  spec.network = nullptr;        // uniform delay from the bench's config
-  spec.workload.perProcess = 0;  // the bench schedules its own workload
+  spec.network = nullptr;  // uniform delay from the bench's config
+  spec.workload = workload;
   return Cluster(std::move(spec), cfg.seed);
 }
 
 /// ETOB cluster (Algorithm 5): variant of the "split-brain-heal" entry.
 inline Cluster makeEtobCluster(SimConfig cfg, FailurePattern fp, Time tauOmega,
-                               OmegaPreStabilization mode) {
+                               OmegaPreStabilization mode,
+                               const BroadcastWorkload& workload) {
   return makeScenarioCluster("split-brain-heal", cfg, std::move(fp), tauOmega,
-                             mode);
+                             mode, workload);
 }
 
 /// TOB-via-consensus cluster: variant of the "tob-baseline-stable" entry.
 inline Cluster makeTobCluster(SimConfig cfg, FailurePattern fp, Time tauOmega,
-                              OmegaPreStabilization mode) {
+                              OmegaPreStabilization mode,
+                              const BroadcastWorkload& workload) {
   return makeScenarioCluster("tob-baseline-stable", cfg, std::move(fp),
-                             tauOmega, mode);
+                             tauOmega, mode, workload);
 }
 
 }  // namespace wfd::bench

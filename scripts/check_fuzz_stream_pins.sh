@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Pins the fuzz stream across versions: for each fixed wfd_explore
-# invocation below, the sha256 of its stdout must equal the one recorded
-# in scripts/fuzz_stream_pins.txt. wfd_explore's stdout is a pure
-# function of its arguments (no timing, no thread ids), so a mismatch is
-# a change in which plans are sampled or mutated, or in how a plan runs,
-# never noise. Diffing two runs of one binary cannot see such a change;
-# this check can.
+# Pins the fuzz stream and the catalog sweep across versions: for each
+# fixed invocation below, the sha256 of its stdout must equal the one
+# recorded in scripts/fuzz_stream_pins.txt. The stdout of wfd_explore and
+# of wfd_scenarios is a pure function of the arguments (no timing, no
+# thread ids), so a mismatch is a change in which plans are sampled or
+# mutated, or in how a plan or catalog entry runs, never noise. Diffing
+# two runs of one binary cannot see such a change; this check can.
 #
 # Usage: scripts/check_fuzz_stream_pins.sh [--print] [BUILD_DIR]
-#   Runs BUILD_DIR/tools/wfd_explore (default BUILD_DIR: build). Prints a
-#   diff and exits 1 on any mismatch.
+#   Runs BUILD_DIR/tools/{wfd_explore,wfd_scenarios} (default BUILD_DIR:
+#   build). Prints a diff and exits 1 on any mismatch.
 #
 # Re-pinning: only for a change that is meant to move the stream, with the
 # reason written down in CHANGES.md (see docs/FUZZING.md):
@@ -25,27 +25,30 @@ if [ "${1:-}" = "--print" ]; then
   shift
 fi
 build_dir="${1:-$repo_root/build}"
-explore="$build_dir/tools/wfd_explore"
-if [ ! -x "$explore" ]; then
-  echo "error: $explore not found (build the wfd_explore target first)" >&2
-  exit 1
-fi
 
+# Each invocation is a tool under BUILD_DIR/tools followed by its
+# arguments.
 invocations=(
-  "--stack all --runs 60 --seed 1"
-  "--generations 2 --stack all --runs 60 --seed 1 --loss-genome"
+  "wfd_explore --stack all --runs 60 --seed 1"
+  "wfd_explore --generations 2 --stack all --runs 60 --seed 1 --loss-genome"
+  "wfd_scenarios --scenario all --seed-count 3"
 )
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-for args in "${invocations[@]}"; do
-  # shellcheck disable=SC2086  # the invocation is a word list on purpose
-  if ! "$explore" $args > "$tmpdir/out"; then
-    echo "error: wfd_explore $args failed" >&2
+for invocation in "${invocations[@]}"; do
+  tool="$build_dir/tools/${invocation%% *}"
+  if [ ! -x "$tool" ]; then
+    echo "error: $tool not found (build the ${invocation%% *} target first)" >&2
     exit 1
   fi
-  echo "$(sha256sum < "$tmpdir/out" | cut -d' ' -f1) $args" >> "$tmpdir/actual.txt"
+  # shellcheck disable=SC2086  # the arguments are a word list on purpose
+  if ! "$tool" ${invocation#* } > "$tmpdir/out"; then
+    echo "error: $invocation failed" >&2
+    exit 1
+  fi
+  echo "$(sha256sum < "$tmpdir/out" | cut -d' ' -f1) $invocation" >> "$tmpdir/actual.txt"
 done
 
 if [ "$print" = 1 ]; then

@@ -186,10 +186,19 @@ Cluster::Cluster(ClusterSpec spec, std::uint64_t seed)
   for (ProcessId p = 0; p < cfg.processCount; ++p) {
     sim_->addProcess(p, makeStackAutomaton(spec_, cfg, p));
   }
-  nextClientSeq_.assign(cfg.processCount, 0);
   if (spec_.stack != AlgoStack::kOmegaEc && !spec_.automaton) {
-    scheduleWorkload(spec_.workload);
+    // A workload's bodies are {origin, i} markers, not state-machine
+    // commands: a KvStore replica would throw on {1, i} and erase key i
+    // on {2, i}. KV writes go through Client::put.
+    WFD_ENSURE_MSG(spec_.workload.perProcess == 0 || !spec_.kvReplica,
+                   "a kvReplica cluster takes writes through Client::put, "
+                   "not a broadcast workload");
+    log_ = scheduleBroadcastWorkload(*sim_, spec_.workload);
   }
+  // Workload ids use per-origin sequences 0..perProcess-1; client
+  // submissions continue above them.
+  nextClientSeq_.assign(cfg.processCount,
+                        static_cast<std::uint32_t>(spec_.workload.perProcess));
 
   caps_ = spec_.automaton ? Capabilities{} : stackCapabilities(spec_.stack);
   if (spec_.kvReplica) caps_.kv = true;
@@ -203,43 +212,6 @@ Cluster::Cluster(ClusterSpec spec, std::uint64_t seed)
   sim_->setOutputHook([this](ProcessId p, Time t, const Payload& out) {
     for (const OutputObserver& obs : outputObservers_) obs(p, t, out);
   });
-}
-
-void Cluster::scheduleWorkload(const BroadcastWorkload& w) {
-  // A workload's bodies are {origin, i} markers, not state-machine
-  // commands: a KvStore replica would throw on {1, i} and erase key i on
-  // {2, i}. KV writes go through Client::put.
-  WFD_ENSURE_MSG(w.perProcess == 0 || !spec_.kvReplica,
-                 "a kvReplica cluster takes writes through Client::put, "
-                 "not a broadcast workload");
-  // The workload generator always uses per-origin ids 0..perProcess-1;
-  // client ids are allocated ABOVE the workload's. Either a second
-  // workload or a workload after the first client submission would
-  // therefore re-issue ids already in play — both are rejected.
-  WFD_ENSURE_MSG(w.perProcess == 0 ||
-                     (!workloadScheduled_ && !clientIdsIssued_),
-                 "one workload per cluster, before any client submission");
-  // Same temporal rule as submitAt/crashAt/isolate: scheduling
-  // into the past would log broadcastAt times the run never saw.
-  WFD_ENSURE_MSG(w.perProcess == 0 || w.start >= sim_->now(),
-                 "workloads are scheduled at >= now");
-  if (w.perProcess > 0) workloadScheduled_ = true;
-  const BroadcastLog scheduled = scheduleBroadcastWorkload(*sim_, w);
-  for (MsgId id : scheduled.ids()) {
-    const BroadcastRecord* rec = scheduled.find(id);
-    AppMsg m;
-    m.id = rec->id;
-    m.origin = rec->origin;
-    m.body = rec->body;
-    m.causalDeps = rec->deps;
-    log_.record(m, rec->broadcastAt);
-  }
-  // Workload ids use per-origin sequences 0..perProcess-1; client
-  // submissions continue above them.
-  for (std::uint32_t& next : nextClientSeq_) {
-    next = std::max<std::uint32_t>(
-        next, static_cast<std::uint32_t>(w.perProcess));
-  }
 }
 
 bool Cluster::advanceTo(Time t) {
@@ -354,7 +326,6 @@ MsgId Cluster::submitAt(ProcessId p, Time t,
   WFD_ENSURE_MSG(t >= sim_->now(), "submissions are scheduled at >= now");
   AppMsg m;
   m.id = makeMsgId(p, nextClientSeq_[p]++);
-  clientIdsIssued_ = true;
   m.origin = p;
   m.body = std::move(body);
   m.causalDeps = std::move(causalDeps);

@@ -63,9 +63,8 @@ class Cluster;
 
 /// Declarative description of a replicated service deployment. Every
 /// field is data or a pure factory, so (spec, seed) fully determines the
-/// cluster's run — the same contract a scenario catalog entry has, and
-/// in fact a flat Scenario lowers to exactly this struct (see
-/// clusterSpec() in scenario/scenario.h).
+/// cluster's run. A scenario catalog entry is this struct plus a name and
+/// a checker set (Scenario in scenario/scenario.h derives from it).
 struct ClusterSpec {
   AlgoStack stack = AlgoStack::kEtob;
 
@@ -89,11 +88,12 @@ struct ClusterSpec {
   Time tauOmega = 0;
   OmegaPreStabilization omegaMode = OmegaPreStabilization::kSplitBrain;
 
-  /// Broadcast workload scheduled at construction (ignored by kOmegaEc,
-  /// which drives proposals; must be empty — perProcess == 0 — when
+  /// The cluster's broadcast workload, scheduled once at construction
+  /// with per-origin ids 0..perProcess-1 (ignored by kOmegaEc, which
+  /// drives proposals; must be empty — perProcess == 0 — when
   /// `automaton` is set, since a custom automaton defines its own input
   /// surface). perProcess == 0 schedules nothing; client submissions
-  /// compose with a scheduled workload either way.
+  /// take ids above the workload's either way.
   BroadcastWorkload workload;
 
   /// kOmegaEc: number of EC instances each process proposes.
@@ -203,7 +203,7 @@ class Client {
 class Cluster {
  public:
   /// Builds and wires the whole system: pattern, detector, network,
-  /// one stack automaton per process, scheduled workload. Performs the
+  /// one stack automaton per process, the spec's workload. Performs the
   /// exact construction sequence the scenario path always used, so
   /// (spec, seed) reproduces pre-facade trace digests bit-for-bit.
   Cluster(ClusterSpec spec, std::uint64_t seed);
@@ -218,9 +218,8 @@ class Cluster {
   const Capabilities& capabilities() const { return caps_; }
   std::size_t processCount() const { return sim_->config().processCount; }
   Time now() const { return sim_->now(); }
-  /// Input history of every scheduled workload message and every client
-  /// submission, KV writes included — what the broadcast checkers verify
-  /// against.
+  /// Input history: the spec's workload and every client submission, KV
+  /// writes included — what the broadcast checkers verify against.
   const BroadcastLog& log() const { return log_; }
   const FailurePattern& pattern() const { return sim_->failurePattern(); }
 
@@ -283,13 +282,6 @@ class Cluster {
   using OutputObserver = std::function<void(ProcessId, Time, const Payload&)>;
   void observeOutputs(OutputObserver cb);
 
-  /// Schedules an additional broadcast workload (benches sweep their own
-  /// on top of a spec with workload.perProcess == 0) and merges it into
-  /// log(). Client-submission ids continue above the workload's, so any
-  /// workload must be scheduled before the first client submission
-  /// (rejected otherwise — ids would collide).
-  void scheduleWorkload(const BroadcastWorkload& w);
-
  private:
   friend class Client;
 
@@ -305,15 +297,9 @@ class Cluster {
   Capabilities caps_;
   std::unique_ptr<Simulator> sim_;
   BroadcastLog log_;
-  /// Per-process next client MsgId sequence number (starts above any
-  /// scheduled workload's ids).
+  /// Per-process next client MsgId sequence number; starts at
+  /// spec.workload.perProcess, above the workload's ids 0..perProcess-1.
   std::vector<std::uint32_t> nextClientSeq_;
-  /// True once a facade-allocated MsgId was handed out — from then on a
-  /// scheduled workload could collide with issued ids, so it is rejected.
-  bool clientIdsIssued_ = false;
-  /// True once a non-empty workload was scheduled (its ids 0..per-1 are
-  /// in play — a second workload would re-issue them, so it is rejected).
-  bool workloadScheduled_ = false;
   std::vector<DeliveryObserver> deliveryObservers_;
   std::vector<OutputObserver> outputObservers_;
 };

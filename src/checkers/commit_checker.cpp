@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/ensure.h"
 #include "etob/commit_etob.h"
 
 namespace wfd {
 
 CommitCheckReport checkCommitSafety(const Trace& trace,
                                     const FailurePattern& pattern) {
+  WFD_ENSURE_MSG(trace.keepsSnapshots(),
+                 "checkCommitSafety needs a trace that keeps d_i snapshots");
   CommitCheckReport report;
   std::uint64_t minFinalLen = 0;
   bool sawAny = false;

@@ -26,7 +26,9 @@ struct CommitCheckReport {
   bool safetyOk() const { return revokedCommits == 0; }
 };
 
-/// Requires the trace to keep delivery snapshots.
+/// Each indication is judged against the d_i snapshots around it, so the
+/// trace must keep them: a trace recorded with keepDeliverySnapshots =
+/// false throws InvariantError.
 CommitCheckReport checkCommitSafety(const Trace& trace,
                                     const FailurePattern& pattern);
 

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/ensure.h"
+
 namespace wfd {
 namespace {
 
@@ -60,6 +62,8 @@ class CausalClosure {
 
 BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& log,
                                        const FailurePattern& pattern) {
+  WFD_ENSURE_MSG(trace.keepsSnapshots(),
+                 "checkBroadcastRun needs a trace that keeps d_i snapshots");
   BroadcastCheckReport report;
   const std::vector<ProcessId> correct = pattern.correctSet();
   auto fail = [&report](bool& flag, const std::string& msg) {

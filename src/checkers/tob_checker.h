@@ -47,14 +47,11 @@ struct BroadcastCheckReport {
   std::vector<std::string> errors;
 };
 
-/// Checks a run. Requires the trace to have been recorded with
-/// keepDeliverySnapshots = true. Only correct processes are constrained
-/// (the paper's properties all quantify over correct processes).
-///
-/// `requireValidity` can be disabled for runs that crash message origins
-/// (Validity only applies to correct broadcasters anyway, but workloads
-/// sometimes schedule inputs for processes after their crash time; those
-/// inputs never happen and must not be counted).
+/// Checks a run. Only correct processes are constrained (the paper's
+/// properties all quantify over correct processes). No-creation,
+/// No-duplication, Total-order and Causal-order are judged on every d_i
+/// snapshot, so the trace must keep them: a trace recorded with
+/// keepDeliverySnapshots = false throws InvariantError.
 BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& log,
                                        const FailurePattern& pattern);
 

@@ -48,17 +48,6 @@ Json encodeProcessOrNone(ProcessId p) {
                          : Json::number(static_cast<std::uint64_t>(p));
 }
 
-bool decodeProcessOrNone(const Json& j, ProcessId* out) {
-  if (j.kind() == Json::Kind::kString) {
-    if (j.asString() != "none") return false;
-    *out = kNoProcess;
-    return true;
-  }
-  if (j.kind() != Json::Kind::kUInt) return false;
-  *out = static_cast<ProcessId>(j.asUInt());
-  return true;
-}
-
 /// Rejects objects carrying keys outside the allowed set: a misspelled
 /// section name ("slowlink", "skew") must be a loud decode error, not a
 /// silently dropped fault layer in a hand-written plan.
@@ -119,11 +108,30 @@ class Reader {
     return true;
   }
 
+  /// A process id as a number. The number 18446744073709551615 is
+  /// kNoProcess, which a plan spells "none" (processOrNoneField) or
+  /// leaves out: read as a number it would silently drop a fault layer
+  /// or turn an isolation into a blackout, so it is a decode error.
   bool processField(const char* key, ProcessId* out, bool required = true) {
     const Json* f = j_.find(key);
     if (f == nullptr) return required ? fail(key, "missing") : true;
-    if (!decodeProcessOrNone(*f, out)) return fail(key, "not a process id");
+    if (f->kind() != Json::Kind::kUInt) return fail(key, "not a process id");
+    if (f->asUInt() == kNoProcess) {
+      return fail(key, "18446744073709551615 is not a process id");
+    }
+    *out = static_cast<ProcessId>(f->asUInt());
     return true;
+  }
+
+  /// processField that also accepts the string "none" (kNoProcess).
+  bool processOrNoneField(const char* key, ProcessId* out) {
+    const Json* f = j_.find(key);
+    if (f != nullptr && f->kind() == Json::Kind::kString &&
+        f->asString() == "none") {
+      *out = kNoProcess;
+      return true;
+    }
+    return processField(key, out);
   }
 
   const Json* arrayField(const char* key) {
@@ -340,7 +348,7 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
       PlanPartition p;
       if (!pr.uintField("start", &p.start) || !pr.uintField("width", &p.width) ||
           !pr.uintField("period", &p.period) ||
-          !pr.processField("isolate", &p.isolate)) {
+          !pr.processOrNoneField("isolate", &p.isolate)) {
         return std::nullopt;
       }
       plan.partitions.push_back(p);
@@ -361,7 +369,7 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
         !cr.u32Field("dup_den", &plan.chaos.dupDen) ||
         !cr.u32Field("max_extra_copies", &plan.chaos.maxExtraCopies) ||
         !cr.uintField("reorder_jitter", &plan.chaos.reorderJitter) ||
-        !cr.processField("only_touching", &plan.chaos.onlyTouching)) {
+        !cr.processOrNoneField("only_touching", &plan.chaos.onlyTouching)) {
       return std::nullopt;
     }
   } else if (error != nullptr && !error->empty()) {
@@ -390,12 +398,10 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
       return std::nullopt;
     }
     Reader sr(*slow, error);
-    std::uint64_t p = 0;
-    if (!sr.uintField("process", &p) ||
+    if (!sr.processField("process", &plan.slowLink.process) ||
         !sr.uintField("factor", &plan.slowLink.factor)) {
       return std::nullopt;
     }
-    plan.slowLink.process = static_cast<ProcessId>(p);
   } else if (error != nullptr && !error->empty()) {
     return std::nullopt;
   }
@@ -409,8 +415,6 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
       return std::nullopt;
     }
     Reader lr(*loss, error);
-    std::uint64_t oneWayFrom = 0;
-    const bool hasOneWay = loss->find("one_way_from") != nullptr;
     if (!lr.u32Field("loss_num", &plan.loss.lossNum, /*required=*/false) ||
         !lr.u32Field("loss_den", &plan.loss.lossDen, /*required=*/false) ||
         !lr.uintField("burst_period", &plan.loss.burstPeriod,
@@ -418,7 +422,8 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
         !lr.uintField("burst_len", &plan.loss.burstLen, /*required=*/false) ||
         !lr.uintField("active_until", &plan.loss.activeUntil,
                       /*required=*/false) ||
-        !lr.uintField("one_way_from", &oneWayFrom, /*required=*/false) ||
+        !lr.processField("one_way_from", &plan.loss.oneWayFrom,
+                         /*required=*/false) ||
         !lr.uintField("one_way_start", &plan.loss.oneWayStart,
                       /*required=*/false) ||
         !lr.uintField("one_way_width", &plan.loss.oneWayWidth,
@@ -427,7 +432,6 @@ std::optional<FuzzPlan> decodeFuzzPlan(const Json& j, std::string* error) {
                       /*required=*/false)) {
       return std::nullopt;
     }
-    if (hasOneWay) plan.loss.oneWayFrom = static_cast<ProcessId>(oneWayFrom);
   } else if (error != nullptr && !error->empty()) {
     return std::nullopt;
   }

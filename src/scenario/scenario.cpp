@@ -18,31 +18,20 @@
 
 namespace wfd {
 
-ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides) {
+ClusterSpec clusterSpec(const Scenario& s) {
   WFD_ENSURE_MSG(s.shards == 0 && s.keyed == KeyedWorkload{} &&
                      s.shardFaults.empty() && !s.checks.requireRebalance,
                  "a sharded scenario lowers through shardedSpec()");
-  ClusterSpec spec;
-  spec.stack = s.stack;
-  spec.config = overrides;
-  spec.pattern = s.pattern;
-  spec.network = s.network;
-  spec.detector = s.detector;
-  spec.tauOmega = s.tauOmega;
-  spec.omegaMode = s.omegaMode;
-  spec.workload = s.workload;
-  spec.ecInstances = s.ecInstances;
-  return spec;
+  return static_cast<const ClusterSpec&>(s);
 }
-
-ClusterSpec clusterSpec(const Scenario& s) { return clusterSpec(s, s.config); }
 
 ShardedSpec shardedSpec(const Scenario& s) {
   WFD_ENSURE_MSG(s.shards > 0, "a flat scenario lowers through clusterSpec()");
   WFD_ENSURE_MSG(!s.pattern && !s.network && !s.detector &&
-                     s.workload.perProcess == 0 && s.ecInstances == 0,
+                     s.workload.perProcess == 0 && s.ecInstances == 0 &&
+                     !s.kvReplica && !s.automaton,
                  "a sharded scenario has no flat pattern, network, detector, "
-                 "broadcast workload or EC instances");
+                 "broadcast workload, EC instances, kvReplica or automaton");
   ShardedSpec spec;
   spec.shards = s.shards;
   spec.replicasPerShard = s.config.processCount;
@@ -53,14 +42,8 @@ ShardedSpec shardedSpec(const Scenario& s) {
   return spec;
 }
 
-ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed,
-                                     const SimConfig& overrides) {
-  return ScenarioInstance(
-      std::make_unique<Cluster>(clusterSpec(s, overrides), seed));
-}
-
 ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed) {
-  return instantiateScenario(s, seed, s.config);
+  return ScenarioInstance(std::make_unique<Cluster>(clusterSpec(s), seed));
 }
 
 namespace {

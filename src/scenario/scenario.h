@@ -4,15 +4,16 @@
 // the wfd_scenarios CLI all execute the same catalog instead of
 // hand-rolling simulator setup.
 //
-// A Scenario is a named, checker-annotated deployment description that
-// lowers to one of two specs. A flat entry (shards == 0) is one cluster:
-// clusterSpec() lowers it to a ClusterSpec and runScenario drives a
-// wfd::Cluster (the golden digest-equivalence suite in tests/test_api.cpp
-// pins that the lowering reproduces the pre-facade instantiation
-// bit-for-bit). A sharded entry (shards > 0) is the §7 committed-prefix
-// KV service over S independent replica groups: shardedSpec() lowers it
-// to a ShardedSpec, and runScenario drives a ShardedService through a
-// ShardRouter with the entry's keyed workload and shard faults.
+// A Scenario is a ClusterSpec plus a name, a checker set and the
+// sharded-run fields, and it runs as one of two deployments. A flat entry
+// (shards == 0) is one cluster: clusterSpec() returns its ClusterSpec
+// slice and runScenario drives a wfd::Cluster (the golden
+// digest-equivalence suite in tests/test_api.cpp pins that this
+// reproduces the pre-facade instantiation bit-for-bit). A sharded entry
+// (shards > 0) is the §7 committed-prefix KV service over S independent
+// replica groups: shardedSpec() lowers it to a ShardedSpec, and
+// runScenario drives a ShardedService through a ShardRouter with the
+// entry's keyed workload and shard faults.
 //
 // A scenario is deterministic modulo its seed: runScenario(s, seed)
 // always produces the same digest for the same (scenario, seed) pair,
@@ -20,18 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/cluster.h"
-#include "checkers/broadcast_log.h"
-#include "checkers/workload.h"
-#include "fd/detectors.h"
 #include "shard/sharded_service.h"
-#include "sim/failure_pattern.h"
-#include "sim/network_model.h"
 #include "sim/simulator.h"
 
 namespace wfd {
@@ -99,43 +94,21 @@ struct CheckerSet {
   bool requireRebalance = false;
 };
 
-/// A named, declarative run description. Every field is data (or a pure
-/// factory), so a (scenario, seed) pair fully determines the run.
-struct Scenario {
+/// A named, declarative run description: a ClusterSpec plus the
+/// evaluation-side name, description and checker set and the sharded-run
+/// fields. Every field is data (or a pure factory), so a (scenario, seed)
+/// pair fully determines the run. The per-run seed overrides
+/// config.seed. On a sharded entry `config` is each shard's, with
+/// processCount the replica count per shard.
+struct Scenario : ClusterSpec {
   std::string name;
   std::string description;
 
-  /// Base scheduler parameters. The per-run seed overrides config.seed.
-  /// On a sharded entry these are each shard's, with processCount the
-  /// replica count per shard.
-  SimConfig config;
-
-  /// Failure pattern factory (receives config.processCount).
-  std::function<FailurePattern(std::size_t n)> pattern;
-
-  /// Network model factory; nullptr = uniform delay from the config
-  /// (the legacy scheduling, bit-for-bit).
-  std::function<std::shared_ptr<const NetworkModel>(const SimConfig&)> network;
-
-  /// Failure detector factory; nullptr = OmegaFd(pattern, tauOmega,
-  /// omegaMode).
-  std::function<std::shared_ptr<const FailureDetector>(const FailurePattern&)>
-      detector;
-  Time tauOmega = 0;
-  OmegaPreStabilization omegaMode = OmegaPreStabilization::kSplitBrain;
-
-  AlgoStack stack = AlgoStack::kEtob;
-
-  /// Broadcast workload (ignored by kOmegaEc, which drives proposals).
-  BroadcastWorkload workload;
-  /// kOmegaEc: number of EC instances each process proposes.
-  Instance ecInstances = 0;
-
   /// Number of independent replica groups behind a consistent-hash
   /// router; 0 = one cluster (a flat entry). A sharded entry leaves
-  /// pattern, network, detector and ecInstances unset, schedules no
-  /// broadcast workload (perProcess = 0), and describes its run with the
-  /// two fields below.
+  /// pattern, network, detector, ecInstances, kvReplica and automaton
+  /// unset, schedules no broadcast workload (perProcess = 0), and
+  /// describes its run with the two fields below.
   std::size_t shards = 0;
   KeyedWorkload keyed;
   std::vector<ShardFault> shardFaults;
@@ -143,13 +116,10 @@ struct Scenario {
   CheckerSet checks;
 };
 
-/// Lowers a flat entry to the facade's deployment description (every
-/// field except name/description/checks, which are evaluation-side).
-/// `overrides` replaces the base SimConfig, partition windows and clock
-/// skew included (keeping pattern/model/stack).
+/// The deployment half of a flat entry: its ClusterSpec slice. A caller
+/// that wants another config edits its copy (`spec.config = cfg;`).
 /// Throws InvariantError on a sharded entry.
 ClusterSpec clusterSpec(const Scenario& s);
-ClusterSpec clusterSpec(const Scenario& s, const SimConfig& overrides);
 
 /// Lowers a sharded entry to the service description: shard count,
 /// stack, per-shard config (replicasPerShard = config.processCount) and
@@ -159,29 +129,22 @@ ShardedSpec shardedSpec(const Scenario& s);
 
 /// A scenario instantiated for one seed, ready to run (or to be driven
 /// further by a bench that sweeps a knob on top of the catalog entry).
-/// The failure pattern is reachable via sim->failurePattern().
+/// The failure pattern is reachable via sim->failurePattern(), the input
+/// history via cluster->log().
 struct ScenarioInstance {
   /// The facade cluster driving this run (owns the simulator).
   std::unique_ptr<Cluster> cluster;
   /// Borrowed from *cluster — kept so pre-facade call sites
   /// (inst.sim->run(), *inst.sim) read unchanged.
   Simulator* sim = nullptr;
-  /// Input history of the scheduled broadcast workload; empty for
-  /// kOmegaEc (the driver records proposals in the trace instead).
-  /// Snapshot taken at instantiation — later Client submissions land in
-  /// cluster->log(), not here.
-  BroadcastLog log;
 
   explicit ScenarioInstance(std::unique_ptr<Cluster> c)
-      : cluster(std::move(c)), sim(&cluster->sim()), log(cluster->log()) {}
+      : cluster(std::move(c)), sim(&cluster->sim()) {}
 };
 
-/// Builds the cluster + workload for a flat (scenario, seed). Thin
-/// adapter over Cluster(clusterSpec(s), seed); the per-run seed is
-/// applied on top in both forms.
+/// Builds the cluster + workload for a flat (scenario, seed): a thin
+/// adapter over Cluster(clusterSpec(s), seed).
 ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed);
-ScenarioInstance instantiateScenario(const Scenario& s, std::uint64_t seed,
-                                     const SimConfig& overrides);
 
 /// Outcome of one (scenario, seed) run: checker verdicts + metrics.
 struct ScenarioRunResult {

@@ -29,8 +29,6 @@ ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
   WFD_ENSURE_MSG(spec_.replicasPerShard > 0,
                  "a shard needs >= 1 replica");
   shards_.reserve(spec_.shards);
-  crashed_.assign(spec_.shards,
-                  std::vector<bool>(spec_.replicasPerShard, false));
   for (std::size_t s = 0; s < spec_.shards; ++s) {
     ClusterSpec cs;
     cs.stack = spec_.stack;
@@ -68,12 +66,9 @@ std::size_t ShardedService::ownerOf(std::uint64_t key) const {
 }
 
 ProcessId ShardedService::readReplicaOf(std::size_t s) const {
-  WFD_ENSURE_MSG(s < shards_.size(), "shard index out of range");
-  for (std::size_t p = 0; p < spec_.replicasPerShard; ++p) {
-    if (!crashed_[s][p]) return static_cast<ProcessId>(p);
-  }
-  WFD_ENSURE_MSG(false, "every replica of the shard is crashed");
-  return 0;
+  const ProcessId p = shard(s).pattern().lowestCorrect();
+  WFD_ENSURE_MSG(p != kNoProcess, "every replica of the shard is crashed");
+  return p;
 }
 
 std::size_t ShardedService::majorityOf(std::size_t s) const {
@@ -82,9 +77,12 @@ std::size_t ShardedService::majorityOf(std::size_t s) const {
 }
 
 std::size_t ShardedService::correctReplicasOf(std::size_t s) const {
-  WFD_ENSURE_MSG(s < shards_.size(), "shard index out of range");
-  return static_cast<std::size_t>(
-      std::count(crashed_[s].begin(), crashed_[s].end(), false));
+  const FailurePattern& fp = shard(s).pattern();
+  std::size_t correct = 0;
+  for (ProcessId p = 0; p < fp.size(); ++p) {
+    if (fp.correct(p)) ++correct;
+  }
+  return correct;
 }
 
 bool ShardedService::hasQuorum(std::size_t s) const {
@@ -96,11 +94,10 @@ ShardedStats ShardedService::stats() const {
   out.perShard.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardStats row;
+    row.correctReplicas = correctReplicasOf(s);
     // Read the shard through its current read replica; a shard with no
     // correct replica left reports zeros (nothing is readable there).
-    const bool readable =
-        std::count(crashed_[s].begin(), crashed_[s].end(), false) > 0;
-    if (readable) {
+    if (row.correctReplicas > 0) {
       // Client is a cheap value handle; const_cast is confined to
       // obtaining one (stats() mutates nothing).
       Client c = const_cast<Cluster&>(*shards_[s]).client(readReplicaOf(s));
@@ -110,8 +107,6 @@ ShardedStats ShardedService::stats() const {
       row.rebuilds = kv.rebuilds;
       row.committedLen = c.committedPrefix().size();
     }
-    row.correctReplicas = static_cast<std::size_t>(
-        std::count(crashed_[s].begin(), crashed_[s].end(), false));
     row.inRing = ring_.contains(static_cast<std::uint32_t>(s));
     out.keys += row.keys;
     out.applied += row.applied;
@@ -155,9 +150,9 @@ void ShardedService::crashReplica(std::size_t s, ProcessId replica, Time t) {
   WFD_ENSURE_MSG(s < shards_.size(), "shard index out of range");
   WFD_ENSURE_MSG(replica < spec_.replicasPerShard,
                  "replica index out of range");
-  WFD_ENSURE_MSG(!crashed_[s][replica], "replica is already crashed");
+  WFD_ENSURE_MSG(shards_[s]->pattern().correct(replica),
+                 "replica is already crashed");
   shards_[s]->crashAt(replica, t);
-  crashed_[s][replica] = true;
   // Quorum accounting is eager: the crash is scheduled, so routing stops
   // trusting the shard now rather than at t (conservative, and what
   // keeps the ring a pure function of the injected-fault history).

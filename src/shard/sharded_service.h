@@ -153,8 +153,6 @@ class ShardedService {
   std::uint64_t seed_ = 0;
   Time now_ = 0;
   std::vector<std::unique_ptr<Cluster>> shards_;
-  /// crashed_[s][p]: an injected crash exists for replica p of shard s.
-  std::vector<std::vector<bool>> crashed_;
   ConsistentHashRing ring_;
   std::size_t rebalances_ = 0;
 };

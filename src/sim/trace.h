@@ -46,6 +46,8 @@ class Trace {
   explicit Trace(std::size_t processCount, bool keepSnapshots = true);
 
   std::size_t processCount() const { return outputs_.size(); }
+  /// False when only the counters are kept (deliverySnapshots() empty).
+  bool keepsSnapshots() const { return keepSnapshots_; }
 
   void recordOutput(ProcessId p, Time t, Payload value);
   /// Returns true iff the sequence actually changed (an unchanged d_i is

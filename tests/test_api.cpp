@@ -434,45 +434,6 @@ TEST(FaultInjectionTest, CrashRejectionsAreEnforced) {
   EXPECT_TRUE(broadcastConverged(cluster.sim(), cluster.log()));
 }
 
-TEST(ClientTest, WorkloadAfterClientSubmissionIsRejected) {
-  ClusterSpec spec = tinySpec(AlgoStack::kEtob);
-  spec.workload.perProcess = 0;
-  Cluster cluster(spec, 1);
-  cluster.client(0).submitAt(100, {1});  // issues makeMsgId(0, 0)
-  BroadcastWorkload w;
-  w.perProcess = 2;  // would re-issue makeMsgId(0, 0)
-  EXPECT_THROW(cluster.scheduleWorkload(w), InvariantError);
-  BroadcastWorkload empty;
-  empty.perProcess = 0;  // schedules nothing — still fine
-  cluster.scheduleWorkload(empty);
-}
-
-TEST(ClientTest, SecondWorkloadIsRejected) {
-  // Workload ids are always 0..perProcess-1 per origin, so a second
-  // workload would re-issue the first one's ids — whether the first came
-  // from the spec or from an explicit scheduleWorkload call.
-  Cluster viaSpec(tinySpec(AlgoStack::kEtob), 1);  // spec schedules 3/process
-  BroadcastWorkload w;
-  w.perProcess = 2;
-  EXPECT_THROW(viaSpec.scheduleWorkload(w), InvariantError);
-
-  ClusterSpec spec = tinySpec(AlgoStack::kEtob);
-  spec.workload.perProcess = 0;
-  Cluster viaCall(spec, 1);
-  viaCall.scheduleWorkload(w);  // first non-empty workload: fine
-  EXPECT_THROW(viaCall.scheduleWorkload(w), InvariantError);
-}
-
-TEST(ClientTest, PastTimeWorkloadIsRejected) {
-  ClusterSpec spec = tinySpec(AlgoStack::kEtob);
-  spec.workload.perProcess = 0;
-  Cluster cluster(spec, 1);
-  cluster.advanceTo(5000);
-  BroadcastWorkload w;  // start defaults to 50 — now in the past
-  w.perProcess = 2;
-  EXPECT_THROW(cluster.scheduleWorkload(w), InvariantError);
-}
-
 TEST(ClusterSpecTest, KvReplicaRejectsABroadcastWorkload) {
   // A workload's {origin, i} marker bodies are not KvStore commands:
   // the replica would throw on {1, i} and erase key i on {2, i}.
@@ -538,7 +499,7 @@ TEST(ScenarioAdapterTest, InstanceExposesItsCluster) {
   ScenarioInstance inst = instantiateScenario(*s, 2);
   ASSERT_NE(inst.cluster, nullptr);
   EXPECT_EQ(inst.sim, &inst.cluster->sim());
-  EXPECT_EQ(inst.log.size(), inst.cluster->log().size());
+  EXPECT_GT(inst.cluster->log().size(), 0u);
   inst.sim->run();  // legacy call shape still works
   EXPECT_GT(inst.sim->eventsProcessed(), 0u);
 }

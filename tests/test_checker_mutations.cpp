@@ -95,7 +95,8 @@ struct HealthyRun {
   }
 
   BroadcastCheckReport check(const Trace& trace) const {
-    return checkBroadcastRun(trace, inst.log, inst.sim->failurePattern());
+    return checkBroadcastRun(trace, inst.cluster->log(),
+                             inst.sim->failurePattern());
   }
 };
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "checkers/broadcast_log.h"
+#include "checkers/commit_checker.h"
 #include "checkers/ec_checker.h"
 #include "checkers/tob_checker.h"
+#include "common/ensure.h"
 #include "ec/ec_types.h"
+#include "etob/commit_etob.h"
 #include "sim/failure_pattern.h"
 #include "sim/trace.h"
 
@@ -168,6 +171,45 @@ TEST(BroadcastCheckerTest, TransitiveCausalViolationDetected) {
   trace.recordDelivered(1, 50, {c.id, a.id});
   const auto report = checkBroadcastRun(trace, log, fp);
   EXPECT_FALSE(report.causalOrderOk);
+}
+
+TEST(BroadcastCheckerTest, RejectsTraceWithoutSnapshots) {
+  // Without snapshots every d_i history reads as "never held anything":
+  // an id nobody broadcast, held by d_0 and dropped again, would pass
+  // no-creation. The checker refuses such a trace instead of judging it.
+  const auto fp = FailurePattern::noFailures(2);
+  const BroadcastLog log;
+  for (const bool keepSnapshots : {true, false}) {
+    SCOPED_TRACE(keepSnapshots);
+    Trace trace(2, keepSnapshots);
+    trace.recordDelivered(0, 50, {makeMsgId(1, 9)});  // never broadcast
+    trace.recordDelivered(0, 60, {});
+    if (keepSnapshots) {
+      EXPECT_FALSE(checkBroadcastRun(trace, log, fp).noCreationOk);
+    } else {
+      EXPECT_THROW(checkBroadcastRun(trace, log, fp), InvariantError);
+    }
+  }
+}
+
+// --- Commit checker ----------------------------------------------------------
+
+TEST(CommitCheckerTest, RejectsTraceWithoutSnapshots) {
+  // d_1 = {m}, then CommittedPrefix{1}: a safe commit. Without snapshots
+  // d_1 reads as empty at the indication, which would count as a revoked
+  // commit. The checker refuses such a trace instead of judging it.
+  const auto fp = FailurePattern::noFailures(2);
+  for (const bool keepSnapshots : {true, false}) {
+    SCOPED_TRACE(keepSnapshots);
+    Trace trace(2, keepSnapshots);
+    trace.recordDelivered(1, 50, {makeMsgId(0, 0)});
+    trace.recordOutput(1, 50, Payload::of(CommittedPrefix{1}));
+    if (keepSnapshots) {
+      EXPECT_EQ(checkCommitSafety(trace, fp).revokedCommits, 0u);
+    } else {
+      EXPECT_THROW(checkCommitSafety(trace, fp), InvariantError);
+    }
+  }
 }
 
 // --- EC checker --------------------------------------------------------------

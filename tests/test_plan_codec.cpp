@@ -305,6 +305,57 @@ TEST(PlanCodecTest, ThirtyTwoBitFieldsRejectValuesThatWouldWrap) {
   }
 }
 
+TEST(PlanCodecTest, NumericNoProcessSentinelIsRejected) {
+  // 2^64 - 1 is kNoProcess, which a plan spells "none" or leaves out. Read
+  // as a number it would drop the slow link or the one-way cut, or widen
+  // an isolation or the chaos filter to every link: a decode error naming
+  // the field, not a silent replay of another plan.
+  FuzzPlan plan = sampleFuzzPlan(AlgoStack::kEtob, 1, 0);
+  plan.crashes.clear();  // keeps slow_link's "process" the only one
+  plan.partitions = {PlanPartition{1000, 200, 0, 1}};
+  plan.chaos.dupNum = 1;
+  plan.chaos.dupDen = 2;
+  plan.chaos.maxExtraCopies = 1;
+  plan.chaos.onlyTouching = 1;
+  plan.slowLink = PlanSlowLink{1, 3};
+  plan.loss.oneWayFrom = 1;
+  plan.loss.oneWayStart = 500;
+  plan.loss.oneWayWidth = 100;
+  plan.maxTime = planHorizon(plan);
+  const std::string base = encodeFuzzPlan(plan).dump();
+  std::string error;
+  const std::optional<FuzzPlan> valid =
+      decodeFuzzPlan(*Json::parse(base, &error), &error);
+  ASSERT_TRUE(valid.has_value()) << error;
+  EXPECT_EQ(encodeFuzzPlan(*valid).dump(), base);
+
+  for (const std::string key : {"isolate", "only_touching", "process",
+                                "one_way_from"}) {
+    SCOPED_TRACE(key);
+    const std::string field = "\"" + key + "\":";
+    const std::size_t at = base.find(field + "1");
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(base.find(field, at + 1), std::string::npos);
+    std::string edited = base;
+    edited.replace(at, field.size() + 1, field + "18446744073709551615");
+    error.clear();
+    const std::optional<Json> j = Json::parse(edited, &error);
+    ASSERT_TRUE(j.has_value()) << error;
+    EXPECT_FALSE(decodeFuzzPlan(*j, &error).has_value());
+    EXPECT_NE(error.find("field '" + key + "'"), std::string::npos) << error;
+  }
+
+  // Without its window the sentinel one-way cut used to decode as a plan
+  // with no loss layer at all.
+  Json j = *Json::parse(base, &error);
+  Json loss = Json::object();
+  loss.set("one_way_from", Json::number(kNoProcess));
+  j.set("loss", std::move(loss));
+  error.clear();
+  EXPECT_FALSE(decodeFuzzPlan(j, &error).has_value());
+  EXPECT_NE(error.find("field 'one_way_from'"), std::string::npos) << error;
+}
+
 // --- Corpus entries ---------------------------------------------------------
 
 TEST(CorpusCodecTest, EntryRoundTripsAndReplays) {

@@ -350,16 +350,5 @@ TEST(ScenarioRunTest, ToJsonLineEmitsShardedKeysOnlyForShardedRuns) {
   EXPECT_EQ(keys(r), sharded);
 }
 
-TEST(ScenarioRunTest, InstantiateHonoursConfigOverrides) {
-  const Scenario* s = findScenario("stable-leader");
-  ASSERT_NE(s, nullptr);
-  SimConfig cfg = s->config;
-  cfg.maxTime = 500;
-  ScenarioInstance inst = instantiateScenario(*s, 9, cfg);
-  inst.sim->run();
-  EXPECT_LE(inst.sim->now(), 500u);
-  EXPECT_EQ(inst.sim->config().seed, 9u);
-}
-
 }  // namespace
 }  // namespace wfd
