@@ -50,13 +50,16 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
   if (const auto* ack = msg.as<EtobAckMsg>()) {
     auto seqIt = epochSeq_.find(ack->epoch);
     if (seqIt == epochSeq_.end()) return;  // pruned or never promoted by me
-    auto& voters = acks_[ack->epoch];
-    voters.insert(from);
+    Promoted& promoted = seqIt->second;
+    std::vector<ProcessId>& voters = promoted.voters;
+    if (voters.empty()) voters.reserve(ctx.processCount);  // one block per epoch
+    if (std::find(voters.begin(), voters.end(), from) == voters.end()) {
+      voters.push_back(from);
+    }
     const std::size_t majority = ctx.processCount / 2 + 1;
     if (voters.size() < majority) return;
     // The candidate is seq[0, len): what this leader promoted at the
     // acknowledged epoch.
-    const Promoted promoted = seqIt->second;
     const std::vector<MsgId>& current = core_.promoteSequence();
     const std::vector<MsgId>& seq = promoted.generation == generation_
                                         ? current
@@ -113,14 +116,11 @@ void CommitEtobAutomaton::onMessage(const StepContext& ctx, ProcessId from,
 void CommitEtobAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
   if (!core_.promote(ctx, fx)) return;
   const std::uint64_t epoch = core_.promoteEpoch();
-  epochSeq_[epoch] = Promoted{core_.promoteSequence().size(), generation_};
-  // Prune acknowledged bookkeeping far behind the committed frontier, and
-  // the saved sequences no remaining epoch references (generations grow
-  // with epochs).
-  while (epochSeq_.begin()->first + 128 < epoch) {
-    acks_.erase(epochSeq_.begin()->first);
-    epochSeq_.erase(epochSeq_.begin());
-  }
+  epochSeq_[epoch] = Promoted{core_.promoteSequence().size(), generation_, {}};
+  // Prune acknowledged bookkeeping far behind the committed frontier, its
+  // voters with it, and the saved sequences no remaining epoch references
+  // (generations grow with epochs).
+  while (epochSeq_.begin()->first + 128 < epoch) epochSeq_.erase(epochSeq_.begin());
   const std::uint64_t oldest = epochSeq_.begin()->second.generation;
   while (!savedSeqs_.empty() && savedSeqs_.begin()->first < oldest) {
     savedSeqs_.erase(savedSeqs_.begin());

@@ -15,8 +15,10 @@
 // implementation of Algorithm 5, which owns the update/delta/promote data
 // path, d_i and the promote cadence. This file adds only what §7 adds:
 //  * followers acknowledge each adopted promote epoch back to its leader;
-//  * when a majority acknowledged epoch e, the leader marks the sequence
-//    it promoted at e as committed and broadcasts it (content included);
+//  * the leader counts each epoch's distinct voters in its record of what
+//    it promoted at that epoch, and prunes records more than 128 epochs
+//    old; when a majority acknowledged epoch e, it marks the sequence it
+//    promoted at e as committed and broadcasts it (content included);
 //  * every process refuses to adopt a promote that contradicts its local
 //    committed prefix, and every leader rebuilds its promote sequence to
 //    extend any newly learned committed prefix;
@@ -41,7 +43,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/types.h"
@@ -90,18 +91,21 @@ class CommitEtobAutomaton final : public CloneableAutomaton<CommitEtobAutomaton>
 
  private:
   /// What this process promoted at one of its epochs: the first `length`
-  /// ids of promote_i as it stood in rebase generation `generation`.
+  /// ids of promote_i as it stood in rebase generation `generation`, and
+  /// the distinct processes that acknowledged adopting it so far.
   struct Promoted {
     std::size_t length = 0;
     std::uint64_t generation = 0;
+    std::vector<ProcessId> voters;
   };
 
   void adoptCommit(const std::vector<AppMsg>& prefix, Effects& fx);
 
   EtobCore core_;
   std::vector<MsgId> committed_;
-  std::map<std::uint64_t, Promoted> epochSeq_;  // my promotes, by epoch
-  std::map<std::uint64_t, std::set<ProcessId>> acks_;
+  /// My promotes by epoch. Epochs more than 128 behind the newest are
+  /// pruned, voters included; an ack for a pruned epoch is ignored.
+  std::map<std::uint64_t, Promoted> epochSeq_;
   /// Rebases so far. promote_i only grows between rebases, so an epoch of
   /// the current generation promoted a prefix of today's promote_i.
   std::uint64_t generation_ = 0;

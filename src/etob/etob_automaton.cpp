@@ -4,42 +4,59 @@
 
 namespace wfd {
 
+namespace {
+
+/// Splices promote `p` of epoch `epoch` onto the chain: a full snapshot
+/// replaces the sequence, a delta (which must extend the chain's head)
+/// appends to it.
+void splicePromote(PromoteChain& chain, std::uint64_t epoch, const EtobPromoteMsg& p,
+                   const CausalityGraph& cg,
+                   std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
+  if (p.baseLen == 0) {
+    chain.ids.clear();
+  } else {
+    WFD_ENSURE_MSG(chain.ids.size() == p.baseLen,
+                   "promote delta base length mismatch");
+  }
+  chain.ids.reserve(chain.ids.size() + p.seq.size());
+  for (const AppMsg& m : p.seq) {
+    chain.ids.push_back(m.id);
+    // Stash content the causality graph doesn't know yet so every id in
+    // the reconstructed sequence stays resolvable via findMessage.
+    if (!cg.contains(m.id)) adoptedBodies.emplace(m.id, m);
+  }
+  chain.epoch = epoch;
+}
+
+}  // namespace
+
 bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
                          const CausalityGraph& cg,
                          std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
   if (msg.epoch <= chain.epoch) return false;  // stale duplicate
-  chain.pending.emplace(msg.epoch, msg);
-  bool advanced = false;
+  // Between calls every pending epoch is newer than the chain's head and
+  // the oldest pending one is a delta past a gap, so `msg` can apply only
+  // if it is older than everything pending. A delta extends exactly the
+  // sender's previous promote; epochs are contiguous per sender, so a gap
+  // means that promote is still in flight (reliable links guarantee it
+  // arrives). A full snapshot behind an older pending gap waits too.
+  const bool first = chain.pending.empty() || msg.epoch < chain.pending.begin()->first;
+  if (!first || (msg.baseLen != 0 && msg.epoch != chain.epoch + 1)) {
+    chain.pending.emplace(msg.epoch, msg);
+    return false;
+  }
+  splicePromote(chain, msg.epoch, msg, cg, adoptedBodies);
+  // Drain every parked promote the splice made reconstructible. The head
+  // only moves to the oldest pending epoch, so every pending one stays
+  // newer than it.
   while (!chain.pending.empty()) {
     const auto it = chain.pending.begin();
-    if (it->first <= chain.epoch) {  // superseded by a newer full snapshot
-      chain.pending.erase(it);
-      continue;
-    }
-    const EtobPromoteMsg& p = it->second;
-    const bool full = p.baseLen == 0;
-    // A delta extends exactly the sender's previous promote; epochs are
-    // contiguous per sender, so a gap means that promote is still in
-    // flight (reliable links guarantee it arrives).
-    if (!full && it->first != chain.epoch + 1) break;
-    if (full) {
-      chain.ids.clear();
-    } else {
-      WFD_ENSURE_MSG(chain.ids.size() == p.baseLen,
-                     "promote delta base length mismatch");
-    }
-    chain.ids.reserve(chain.ids.size() + p.seq.size());
-    for (const AppMsg& m : p.seq) {
-      chain.ids.push_back(m.id);
-      // Stash content the causality graph doesn't know yet so every id in
-      // the reconstructed sequence stays resolvable via findMessage.
-      if (!cg.contains(m.id)) adoptedBodies.emplace(m.id, m);
-    }
-    chain.epoch = it->first;
+    WFD_DCHECK(it->first > chain.epoch);
+    if (it->second.baseLen != 0 && it->first != chain.epoch + 1) break;
+    splicePromote(chain, it->first, it->second, cg, adoptedBodies);
     chain.pending.erase(it);
-    advanced = true;
   }
-  return advanced;
+  return true;
 }
 
 void EtobCore::onInput(const Payload& input, Effects& fx) {
@@ -83,6 +100,10 @@ bool EtobCore::ingestUpdate(const Payload& msg) {
 
 const PromoteChain* EtobCore::advancePromote(const StepContext& ctx, ProcessId from,
                                              const EtobPromoteMsg& msg) {
+  if (from >= chains_.size()) {
+    chains_.resize(from + 1);
+    adoptedEpoch_.resize(from + 1, 0);
+  }
   PromoteChain& chain = chains_[from];
   advancePromoteChain(chain, msg, cg_, adoptedBodies_);
   // Adopt only from the process this module's Omega currently trusts, and

@@ -86,16 +86,21 @@ struct EtobDeltaMsg {
 /// reconstructed prefix of the sender's promote history; out-of-order
 /// deltas wait in `pending` until the promote they extend arrives
 /// (promote epochs from one sender are contiguous — the counter advances
-/// exactly once per sent promote).
+/// exactly once per sent promote). Every pending epoch is newer than
+/// `epoch`, and the oldest pending one is a delta past a gap.
 struct PromoteChain {
   std::uint64_t epoch = 0;
   std::vector<MsgId> ids;
   std::map<std::uint64_t, EtobPromoteMsg> pending;
 };
 
-/// Ingests one promote message into the per-sender chain, splicing every
-/// pending epoch that becomes reconstructible (a full snapshot resets the
-/// chain and may jump gaps). Message bodies carried in spliced suffixes
+/// Ingests one promote message into the per-sender chain. A promote that
+/// applies at once — older than everything pending, and a full snapshot
+/// or the delta at `chain.epoch + 1` — is spliced straight from `msg`,
+/// then every pending epoch that becomes reconstructible is spliced too
+/// (a full snapshot resets the chain and may jump gaps). Any other
+/// promote is copied into `pending`; a full snapshot behind an older
+/// pending gap waits there. Message bodies carried in spliced suffixes
 /// that the causality graph does not know yet are stashed into
 /// `adoptedBodies` so every reconstructed sequence stays fully resolvable
 /// (rsm::Replica hard-requires content for every delivered id). Returns
@@ -168,9 +173,10 @@ class EtobCore {
   std::unordered_map<MsgId, AppMsg> adoptedBodies_;
   /// Per-sender promote counters: own (outgoing) and the highest adopted
   /// from each peer, plus the per-sender delta reconstruction chains.
+  /// Both vectors are indexed by sender, grown to the highest one heard.
   std::uint64_t promoteEpoch_ = 0;
-  std::unordered_map<ProcessId, std::uint64_t> adoptedEpoch_;
-  std::unordered_map<ProcessId, PromoteChain> chains_;
+  std::vector<std::uint64_t> adoptedEpoch_;
+  std::vector<PromoteChain> chains_;
   /// promote_i's length at the last sent promote: the delta base and the
   /// cadence's "changed since" test. Both hold only until a rebase, since
   /// promote_i only grows between rebases.

@@ -7,7 +7,7 @@
 // a two-word occupancy bitmap finds the first non-empty bucket. A binary
 // min-heap over (time, seq) holds every other event: those due at or
 // after now + kWheelTicks, and those due before now (the simulator
-// accepts inputs scheduled in the past). pop() takes whichever tier's
+// accepts inputs scheduled in the past). popDue() takes whichever tier's
 // head is smaller by (time, seq) — a bucketed queue in the manner of
 // R. Brown, "Calendar Queues" (CACM 1988), reduced to integer ticks.
 //
@@ -21,6 +21,10 @@
 // A bucket is a singly linked list through one node pool, so the wheel
 // allocates nothing at construction and, like the heap, grows one vector
 // geometrically from the first push on.
+//
+// popDue(limit) finds the head once and pops it only if it is due by
+// `limit`: the simulator's per-event "is the next event inside maxTime"
+// test and the pop are one lookup.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +32,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ensure.h"
@@ -81,13 +86,17 @@ class EventQueue {
     return headInWheel(&b) ? pool_[wheel_[b].head].node : heap_.front();
   }
 
-  /// Removes and returns top(). Requires !empty().
-  Node pop() {
-    Node e;
+  /// Removes and returns top() if it is due at or before `limit`;
+  /// nullopt, leaving the queue as it is, if the queue is empty or its
+  /// head is due later. Finds the head once.
+  std::optional<Node> popDue(Time limit) {
+    if (empty()) return std::nullopt;
+    std::optional<Node> e;
     std::size_t b = 0;
     if (headInWheel(&b)) {
       Bucket& bucket = wheel_[b];
       const std::uint32_t i = bucket.head;
+      if (pool_[i].node.time > limit) return std::nullopt;
       e = pool_[i].node;
       bucket.head = pool_[i].next;
       if (bucket.head == kNil) {
@@ -98,11 +107,12 @@ class EventQueue {
       freeHead_ = i;
       --wheelSize_;
     } else {
+      if (heap_.front().time > limit) return std::nullopt;
       e = heap_.front();
       std::pop_heap(heap_.begin(), heap_.end(), after);
       heap_.pop_back();
     }
-    now_ = std::max(now_, e.time);
+    now_ = std::max(now_, e->time);
     return e;
   }
 

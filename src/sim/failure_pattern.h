@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ensure.h"
 #include "common/types.h"
 
 namespace wfd {
@@ -34,7 +35,10 @@ class FailurePattern {
   std::size_t size() const { return crashTimes_.size(); }
 
   /// True iff p ∈ F(t).
-  bool crashed(ProcessId p, Time t) const;
+  bool crashed(ProcessId p, Time t) const {
+    WFD_ENSURE(p < crashTimes_.size());
+    return crashTimes_[p] <= t && crashTimes_[p] != kNever;
+  }
 
   /// True iff p ∈ faulty(F).
   bool faulty(ProcessId p) const;

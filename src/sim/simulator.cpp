@@ -24,6 +24,7 @@ Time deferOnce(const PartitionSpec& s, ProcessId from, ProcessId to, Time at) {
 
 Time deferPastPartitions(const std::vector<PartitionSpec>& specs,
                          ProcessId from, ProcessId to, Time at) {
+  if (specs.empty()) return at;
   // Windows of different specs may chain; iterate to a fixed point. Each
   // pass that moves strictly advances time past some window, so for any
   // admissible spec set (every link sees gaps) this converges in a few
@@ -348,10 +349,10 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
 }
 
 bool Simulator::processOne() {
-  if (queue_.empty()) return false;
   if (eventsProcessed_ >= config_.maxEvents) return false;
-  if (queue_.top().time > config_.maxTime) return false;
-  const EventNode e = queue_.pop();
+  const std::optional<EventNode> due = queue_.popDue(config_.maxTime);
+  if (!due) return false;
+  const EventNode& e = *due;
   now_ = std::max(now_, e.time);
   ++eventsProcessed_;
   if (e.kind == EventKind::kInput) --pendingInputs_;

@@ -19,7 +19,7 @@ void Trace::recordOutput(ProcessId p, Time t, Payload value) {
   outputs_.at(p).push_back(OutputEvent{t, recordOrder_.at(p)++, std::move(value)});
 }
 
-bool Trace::recordDelivered(ProcessId p, Time t, std::vector<MsgId> seq) {
+bool Trace::recordDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq) {
   std::vector<MsgId>& old = current_.at(p);
   if (seq == old) return false;  // no change; keep traces compact
 
@@ -33,10 +33,14 @@ bool Trace::recordDelivered(ProcessId p, Time t, std::vector<MsgId> seq) {
   }
   lastChangeAt_.at(p) = t;
 
-  old = std::move(seq);
+  if (isExtension) {
+    old.insert(old.end(), seq.begin() + static_cast<std::ptrdiff_t>(old.size()),
+               seq.end());
+  } else {
+    old = seq;
+  }
   if (keepSnapshots_) {
-    snapshots_.at(p).push_back(
-        DeliverySnapshot{t, recordOrder_.at(p)++, current_.at(p)});
+    snapshots_.at(p).push_back(DeliverySnapshot{t, recordOrder_.at(p)++, old});
   }
   return true;
 }

@@ -6,7 +6,10 @@
 // delivery-sequence output variable d_i(t). Because ETOB may rewrite
 // d_i before time τ, the trace also keeps per-process counters that need
 // no snapshot history (prefix violations, their last time, the last
-// change), so long benchmark runs can drop the snapshots. Per-message
+// change), so long benchmark runs can drop the snapshots. A changed d_i
+// is copied once, into the stored current value: an extension appends
+// its new suffix, any other change is assigned over the old value's
+// capacity. Per-message
 // timings come from the simulator's delivery hook instead (fanned out by
 // api::Cluster::observeDeliveries), which fires on exactly the changes
 // recordDelivered reports.
@@ -52,7 +55,9 @@ class Trace {
   void recordOutput(ProcessId p, Time t, Payload value);
   /// Returns true iff the sequence actually changed (an unchanged d_i is
   /// not re-recorded; observers key off the same notion of "change").
-  bool recordDelivered(ProcessId p, Time t, std::vector<MsgId> seq);
+  /// `seq` is copied into the stored current value, whose capacity is
+  /// reused, and an extension only appends.
+  bool recordDelivered(ProcessId p, Time t, const std::vector<MsgId>& seq);
   /// Records one sent message of the given abstract weight (words).
   void countSend(std::uint64_t weight) {
     ++messagesSent_;

@@ -33,7 +33,11 @@ void TobViaConsensusAutomaton::onTimeout(const StepContext& ctx, Effects& fx) {
     // time: simple, and latency-equivalent to pipelining for the
     // experiments (batches absorb throughput).
     const Instance next = engine_.contiguousDecided() + 1;
-    if (!engine_.proposalInFlight(next) && !engine_.decided(next)) {
+    // d_ ⊆ pending_ and d_ has no duplicates, so equal sizes mean every
+    // known message is delivered: the batch below would be empty, and an
+    // idle leader skips the O(history) scan.
+    if (!engine_.proposalInFlight(next) && !engine_.decided(next) &&
+        pending_.size() != d_.size()) {
       // Causal gating: a message joins the batch only once every declared
       // dependency is already delivered or precedes it in this batch, so
       // the consensus order never inverts C(m). The fixpoint loop batches

@@ -46,9 +46,13 @@ class TobViaConsensusAutomaton final
   void rebuildDelivered(Effects& fx);
 
   MultiPaxosEngine engine_;
-  std::map<MsgId, AppMsg> pending_;                 // submitted, not yet delivered
+  /// Every message this process knows: each submission it received, and
+  /// each delivered one (rebuildDelivered re-inserts them). Nothing is
+  /// erased, so it grows with the run's history and holds all of d_.
+  /// findMessage reads it.
+  std::map<MsgId, AppMsg> pending_;
   std::map<Instance, std::vector<AppMsg>> batches_; // decided batches
-  std::vector<MsgId> d_;                            // contiguous delivery sequence
+  std::vector<MsgId> d_;  // contiguous delivery sequence, no duplicates
 };
 
 }  // namespace wfd

@@ -315,6 +315,61 @@ TEST(CommitEtobTest, StaleEpochGuardJudgesTheRebasedOrder) {
   EXPECT_FALSE(moot.commitSent);
 }
 
+/// Leader 0 of `n` that learned one message from process 1's update and
+/// then promoted it `promotes` times (epochs 1..promotes, each {m}).
+CommitEtobAutomaton leaderWithPromotes(std::size_t n, std::uint64_t promotes,
+                                       StepContext& ctx) {
+  CommitEtobAutomaton leader;
+  ctx.self = 0;
+  ctx.processCount = n;
+  ctx.fd.leader = 0;
+  AppMsg m;
+  m.id = makeMsgId(1, 0);
+  m.origin = 1;
+  CausalityGraph peer;
+  peer.addMessage(m, {});
+  Effects fx;
+  leader.onMessage(ctx, 1, Payload::of(EtobUpdateMsg{peer.snapshot()}), fx);
+  for (std::uint64_t k = 0; k < promotes; ++k) {
+    Effects promoteFx;
+    leader.onTimeout(ctx, promoteFx);
+    EXPECT_EQ(promoteFx.sends().size(), 1u) << "promote " << k + 1;
+  }
+  return leader;
+}
+
+TEST(CommitEtobTest, RepeatedAckCountsOnceTowardTheMajority) {
+  // Of three processes, two must acknowledge: the same follower's ack
+  // for epoch 1, received twice, is one vote.
+  StepContext ctx;
+  CommitEtobAutomaton leader = leaderWithPromotes(3, 1, ctx);
+  Effects fx;
+  leader.onMessage(ctx, 1, Payload::of(EtobAckMsg{1}), fx);
+  leader.onMessage(ctx, 1, Payload::of(EtobAckMsg{1}), fx);
+  EXPECT_TRUE(leader.committedPrefix().empty());
+  EXPECT_TRUE(fx.sends().empty()) << "no commit from one voter";
+  leader.onMessage(ctx, 2, Payload::of(EtobAckMsg{1}), fx);
+  EXPECT_EQ(leader.committedPrefix(), (std::vector<MsgId>{makeMsgId(1, 0)}));
+  ASSERT_EQ(fx.sends().size(), 1u);
+  EXPECT_TRUE(fx.sends()[0].payload.holds<EtobCommitMsg>());
+}
+
+TEST(CommitEtobTest, AckForAPrunedEpochIsIgnored) {
+  // After 130 promotes, epochs more than 128 behind the newest (just
+  // epoch 1) are pruned: a majority of acks for it commits nothing,
+  // while the same acks for a kept epoch commit.
+  StepContext ctx;
+  CommitEtobAutomaton leader = leaderWithPromotes(3, 130, ctx);
+  Effects fx;
+  leader.onMessage(ctx, 1, Payload::of(EtobAckMsg{1}), fx);
+  leader.onMessage(ctx, 2, Payload::of(EtobAckMsg{1}), fx);
+  EXPECT_TRUE(leader.committedPrefix().empty());
+  EXPECT_TRUE(fx.sends().empty());
+  leader.onMessage(ctx, 1, Payload::of(EtobAckMsg{2}), fx);
+  leader.onMessage(ctx, 2, Payload::of(EtobAckMsg{2}), fx);
+  EXPECT_EQ(leader.committedPrefix(), (std::vector<MsgId>{makeMsgId(1, 0)}));
+}
+
 // Sweep: commit safety across seeds and environments with a majority.
 class CommitSweepTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};

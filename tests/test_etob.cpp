@@ -5,13 +5,20 @@
 //  (P3) causal order always, even under split-brain Omega.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "checkers/tob_checker.h"
 #include "checkers/workload.h"
+#include "common/ensure.h"
+#include "common/rng.h"
 #include "etob/commit_etob.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
@@ -262,6 +269,136 @@ TYPED_TEST(EtobAdoptionTest, AdoptedBodiesDrainOnceUpdatesArrive) {
   EXPECT_EQ(a.adoptedBodyCount(), 0u);
   ASSERT_NE(a.findMessage(m.id), nullptr);
   EXPECT_EQ(a.findMessage(m.id)->origin, 2u);
+}
+
+// advancePromoteChain as it was before promotes were spliced straight
+// from the message: every promote is copied into `pending`, then the
+// drain loop splices whatever has become reconstructible. The reference
+// for PromoteChainTest below.
+bool referenceAdvancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
+                                  const CausalityGraph& cg,
+                                  std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
+  if (msg.epoch <= chain.epoch) return false;
+  chain.pending.emplace(msg.epoch, msg);
+  bool advanced = false;
+  while (!chain.pending.empty()) {
+    const auto it = chain.pending.begin();
+    if (it->first <= chain.epoch) {
+      chain.pending.erase(it);
+      continue;
+    }
+    const EtobPromoteMsg& p = it->second;
+    const bool full = p.baseLen == 0;
+    if (!full && it->first != chain.epoch + 1) break;
+    if (full) {
+      chain.ids.clear();
+    } else {
+      WFD_ENSURE_MSG(chain.ids.size() == p.baseLen,
+                     "promote delta base length mismatch");
+    }
+    for (const AppMsg& m : p.seq) {
+      chain.ids.push_back(m.id);
+      if (!cg.contains(m.id)) adoptedBodies.emplace(m.id, m);
+    }
+    chain.epoch = it->first;
+    chain.pending.erase(it);
+    advanced = true;
+  }
+  return advanced;
+}
+
+/// One sender's promotes at epochs 1..count, as EtobCore::promote sends
+/// them: a delta carries the suffix past the previous epoch's length; a
+/// full snapshot (the first, and about one in five, half of them after a
+/// rebase that cut the sequence back) carries the whole sequence.
+std::vector<EtobPromoteMsg> promoteHistory(Rng& rng, std::uint64_t count) {
+  std::vector<EtobPromoteMsg> history;
+  std::vector<AppMsg> seq;
+  std::uint64_t next = 0;
+  for (std::uint64_t epoch = 1; epoch <= count; ++epoch) {
+    const std::size_t base = seq.size();
+    const bool full = base == 0 || rng.chance(1, 5);
+    if (full && base > 0 && rng.chance(1, 2)) seq.resize(rng.below(base + 1));
+    for (std::uint64_t k = rng.below(4); k > 0; --k) {
+      AppMsg m;
+      m.id = makeMsgId(2, next++);
+      m.origin = 2;
+      m.body = {next};
+      seq.push_back(m);
+    }
+    EtobPromoteMsg msg;
+    msg.epoch = epoch;
+    msg.baseLen = full ? 0 : base;
+    msg.seq.assign(seq.begin() + static_cast<std::ptrdiff_t>(msg.baseLen), seq.end());
+    history.push_back(std::move(msg));
+  }
+  return history;
+}
+
+std::vector<std::uint64_t> pendingEpochs(const PromoteChain& chain) {
+  std::vector<std::uint64_t> epochs;
+  for (const auto& [epoch, msg] : chain.pending) epochs.push_back(epoch);
+  return epochs;
+}
+
+std::map<MsgId, std::vector<std::uint64_t>> stashed(
+    const std::unordered_map<MsgId, AppMsg>& bodies) {
+  std::map<MsgId, std::vector<std::uint64_t>> out;
+  for (const auto& [id, m] : bodies) out.emplace(id, m.body);
+  return out;
+}
+
+TEST(PromoteChainTest, SpliceMatchesInsertThenDrain) {
+  // One sender's promote history arrives locally reordered (how far a
+  // promote can overtake others varies by seed, up to a full shuffle),
+  // with duplicates that land after the chain has passed them. After
+  // every message, the in-place splice must leave exactly the chain and
+  // stash the insert-then-drain reference leaves.
+  std::size_t splices = 0;
+  std::size_t fullBehindGap = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::vector<EtobPromoteMsg> history = promoteHistory(rng, 60);
+    std::vector<EtobPromoteMsg> arrivals = history;
+    for (int k = 0; k < 20; ++k) arrivals.push_back(history[rng.below(history.size())]);
+    const std::size_t window = std::size_t{1} << rng.below(7);
+    for (std::size_t i = 0; i + 1 < arrivals.size(); ++i) {
+      const std::size_t j = i + rng.below(std::min(window, arrivals.size() - i));
+      std::swap(arrivals[i], arrivals[j]);
+    }
+    // The graph already knows about a third of the bodies; the rest must
+    // be stashed when spliced.
+    CausalityGraph cg;
+    for (const EtobPromoteMsg& msg : history) {
+      for (const AppMsg& m : msg.seq) {
+        if (!cg.contains(m.id) && rng.chance(1, 3)) cg.addMessage(m, {});
+      }
+    }
+    PromoteChain chain;
+    PromoteChain reference;
+    std::unordered_map<MsgId, AppMsg> bodies;
+    std::unordered_map<MsgId, AppMsg> referenceBodies;
+    for (std::size_t k = 0; k < arrivals.size(); ++k) {
+      const EtobPromoteMsg& msg = arrivals[k];
+      if (msg.baseLen == 0 && msg.epoch > reference.epoch &&
+          !reference.pending.empty() && msg.epoch > reference.pending.begin()->first) {
+        ++fullBehindGap;
+      }
+      const bool want = referenceAdvancePromoteChain(reference, msg, cg, referenceBodies);
+      const bool got = advancePromoteChain(chain, msg, cg, bodies);
+      splices += got ? 1 : 0;
+      const std::string where =
+          "seed " + std::to_string(seed) + ", arrival " + std::to_string(k);
+      ASSERT_EQ(got, want) << where;
+      ASSERT_EQ(chain.epoch, reference.epoch) << where;
+      ASSERT_EQ(chain.ids, reference.ids) << where;
+      ASSERT_EQ(pendingEpochs(chain), pendingEpochs(reference)) << where;
+      ASSERT_EQ(stashed(bodies), stashed(referenceBodies)) << where;
+    }
+    EXPECT_EQ(chain.epoch, history.size()) << "seed " << seed;
+  }
+  EXPECT_GT(splices, 200u);
+  EXPECT_GT(fullBehindGap, 20u);
 }
 
 TEST(EtobTest, AdoptedBodiesDrainAfterConvergence) {

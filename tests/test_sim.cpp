@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -98,12 +99,37 @@ TEST(PayloadTest, EmptyPayload) {
   Payload p;
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.as<Ping>(), nullptr);
+  EXPECT_FALSE(p.holds<Ping>());
+  EXPECT_FALSE(Payload::of(Ping{0}).empty());
+}
+
+struct DerivedPing : Ping {};
+
+TEST(PayloadTest, MatchesOnlyTheExactType) {
+  // Ping and Pong have the same layout; neither matches the other.
+  static_assert(sizeof(Ping) == sizeof(Pong));
+  EXPECT_EQ(Payload::of(Pong{3}).as<Ping>(), nullptr);
+  EXPECT_EQ(Payload::of(Ping{3}).as<Pong>(), nullptr);
+  // A derived type does not match its base, nor a base the derived type.
+  const Payload derived = Payload::of(DerivedPing{});
+  EXPECT_EQ(derived.as<Ping>(), nullptr);
+  EXPECT_TRUE(derived.holds<DerivedPing>());
+  EXPECT_FALSE(Payload::of(Ping{}).holds<DerivedPing>());
+  // Like std::any_cast, a cv-qualified T names the same type.
+  const Payload p = Payload::of(Ping{4});
+  EXPECT_EQ(p.as<const Ping>(), p.as<Ping>());
 }
 
 TEST(PayloadTest, CopiesShareImmutableBox) {
   Payload a = Payload::of(Ping{1});
   Payload b = a;
   EXPECT_EQ(a.as<Ping>(), b.as<Ping>());  // same underlying object
+  // The box lives as long as any copy does.
+  const Ping* value = a.as<Ping>();
+  a = Payload();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(b.as<Ping>(), value);
+  EXPECT_EQ(b.as<Ping>()->n, 1);
 }
 
 TEST(TaggedTest, UnwrapChannelMatchesOnlyItsChannel) {
@@ -255,7 +281,8 @@ struct QueueNode {
 // Random pushes and pops against a std::priority_queue over (time, seq).
 // Push times land on now's tick, near it, on the wheel's last tick, on
 // the first tick past the wheel, far beyond it, and before now (which
-// Simulator::scheduleInput accepts).
+// Simulator::scheduleInput accepts). A pop's limit is the head's time or
+// later, and sometimes one tick before it, where nothing may pop.
 TEST(EventQueueTest, PopsInTheReferenceOrder) {
   constexpr Time kWheel = EventQueue<QueueNode>::kWheelTicks;
   using Key = std::pair<Time, std::uint64_t>;
@@ -269,11 +296,18 @@ TEST(EventQueueTest, PopsInTheReferenceOrder) {
     const auto popBoth = [&] {
       ASSERT_FALSE(queue.empty());
       EXPECT_EQ(queue.top().time, reference.top().first);
-      const QueueNode got = queue.pop();
-      ASSERT_EQ(Key(got.time, got.seq), reference.top())
+      const Time due = reference.top().first;
+      if (due > 0 && rng.chance(1, 4)) {
+        ASSERT_FALSE(queue.popDue(due - 1).has_value())
+            << "seed " << seed << ", pop " << pops;
+        ASSERT_EQ(queue.size(), reference.size());
+      }
+      const std::optional<QueueNode> got = queue.popDue(due + rng.below(3));
+      ASSERT_TRUE(got.has_value()) << "seed " << seed << ", pop " << pops;
+      ASSERT_EQ(Key(got->time, got->seq), reference.top())
           << "seed " << seed << ", pop " << pops;
       reference.pop();
-      now = std::max(now, got.time);
+      now = std::max(now, got->time);
       ++pops;
     };
     for (int op = 0; op < 20000; ++op) {
@@ -301,6 +335,7 @@ TEST(EventQueueTest, PopsInTheReferenceOrder) {
       if (HasFatalFailure()) return;
     }
     EXPECT_TRUE(queue.empty());
+    EXPECT_FALSE(queue.popDue(now + kWheel).has_value());
   }
   EXPECT_GT(pops, 200000u);
 }
