@@ -34,8 +34,9 @@ inline constexpr AlgoStack kAllAlgoStacks[] = {
     AlgoStack::kEtob, AlgoStack::kCommitEtob, AlgoStack::kTobViaConsensus,
     AlgoStack::kGossipLww, AlgoStack::kOmegaEc};
 // Tripwire: when adding an AlgoStack, extend kAllAlgoStacks AND bump this
-// count (the -Wswitch warnings in algoStackName/stackCapabilities and the
-// cluster lowering catch the switches; this catches the array).
+// count (the -Wswitch warnings in algoStackName/stackCapabilities, the
+// cluster lowering and the scenario spec catch the switches; this
+// catches the array).
 static_assert(std::size(kAllAlgoStacks) == 5,
               "kAllAlgoStacks must cover every AlgoStack enumerator");
 

@@ -64,7 +64,8 @@ class Cluster;
 /// Declarative description of a replicated service deployment. Every
 /// field is data or a pure factory, so (spec, seed) fully determines the
 /// cluster's run. A scenario catalog entry is this struct plus a name and
-/// a checker set (Scenario in scenario/scenario.h derives from it).
+/// what its environment promises (Scenario in scenario/scenario.h
+/// derives from it).
 struct ClusterSpec {
   AlgoStack stack = AlgoStack::kEtob;
 
@@ -82,7 +83,8 @@ struct ClusterSpec {
 
   /// Failure detector factory; nullptr = OmegaFd(pattern, tauOmega,
   /// omegaMode). Also re-invoked after live crash injection so the
-  /// oracle's history stays valid for the updated pattern.
+  /// oracle's history stays valid for the updated pattern. gossip-LWW
+  /// reads no detector, so this has no effect on that stack.
   std::function<std::shared_ptr<const FailureDetector>(const FailurePattern&)>
       detector;
   Time tauOmega = 0;

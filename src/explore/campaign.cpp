@@ -1,18 +1,16 @@
 #include "explore/campaign.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <deque>
 #include <exception>
-#include <iterator>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "api/capabilities.h"
 #include "common/hash.h"
-#include "common/rng.h"
 #include "common/strings.h"
 
 namespace wfd {
@@ -114,156 +112,6 @@ std::vector<std::string> coverageSignature(const FuzzPlan& plan,
   std::sort(sig.begin(), sig.end());
   sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
   return sig;
-}
-
-// --- Mutation ----------------------------------------------------------------
-
-namespace {
-
-/// Mutation kinds, tried in rotation from a seeded starting point until
-/// one yields an admissible plan.
-enum : std::uint64_t {
-  kMutReseedSchedule = 0,
-  kMutAddCrash,
-  kMutDropCrash,
-  kMutAddPartition,
-  kMutResizePartition,
-  kMutToggleChaos,
-  kMutToggleSkew,
-  kMutToggleSlowLink,
-  kMutScaleWorkload,
-  kMutHalveTauOmega,
-  kMutGrowSystem,
-  kMutKindCount,
-};
-
-bool applyMutation(FuzzPlan& p, std::uint64_t kind, Rng& rng) {
-  const std::size_t n = p.processCount;
-  switch (kind) {
-    case kMutReseedSchedule:
-      p.simSeed = rng.engine()();
-      return true;
-    case kMutAddCrash: {
-      // Pick among the not-yet-crashed processes (admissibility will
-      // still reject e.g. a lost majority on the consensus stack).
-      std::vector<ProcessId> alive;
-      for (ProcessId q = 0; q < n; ++q) {
-        bool crashed = false;
-        for (const PlanCrash& c : p.crashes) crashed |= c.process == q;
-        if (!crashed) alive.push_back(q);
-      }
-      if (alive.size() <= 1) return false;
-      PlanCrash c;
-      c.process = alive[rng.below(alive.size())];
-      c.time = rng.chance(1, 4) ? 0 : rng.between(1, 4000);
-      p.crashes.push_back(c);
-      std::sort(p.crashes.begin(), p.crashes.end(),
-                [](const PlanCrash& a, const PlanCrash& b) {
-                  return a.process < b.process;
-                });
-      return true;
-    }
-    case kMutDropCrash:
-      if (p.crashes.empty()) return false;
-      p.crashes.erase(p.crashes.begin() +
-                      static_cast<std::ptrdiff_t>(rng.below(p.crashes.size())));
-      return true;
-    case kMutAddPartition: {
-      if (p.partitions.size() >= 3) return false;
-      // One-shot only: the one-recurring-family admissibility budget may
-      // already be spent, and one-shot windows always heal.
-      PlanPartition part;
-      part.start = rng.between(200, 3000);
-      part.width = rng.between(100, 800);
-      part.period = 0;
-      part.isolate = rng.chance(1, 3) ? kNoProcess : rng.below(n);
-      p.partitions.push_back(part);
-      return true;
-    }
-    case kMutResizePartition: {
-      if (p.partitions.empty()) return false;
-      PlanPartition& part = p.partitions[rng.below(p.partitions.size())];
-      if (rng.chance(1, 2)) {
-        part.width = std::max<Time>(1, part.width / 2);
-      } else {
-        part.width *= 2;
-        // Keep a recurring family healing (period > width).
-        if (part.period != 0 && part.period <= part.width) {
-          part.period = 2 * part.width;
-        }
-      }
-      return true;
-    }
-    case kMutToggleChaos:
-      if (p.chaos.dupNum > 0) {
-        p.chaos = PlanChaos{};
-      } else {
-        p.chaos.dupNum = 1;
-        p.chaos.dupDen = static_cast<std::uint32_t>(rng.between(2, 4));
-        p.chaos.maxExtraCopies = static_cast<std::uint32_t>(rng.between(1, 3));
-        p.chaos.reorderJitter = rng.between(10, 80);
-        p.chaos.onlyTouching = rng.chance(1, 3) ? rng.below(n) : kNoProcess;
-      }
-      return true;
-    case kMutToggleSkew:
-      if (!p.skews.empty()) {
-        p.skews.clear();
-      } else {
-        static constexpr PlanSkew kSkewMenu[] = {{1, 1}, {2, 1}, {3, 1},
-                                                 {1, 2}, {2, 3}, {3, 2}};
-        p.skews.reserve(n);
-        for (std::size_t q = 0; q < n; ++q) {
-          p.skews.push_back(kSkewMenu[rng.below(std::size(kSkewMenu))]);
-        }
-      }
-      return true;
-    case kMutToggleSlowLink:
-      if (p.slowLink.process != kNoProcess) {
-        p.slowLink = PlanSlowLink{};
-      } else {
-        p.slowLink.process = rng.below(n);
-        p.slowLink.factor = rng.between(2, 4);
-      }
-      return true;
-    case kMutScaleWorkload:
-      if (p.stack == AlgoStack::kOmegaEc) return false;
-      p.workload.perProcess = rng.chance(1, 2)
-                                  ? std::max<std::size_t>(1, p.workload.perProcess / 2)
-                                  : std::min<std::size_t>(10, p.workload.perProcess * 2);
-      return true;
-    case kMutHalveTauOmega:
-      // Shrinking tau_Omega is always fairness-preserving; GROWING it is
-      // not (the omega-ec stream-length cap in the sampler), so the
-      // mutator only ever moves it down.
-      if (p.omegaMode == OmegaPreStabilization::kStable || p.tauOmega < 2) {
-        return false;
-      }
-      p.tauOmega /= 2;
-      return true;
-    case kMutGrowSystem:
-      if (n >= 8) return false;
-      ++p.processCount;
-      if (!p.skews.empty()) p.skews.push_back(PlanSkew{1, 1});
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
-                                       std::uint64_t mutationSeed) {
-  Rng rng(mutationSeed);
-  const std::uint64_t start = rng.below(kMutKindCount);
-  for (std::uint64_t attempt = 0; attempt < kMutKindCount; ++attempt) {
-    FuzzPlan p = base;
-    if (!applyMutation(p, (start + attempt) % kMutKindCount, rng)) continue;
-    p.maxTime = planHorizon(p);
-    if (!planAdmissibilityViolations(p).empty()) continue;
-    return p;
-  }
-  return std::nullopt;
 }
 
 // --- Claim counter -----------------------------------------------------------

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,17 +81,6 @@ class CoverageMap {
 /// in (plan, result); sorted and de-duplicated.
 std::vector<std::string> coverageSignature(const FuzzPlan& plan,
                                            const ScenarioRunResult& result);
-
-/// One deterministic mutation of `base` drawn from `mutationSeed`:
-/// re-seed the schedule, add/drop a crash, add/resize a partition
-/// window, toggle the chaos/skew/slow-link layers, scale the workload,
-/// halve tau_Omega, or grow the system by one process. The result is
-/// re-validated (and its horizon re-derived), so a returned plan is
-/// always admissible AND fairness-preserving — tau_Omega never grows,
-/// keeping the sampler's liveness-fairness caps intact. nullopt when
-/// every candidate mutation of this seed lands inadmissible.
-std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
-                                       std::uint64_t mutationSeed);
 
 struct CampaignOptions {
   AlgoStack stack = AlgoStack::kEtob;

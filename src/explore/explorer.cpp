@@ -32,12 +32,11 @@ bool parseFuzzOracle(const std::string& name, FuzzOracle* out) {
 
 ScenarioRunResult runFuzzPlan(const FuzzPlan& plan, FuzzOracle oracle) {
   Scenario s = planScenario(plan);
-  if (oracle == FuzzOracle::kStrictTob && s.checks.broadcast) {
-    s.checks.requireStrongTob = true;
-  }
+  // Strong TOB is judged only on the stacks with a delivery sequence.
+  s.checks.requireStrongTob = oracle == FuzzOracle::kStrictTob;
   // Plans lower through the same facade path everything else drives:
   // runScenario builds one Cluster, batch-steps it to its horizon, and
-  // judges it by the stack's checker set.
+  // judges it by the stack's spec.
   return runScenario(s, plan.simSeed);
 }
 

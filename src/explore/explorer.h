@@ -3,7 +3,7 @@
 //
 // The explorer is the active counterpart of the passive checker layer:
 // admissible FuzzPlans sampled from a single 64-bit seed (fuzz_plan.h)
-// run through the scenario driver, the stack's checkers are the oracle,
+// run through the scenario driver, the stack's spec is the oracle,
 // and a violating plan is delta-debugged down to a minimal one that
 // still violates the same clause. Minimal plans are what get saved to
 // tests/corpus/ and replayed as regressions. The loop that samples,
@@ -11,14 +11,16 @@
 // the pieces it and the replay path share.
 //
 // Two oracles:
-//  * kSpec — exactly the clauses that are theorems for every admissible
-//    run of the stack (EC/eTOB/commit safety plus the liveness clauses
-//    the sampler's settle margin makes fair). Any violation is a bug.
-//  * kStrictTob — additionally asserts STRONG total order (tau-hat == 0)
-//    on broadcast stacks. Under pre-stabilization disagreement this is
-//    expected to fail: shrinking such a failure yields a minimal witness
-//    of the eTOB/TOB separation (the paper's whole point), which is how
-//    the committed corpus entries were produced.
+//  * kSpec — the stack's spec (evaluateScenarioRun): exactly the clauses
+//    that are theorems for every admissible run of the stack (EC/eTOB
+//    safety plus the liveness clauses the sampler's settle margin makes
+//    fair). Any violation is a bug.
+//  * kStrictTob — additionally promises STRONG total order (tau-hat == 0),
+//    judged on the stacks with a delivery sequence. Under
+//    pre-stabilization disagreement this is expected to fail: shrinking
+//    such a failure yields a minimal witness of the eTOB/TOB separation
+//    (the paper's whole point), which is how the committed corpus
+//    entries were produced.
 //
 // Everything is deterministic: plan i of (seed, stack) is the same plan
 // in every invocation and shrinking uses no randomness.

@@ -1,7 +1,10 @@
 #include "explore/fuzz_plan.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -40,6 +43,51 @@ namespace {
 
 std::size_t stackIndex(AlgoStack stack) {
   return static_cast<std::size_t>(stack);
+}
+
+// The draws the sampler and the mutator share, each in one fixed order.
+
+PlanChaos drawChaos(Rng& rng, std::size_t n) {
+  PlanChaos chaos;
+  chaos.dupNum = 1;
+  chaos.dupDen = static_cast<std::uint32_t>(rng.between(2, 4));
+  chaos.maxExtraCopies = static_cast<std::uint32_t>(rng.between(1, 3));
+  chaos.reorderJitter = rng.between(10, 80);
+  chaos.onlyTouching = rng.chance(1, 3) ? rng.below(n) : kNoProcess;
+  return chaos;
+}
+
+std::vector<PlanSkew> drawSkews(Rng& rng, std::size_t n) {
+  static constexpr PlanSkew kSkewMenu[] = {{1, 1}, {2, 1}, {3, 1},
+                                           {1, 2}, {2, 3}, {3, 2}};
+  std::vector<PlanSkew> skews;
+  skews.reserve(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    skews.push_back(kSkewMenu[rng.below(std::size(kSkewMenu))]);
+  }
+  return skews;
+}
+
+PlanSlowLink drawSlowLink(Rng& rng, std::size_t n) {
+  PlanSlowLink link;
+  link.process = rng.below(n);
+  link.factor = rng.between(2, 4);
+  return link;
+}
+
+PlanPartition drawOneShotPartition(Rng& rng, std::size_t n) {
+  PlanPartition part;  // period 0: one-shot
+  part.start = rng.between(200, 3000);
+  part.width = rng.between(100, 800);
+  part.isolate = rng.chance(1, 3) ? kNoProcess : rng.below(n);
+  return part;
+}
+
+void sortCrashes(std::vector<PlanCrash>& crashes) {
+  std::sort(crashes.begin(), crashes.end(),
+            [](const PlanCrash& a, const PlanCrash& b) {
+              return a.process < b.process;
+            });
 }
 
 }  // namespace
@@ -130,10 +178,7 @@ FuzzPlan sampleFuzzPlan(AlgoStack stack, std::uint64_t masterSeed,
           PlanCrash{victims[i], rng.below(2) == 0 ? rng.between(0, 500)
                                                   : rng.between(500, 4000)});
     }
-    std::sort(plan.crashes.begin(), plan.crashes.end(),
-              [](const PlanCrash& a, const PlanCrash& b) {
-                return a.process < b.process;
-              });
+    sortCrashes(plan.crashes);
   }
 
   // Partitions: at most one recurring family (so joint windows can never
@@ -146,36 +191,13 @@ FuzzPlan sampleFuzzPlan(AlgoStack stack, std::uint64_t masterSeed,
     part.isolate = rng.chance(1, 4) ? kNoProcess : rng.below(n);
     plan.partitions.push_back(part);
     if (rng.chance(1, 3)) {
-      PlanPartition oneShot;
-      oneShot.start = rng.between(200, 3000);
-      oneShot.width = rng.between(100, 800);
-      oneShot.period = 0;
-      oneShot.isolate = rng.chance(1, 3) ? kNoProcess : rng.below(n);
-      plan.partitions.push_back(oneShot);
+      plan.partitions.push_back(drawOneShotPartition(rng, n));
     }
   }
 
-  if (rng.chance(1, 2)) {
-    plan.chaos.dupNum = 1;
-    plan.chaos.dupDen = static_cast<std::uint32_t>(rng.between(2, 4));
-    plan.chaos.maxExtraCopies = static_cast<std::uint32_t>(rng.between(1, 3));
-    plan.chaos.reorderJitter = rng.between(10, 80);
-    plan.chaos.onlyTouching = rng.chance(1, 3) ? rng.below(n) : kNoProcess;
-  }
-
-  if (rng.chance(1, 3)) {
-    static constexpr PlanSkew kSkewMenu[] = {{1, 1}, {2, 1}, {3, 1},
-                                             {1, 2}, {2, 3}, {3, 2}};
-    plan.skews.reserve(n);
-    for (std::size_t p = 0; p < n; ++p) {
-      plan.skews.push_back(kSkewMenu[rng.below(std::size(kSkewMenu))]);
-    }
-  }
-
-  if (rng.chance(1, 4)) {
-    plan.slowLink.process = rng.below(n);
-    plan.slowLink.factor = rng.between(2, 4);
-  }
+  if (rng.chance(1, 2)) plan.chaos = drawChaos(rng, n);
+  if (rng.chance(1, 3)) plan.skews = drawSkews(rng, n);
+  if (rng.chance(1, 4)) plan.slowLink = drawSlowLink(rng, n);
 
   plan.workload.start = rng.between(50, 300);
   plan.workload.interval = rng.between(20, 80);
@@ -219,6 +241,124 @@ FuzzPlan sampleFuzzPlan(AlgoStack stack, std::uint64_t masterSeed,
   WFD_ENSURE_MSG(planAdmissibilityViolations(plan).empty(),
                  "sampler produced an inadmissible plan");
   return plan;
+}
+
+namespace {
+
+/// Mutation kinds, tried in rotation from a seeded starting point until
+/// one yields an admissible plan.
+enum : std::uint64_t {
+  kMutReseedSchedule = 0,
+  kMutAddCrash,
+  kMutDropCrash,
+  kMutAddPartition,
+  kMutResizePartition,
+  kMutToggleChaos,
+  kMutToggleSkew,
+  kMutToggleSlowLink,
+  kMutScaleWorkload,
+  kMutHalveTauOmega,
+  kMutGrowSystem,
+  kMutKindCount,
+};
+
+bool applyMutation(FuzzPlan& p, std::uint64_t kind, Rng& rng) {
+  const std::size_t n = p.processCount;
+  switch (kind) {
+    case kMutReseedSchedule:
+      p.simSeed = rng.engine()();
+      return true;
+    case kMutAddCrash: {
+      // Pick among the not-yet-crashed processes (admissibility will
+      // still reject e.g. a lost majority on the consensus stack).
+      std::vector<ProcessId> alive;
+      for (ProcessId q = 0; q < n; ++q) {
+        bool crashed = false;
+        for (const PlanCrash& c : p.crashes) crashed |= c.process == q;
+        if (!crashed) alive.push_back(q);
+      }
+      if (alive.size() <= 1) return false;
+      PlanCrash c;
+      c.process = alive[rng.below(alive.size())];
+      c.time = rng.chance(1, 4) ? 0 : rng.between(1, 4000);
+      p.crashes.push_back(c);
+      sortCrashes(p.crashes);
+      return true;
+    }
+    case kMutDropCrash:
+      if (p.crashes.empty()) return false;
+      p.crashes.erase(p.crashes.begin() +
+                      static_cast<std::ptrdiff_t>(rng.below(p.crashes.size())));
+      return true;
+    case kMutAddPartition:
+      if (p.partitions.size() >= 3) return false;
+      // One-shot only: the one-recurring-family admissibility budget may
+      // already be spent, and one-shot windows always heal.
+      p.partitions.push_back(drawOneShotPartition(rng, n));
+      return true;
+    case kMutResizePartition: {
+      if (p.partitions.empty()) return false;
+      PlanPartition& part = p.partitions[rng.below(p.partitions.size())];
+      if (rng.chance(1, 2)) {
+        part.width = std::max<Time>(1, part.width / 2);
+      } else {
+        part.width *= 2;
+        // Keep a recurring family healing (period > width).
+        if (part.period != 0 && part.period <= part.width) {
+          part.period = 2 * part.width;
+        }
+      }
+      return true;
+    }
+    case kMutToggleChaos:
+      p.chaos = p.chaos.dupNum > 0 ? PlanChaos{} : drawChaos(rng, n);
+      return true;
+    case kMutToggleSkew:
+      p.skews = p.skews.empty() ? drawSkews(rng, n) : std::vector<PlanSkew>{};
+      return true;
+    case kMutToggleSlowLink:
+      p.slowLink = p.slowLink.process != kNoProcess ? PlanSlowLink{}
+                                                    : drawSlowLink(rng, n);
+      return true;
+    case kMutScaleWorkload:
+      if (p.stack == AlgoStack::kOmegaEc) return false;
+      p.workload.perProcess = rng.chance(1, 2)
+                                  ? std::max<std::size_t>(1, p.workload.perProcess / 2)
+                                  : std::min<std::size_t>(10, p.workload.perProcess * 2);
+      return true;
+    case kMutHalveTauOmega:
+      // Shrinking tau_Omega is always fairness-preserving; GROWING it is
+      // not (the omega-ec stream-length cap in the sampler), so the
+      // mutator only ever moves it down.
+      if (p.omegaMode == OmegaPreStabilization::kStable || p.tauOmega < 2) {
+        return false;
+      }
+      p.tauOmega /= 2;
+      return true;
+    case kMutGrowSystem:
+      if (n >= 8) return false;
+      ++p.processCount;
+      if (!p.skews.empty()) p.skews.push_back(PlanSkew{1, 1});
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
+                                       std::uint64_t mutationSeed) {
+  Rng rng(mutationSeed);
+  const std::uint64_t start = rng.below(kMutKindCount);
+  for (std::uint64_t attempt = 0; attempt < kMutKindCount; ++attempt) {
+    FuzzPlan p = base;
+    if (!applyMutation(p, (start + attempt) % kMutKindCount, rng)) continue;
+    p.maxTime = planHorizon(p);
+    if (!planAdmissibilityViolations(p).empty()) continue;
+    return p;
+  }
+  return std::nullopt;
 }
 
 Time planHorizon(const FuzzPlan& plan) {
@@ -584,35 +724,6 @@ Scenario planScenario(const FuzzPlan& plan) {
   s.workload.lwwPutBodies = plan.stack == AlgoStack::kGossipLww;
   s.workload.writers = plan.workload.writers;
   s.ecInstances = plan.ecInstances;
-
-  // Spec oracle: exactly the clauses that are theorems for EVERY
-  // admissible plan of this stack (progress clauses that need a specific
-  // environment — commit indications, strong TOB — are not asserted; the
-  // explorer's strict oracle adds strong TOB deliberately to harvest
-  // separation witnesses).
-  switch (plan.stack) {
-    case AlgoStack::kEtob:
-    case AlgoStack::kTobViaConsensus:
-      s.checks.broadcast = true;
-      s.checks.convergence = true;
-      break;
-    case AlgoStack::kCommitEtob:
-      s.checks.broadcast = true;
-      s.checks.convergence = true;
-      // Commit safety is deliberately NOT asserted here: §7's no-
-      // revocation guarantee is conditional on its proviso (a stable
-      // majority acknowledging one leader), which sampled plans violate
-      // freely — conflicting pre-stabilization commits then resolve by
-      // the strength join (commit_etob.h), revoking one side. The
-      // catalog's proviso scenarios keep checking it.
-      break;
-    case AlgoStack::kGossipLww:
-      s.checks.gossipConvergence = true;
-      break;
-    case AlgoStack::kOmegaEc:
-      s.checks.ec = true;
-      break;
-  }
   return s;
 }
 

@@ -6,9 +6,10 @@
 // an enum, so a plan can be (a) sampled from a single 64-bit seed,
 // (b) serialized to portable JSON (plan_codec.h), (c) mutated by the
 // shrinker one field at a time, and (d) lowered to a Scenario
-// (planScenario) that reuses the NetworkModel and checker machinery
-// unchanged: planNetwork composes the model layers (base, chaos, lossy),
-// and the partition windows and clock skews become SimConfig data.
+// (planScenario) that reuses the NetworkModel machinery unchanged and is
+// judged by its stack's spec: planNetwork composes the model layers
+// (base, chaos, lossy), and the partition windows and clock skews become
+// SimConfig data.
 //
 // Admissibility: the paper's results quantify over admissible runs only,
 // so the sampler must stay inside that space — crashes leave at least
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -183,6 +185,17 @@ FuzzPlan sampleFuzzPlan(AlgoStack stack, std::uint64_t masterSeed,
                         std::size_t bigClusterMaxN = 0,
                         bool lossGenome = false);
 
+/// One deterministic mutation of `base` drawn from `mutationSeed`:
+/// re-seed the schedule, add/drop a crash, add/resize a partition
+/// window, toggle the chaos/skew/slow-link layers, scale the workload,
+/// halve tau_Omega, or grow the system by one process. The result is
+/// re-validated (and its horizon re-derived), so a returned plan is
+/// always admissible AND fairness-preserving — tau_Omega never grows,
+/// keeping the sampler's liveness-fairness caps intact. nullopt when
+/// every candidate mutation of this seed lands inadmissible.
+std::optional<FuzzPlan> mutateFuzzPlan(const FuzzPlan& base,
+                                       std::uint64_t mutationSeed);
+
 /// The horizon the sampler assigns: last scheduled disturbance (workload
 /// end, crashes, tau_Omega, partition windows) plus a settle margin
 /// scaled by delays, skew and the EC instance count. Deterministic in the
@@ -203,8 +216,9 @@ std::shared_ptr<const NetworkModel> planNetwork(const FuzzPlan& plan);
 
 /// Lowers the plan to a runnable Scenario (pattern, planNetwork network,
 /// partition windows and clock skews in the config, default Omega
-/// detector, per-stack spec checker set). The scenario's name is
-/// "fuzz-<stack>"; run it with runScenario(planScenario(p), p.simSeed).
+/// detector). It promises nothing beyond the stack's spec, so the run is
+/// judged by that spec alone. The scenario's name is "fuzz-<stack>"; run
+/// it with runScenario(planScenario(p), p.simSeed).
 Scenario planScenario(const FuzzPlan& plan);
 
 /// Stable 64-bit fingerprint of the plan: FNV-1a over the canonical JSON

@@ -39,18 +39,10 @@ std::shared_ptr<const NetworkModel> uniformOf(const SimConfig& cfg) {
                                              cfg.fixedDelay);
 }
 
-CheckerSet etobChecks(bool strong = false) {
-  CheckerSet c;
-  c.broadcast = true;
-  c.convergence = true;
-  c.requireStrongTob = strong;
-  return c;
-}
-
 /// The shape every sharded-* entry shares: S commit-eTOB shards x 3
 /// replicas on the base scheduler, 120 keyed puts every 10 ticks with a
-/// read after every 4th, each shard's broadcast clauses, commit safety
-/// and progress required on top of the always-on sharded_kv clauses.
+/// read after every 4th, commit safety and progress promised on top of
+/// the always-on sharded_kv and per-shard broadcast clauses.
 Scenario shardedEntry(std::size_t shards, std::uint64_t keys) {
   Scenario s;
   s.config = baseConfig(3, 40'000);
@@ -60,7 +52,6 @@ Scenario shardedEntry(std::size_t shards, std::uint64_t keys) {
   s.shards = shards;
   s.keyed.puts = 120;
   s.keyed.keys = keys;
-  s.checks.broadcast = true;
   s.checks.commit = true;
   s.checks.requireCommitProgress = true;
   return s;
@@ -113,7 +104,7 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 0;
     s.omegaMode = OmegaPreStabilization::kStable;
     s.workload = standardWorkload(100, 8);
-    s.checks = etobChecks(/*strong=*/true);
+    s.checks.requireStrongTob = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -126,7 +117,6 @@ std::vector<Scenario> buildCatalog() {
     s.config = baseConfig(3, 20000);
     s.tauOmega = 1500;
     s.workload = standardWorkload(100, 8);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -140,7 +130,6 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 2000;
     s.omegaMode = OmegaPreStabilization::kRotating;
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
 
@@ -155,7 +144,6 @@ std::vector<Scenario> buildCatalog() {
     s.pattern = [](std::size_t n) { return Environments::minorityCrash(n, 1500); };
     s.tauOmega = 2500;
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -169,7 +157,6 @@ std::vector<Scenario> buildCatalog() {
     s.pattern = [](std::size_t n) { return Environments::majorityCrash(n, 2000); };
     s.tauOmega = 2500;
     s.workload = standardWorkload(3000, 8);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -185,7 +172,6 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 2500;
     s.omegaMode = OmegaPreStabilization::kRotating;
     s.workload = standardWorkload(100, 5);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
 
@@ -212,7 +198,6 @@ std::vector<Scenario> buildCatalog() {
       return std::make_shared<ChaosLinkModel>(uniformOf(cfg), chaos);
     };
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -233,7 +218,6 @@ std::vector<Scenario> buildCatalog() {
       return std::make_shared<ChaosLinkModel>(uniformOf(cfg), chaos);
     };
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -248,7 +232,6 @@ std::vector<Scenario> buildCatalog() {
     s.config.clockSkew = clockSkewSpread(4, {3, 1}, {1, 2});
     s.tauOmega = 1500;
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -269,7 +252,6 @@ std::vector<Scenario> buildCatalog() {
     s.config.partitions = {storm};
     s.tauOmega = 1000;
     s.workload = standardWorkload(100, 5);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -287,7 +269,6 @@ std::vector<Scenario> buildCatalog() {
     s.config.partitions = {blackout};
     s.tauOmega = 1000;
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -304,7 +285,6 @@ std::vector<Scenario> buildCatalog() {
                                                /*slow=*/0, /*factor=*/4);
     };
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
 
@@ -321,7 +301,7 @@ std::vector<Scenario> buildCatalog() {
     s.omegaMode = OmegaPreStabilization::kStable;
     s.stack = AlgoStack::kTobViaConsensus;
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks(/*strong=*/true);
+    s.checks.requireStrongTob = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -336,7 +316,6 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 2000;
     s.stack = AlgoStack::kTobViaConsensus;
     s.workload = standardWorkload(100, 5);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -351,7 +330,6 @@ std::vector<Scenario> buildCatalog() {
     s.omegaMode = OmegaPreStabilization::kStable;
     s.stack = AlgoStack::kCommitEtob;
     s.workload = standardWorkload(150, 6);
-    s.checks = etobChecks();
     s.checks.commit = true;
     s.checks.requireCommitProgress = true;
     catalog.push_back(std::move(s));
@@ -369,7 +347,6 @@ std::vector<Scenario> buildCatalog() {
     s.omegaMode = OmegaPreStabilization::kRotating;
     s.stack = AlgoStack::kCommitEtob;
     s.workload = standardWorkload(150, 5);
-    s.checks = etobChecks();
     s.checks.commit = true;
     catalog.push_back(std::move(s));
   }
@@ -381,13 +358,9 @@ std::vector<Scenario> buildCatalog() {
         "replicas converge to identical tables (eventual consistency as "
         "deployed — no order guarantees, contrast with ETOB in E5).";
     s.config = baseConfig(4, 20000);
-    s.detector = [](const FailurePattern& fp) {
-      return std::make_shared<PerfectFd>(fp);
-    };
     s.stack = AlgoStack::kGossipLww;
     s.workload = standardWorkload(100, 5);
     s.workload.lwwPutBodies = true;
-    s.checks.gossipConvergence = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -404,7 +377,6 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 1000;
     s.stack = AlgoStack::kOmegaEc;
     s.ecInstances = 60;
-    s.checks.ec = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -426,7 +398,6 @@ std::vector<Scenario> buildCatalog() {
       return std::make_shared<ChaosLinkModel>(uniformOf(cfg), chaos);
     };
     s.workload = standardWorkload(100, 5);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
 
@@ -454,7 +425,6 @@ std::vector<Scenario> buildCatalog() {
       return std::make_shared<IidLossModel>(uniformOf(cfg), loss);
     };
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -481,7 +451,6 @@ std::vector<Scenario> buildCatalog() {
           std::make_shared<AdaptiveHeartbeatFd>(fp, hb), fp.size());
     };
     s.workload = standardWorkload(100, 6);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -499,7 +468,6 @@ std::vector<Scenario> buildCatalog() {
           uniformOf(cfg), burstShape(/*activeUntil=*/8000, /*seed=*/7));
     };
     s.workload = standardWorkload(150, 5);
-    s.checks = etobChecks();
     s.checks.commit = true;
     s.checks.requireCommitProgress = true;
     catalog.push_back(std::move(s));
@@ -530,18 +498,16 @@ std::vector<Scenario> buildCatalog() {
           iid, std::vector<OutageSpec>{cut});
     };
     s.workload = standardWorkload(100, 5);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
     Scenario s;
     s.name = "lossy-oneway-gossip";
     s.description =
-        "n=4, gossip/LWW with a SWIM-style indirect-probe <>P: two "
-        "one-shot one-way cuts around p3 (outbound [500,1500), inbound "
-        "[2000,3000)) plus 1/8 i.i.d. loss until t=8000 — indirect "
-        "probes keep rounds alive through cuts that kill direct pings, "
-        "and all replicas converge.";
+        "n=4, gossip/LWW through two one-shot one-way cuts around p3 "
+        "(outbound [500,1500), inbound [2000,3000)) plus 1/8 i.i.d. loss "
+        "until t=8000: anti-entropy rounds ride the retransmission layer "
+        "through the cuts, and all replicas converge.";
     s.config = baseConfig(4, 20000);
     s.stack = AlgoStack::kGossipLww;
     s.network = [](const SimConfig& cfg) -> std::shared_ptr<const NetworkModel> {
@@ -561,17 +527,8 @@ std::vector<Scenario> buildCatalog() {
       return std::make_shared<OneWayOutageModel>(
           iid, std::vector<OutageSpec>{outbound, inbound});
     };
-    s.detector = [](const FailurePattern& fp) {
-      SwimFd::Params swim;
-      swim.probePeriod = 100;
-      swim.indirectRelays = 3;
-      swim.seed = 11;
-      swim.burstWindows = {{500, 1500}, {2000, 3000}};
-      return std::make_shared<SwimFd>(fp, swim);
-    };
     s.workload = standardWorkload(100, 5);
     s.workload.lwwPutBodies = true;
-    s.checks.gossipConvergence = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -598,7 +555,6 @@ std::vector<Scenario> buildCatalog() {
       gray.activeUntil = 8000;
       return std::make_shared<GrayFailureModel>(uniformOf(cfg), gray);
     };
-    s.checks.ec = true;
     catalog.push_back(std::move(s));
   }
 
@@ -625,7 +581,6 @@ std::vector<Scenario> buildCatalog() {
     s.omegaMode = OmegaPreStabilization::kStable;
     s.stack = AlgoStack::kOmegaEc;
     s.ecInstances = 40;
-    s.checks.ec = true;
     catalog.push_back(std::move(s));
   }
   {
@@ -643,7 +598,6 @@ std::vector<Scenario> buildCatalog() {
     s.tauOmega = 3200;
     s.omegaMode = OmegaPreStabilization::kRotating;
     s.workload = standardWorkload(100, 2);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -668,7 +622,6 @@ std::vector<Scenario> buildCatalog() {
     s.config.partitions = {halves, segment};
     s.tauOmega = 800;
     s.workload = standardWorkload(100, 3);
-    s.checks = etobChecks();
     catalog.push_back(std::move(s));
   }
   {
@@ -681,14 +634,10 @@ std::vector<Scenario> buildCatalog() {
         "tables (the writer cap is deliberate — gossip pays n^2 table "
         "merges per round, so table size must not also grow with n).";
     s.config = baseConfig(128, 1200);
-    s.detector = [](const FailurePattern& fp) {
-      return std::make_shared<PerfectFd>(fp);
-    };
     s.stack = AlgoStack::kGossipLww;
     s.workload = standardWorkload(100, 1);
     s.workload.lwwPutBodies = true;
     s.workload.writers = 16;
-    s.checks.gossipConvergence = true;
     catalog.push_back(std::move(s));
   }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 
 #include "api/capabilities.h"
@@ -39,8 +38,8 @@ inline SimConfig scaleConfig(std::size_t n, Time maxTime = 6000) {
 }
 
 /// The per-stack scale shape: minority crash at t=1200, split-brain
-/// Omega until tau=800, a short broadcast workload (or 12 EC instances
-/// for the Omega->EC stack), full checker set for the stack.
+/// Omega until tau=800, a short broadcast workload (or 40 EC instances
+/// for the Omega->EC stack), judged by the stack's spec.
 inline Scenario scaleScenario(AlgoStack stack, std::size_t n,
                               Time maxTime = 6000) {
   Scenario s;
@@ -59,8 +58,7 @@ inline Scenario scaleScenario(AlgoStack stack, std::size_t n,
   s.workload.perProcess = 3;
   switch (stack) {
     case AlgoStack::kEtob:
-      s.checks.broadcast = true;
-      s.checks.convergence = true;
+    case AlgoStack::kTobViaConsensus:
       break;
     case AlgoStack::kCommitEtob:
       // Commit safety is §7-proviso-conditional: a stable leader from
@@ -68,28 +66,17 @@ inline Scenario scaleScenario(AlgoStack stack, std::size_t n,
       // majority survives, so indications must advance).
       s.tauOmega = 0;
       s.omegaMode = OmegaPreStabilization::kStable;
-      s.checks.broadcast = true;
-      s.checks.convergence = true;
       s.checks.commit = true;
       s.checks.requireCommitProgress = true;
       break;
-    case AlgoStack::kTobViaConsensus:
-      s.checks.broadcast = true;
-      s.checks.convergence = true;
-      break;
     case AlgoStack::kGossipLww:
-      s.detector = [](const FailurePattern& fp) {
-        return std::make_shared<PerfectFd>(fp);
-      };
       s.workload.lwwPutBodies = true;
-      s.checks.gossipConvergence = true;
       break;
     case AlgoStack::kOmegaEc:
       // Enough instances that the decided stream extends well past both
       // tau and the crash — the agreed suffix must be non-degenerate.
       s.workload.perProcess = 0;
       s.ecInstances = 40;
-      s.checks.ec = true;
       break;
   }
   return s;
@@ -119,8 +106,6 @@ inline Scenario scalePartitionScenario(std::size_t n, Time maxTime = 6000) {
   // as an index-vs-predicate equivalence check.
   spec.componentOf = PartitionSpec::splitAt(n, n / 2);
   s.config.partitions = {spec};
-  s.checks.broadcast = true;
-  s.checks.convergence = true;
   return s;
 }
 

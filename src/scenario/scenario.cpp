@@ -85,16 +85,70 @@ ScenarioRunResult evaluateScenarioRun(const Scenario& s, std::uint64_t seed,
   const FailurePattern& fp = sim.failurePattern();
   auto fail = [&r](std::string clause) { r.failures.push_back(std::move(clause)); };
 
-  if (s.checks.broadcast || s.checks.requireStrongTob) {
-    const BroadcastCheckReport rep = checkBroadcast(cluster, "", r.failures);
-    r.tauHat = rep.tau;
-    if (s.checks.requireStrongTob && !rep.strongTobOk()) {
-      fail("broadcast: strong-tob (tau-hat=" + std::to_string(rep.tau) + ")");
+  // The stack's spec: the clauses every admissible run of it satisfies.
+  if (!s.automaton) {
+    switch (s.stack) {
+      case AlgoStack::kEtob:
+      case AlgoStack::kCommitEtob:
+      case AlgoStack::kTobViaConsensus: {
+        // Commit safety is deliberately NOT part of commit-eTOB's spec:
+        // §7's no-revocation guarantee is conditional on its proviso (a
+        // stable majority acknowledging one leader), which sampled fuzz
+        // plans violate freely — conflicting pre-stabilization commits
+        // then resolve by the strength join (commit_etob.h), revoking one
+        // side. Entries whose environment keeps the proviso promise it
+        // through checks.commit.
+        const BroadcastCheckReport rep =
+            checkBroadcast(cluster, "", r.failures);
+        r.tauHat = rep.tau;
+        if (s.checks.requireStrongTob && !rep.strongTobOk()) {
+          fail("broadcast: strong-tob (tau-hat=" + std::to_string(rep.tau) +
+               ")");
+        }
+        if (!broadcastConverged(sim, log)) {
+          fail(
+              "convergence: correct processes did not agree on a complete d_i");
+        }
+        break;
+      }
+      case AlgoStack::kGossipLww: {
+        const std::vector<ProcessId> correct = fp.correctSet();
+        WFD_ENSURE_MSG(!correct.empty(),
+                       "gossip-lww spec needs a correct replica");
+        const auto& reference =
+            static_cast<const GossipLwwStore&>(sim.automaton(correct.front()));
+        for (ProcessId p : correct) {
+          if (!static_cast<const GossipLwwStore&>(sim.automaton(p))
+                   .sameTable(reference)) {
+            fail("gossip: divergence (replica " + std::to_string(p) + ")");
+            break;
+          }
+        }
+        break;
+      }
+      case AlgoStack::kOmegaEc: {
+        const EcCheckReport rep = checkEcRun(trace, fp);
+        if (!rep.integrityOk) fail("ec: integrity");
+        if (!rep.validityOk) fail("ec: validity");
+        if (!rep.terminationOk(s.ecInstances)) {
+          fail("ec: termination (decided " +
+               std::to_string(rep.decidedByAllCorrect) + " of " +
+               std::to_string(s.ecInstances) + ")");
+        }
+        // Eventual agreement: a finite witness k̂ must fall INSIDE the
+        // decided range — agreementFromK == ecInstances + 1 means the very
+        // last instance still disagreed, i.e. no agreed suffix was ever
+        // observed.
+        if (rep.agreementFromK > s.ecInstances) {
+          fail("ec: agreement (no agreed suffix; k-hat=" +
+               std::to_string(rep.agreementFromK) + " > " +
+               std::to_string(s.ecInstances) + ")");
+        }
+        break;
+      }
     }
   }
-  if (s.checks.convergence && !broadcastConverged(sim, log)) {
-    fail("convergence: correct processes did not agree on a complete d_i");
-  }
+  // What the environment promises on top.
   if (s.checks.commit) {
     const CommitCheckReport rep = checkCommitSafety(trace, fp);
     // Run-specific details stay behind " (" — the part before it is the
@@ -105,40 +159,6 @@ ScenarioRunResult evaluateScenarioRun(const Scenario& s, std::uint64_t seed,
     }
     if (s.checks.requireCommitProgress && rep.indications == 0) {
       fail("commit: no indications despite a stable majority");
-    }
-  }
-  if (s.checks.ec) {
-    const EcCheckReport rep = checkEcRun(trace, fp);
-    if (!rep.integrityOk) fail("ec: integrity");
-    if (!rep.validityOk) fail("ec: validity");
-    if (!rep.terminationOk(s.ecInstances)) {
-      fail("ec: termination (decided " + std::to_string(rep.decidedByAllCorrect) +
-           " of " + std::to_string(s.ecInstances) + ")");
-    }
-    // Eventual agreement: a finite witness k̂ must fall INSIDE the decided
-    // range — agreementFromK == ecInstances + 1 means the very last
-    // instance still disagreed, i.e. no agreed suffix was ever observed.
-    if (rep.agreementFromK > s.ecInstances) {
-      fail("ec: agreement (no agreed suffix; k-hat=" +
-           std::to_string(rep.agreementFromK) + " > " +
-           std::to_string(s.ecInstances) + ")");
-    }
-  }
-  if (s.checks.gossipConvergence) {
-    const std::vector<ProcessId> correct = fp.correctSet();
-    const auto* reference =
-        correct.empty() ? nullptr
-                        : dynamic_cast<const GossipLwwStore*>(
-                              &sim.automaton(correct.front()));
-    WFD_ENSURE_MSG(reference != nullptr,
-                   "gossipConvergence requires the gossip-lww stack");
-    for (ProcessId p : correct) {
-      const auto* replica =
-          dynamic_cast<const GossipLwwStore*>(&sim.automaton(p));
-      if (!replica->sameTable(*reference)) {
-        fail("gossip: divergence (replica " + std::to_string(p) + ")");
-        break;
-      }
     }
   }
 
@@ -232,13 +252,12 @@ ScenarioRunResult runShardedScenario(const Scenario& s, std::uint64_t seed) {
   if (kv.monotonicityViolations > 0) fail("sharded_kv: monotone-reads");
   if (kv.staleReads > 0) fail("sharded_kv: read-your-writes");
   for (const std::string& e : kv.errors) fail("sharded_kv: " + e);
-  if (s.checks.broadcast) {
-    // Every put is a client broadcast in its shard's log(), so each
-    // shard's ordering is held to the eTOB spec like a flat entry's.
-    for (std::size_t sh = 0; sh < svc.shardCount(); ++sh) {
-      checkBroadcast(svc.shard(sh), " (shard " + std::to_string(sh) + ")",
-                     r.failures);
-    }
+  // Every put is a client broadcast in its shard's log(), so each shard's
+  // ordering is held to the broadcast core of its stack's spec like a
+  // flat entry's (ShardedService admits only commit-eTOB).
+  for (std::size_t sh = 0; sh < svc.shardCount(); ++sh) {
+    checkBroadcast(svc.shard(sh), " (shard " + std::to_string(sh) + ")",
+                   r.failures);
   }
   if (s.checks.commit) {
     for (std::size_t sh = 0; sh < svc.shardCount(); ++sh) {

@@ -1,13 +1,19 @@
 // Declarative scenario subsystem: one Scenario value names everything a
 // run needs — process count, failure pattern, network model, detector,
-// protocol stack, workload and checker set — so that tests, benches and
-// the wfd_scenarios CLI all execute the same catalog instead of
-// hand-rolling simulator setup.
+// protocol stack, workload and what the environment promises — so that
+// tests, benches and the wfd_scenarios CLI all execute the same catalog
+// instead of hand-rolling simulator setup.
 //
-// A Scenario is a ClusterSpec plus a name, a checker set and the
-// sharded-run fields, and it runs as one of two deployments. A flat entry
-// (shards == 0) is one cluster: clusterSpec() returns its ClusterSpec
-// slice and runScenario drives a wfd::Cluster (the golden
+// A run is judged by its stack's spec: the clauses that hold in every
+// admissible run of that stack (evaluateScenarioRun lists them). An
+// environment can only promise more — Omega stable from t = 0 gives
+// strong TOB, the §7 proviso gives commit safety — and CheckerSet holds
+// exactly those promises.
+//
+// A Scenario is a ClusterSpec plus a name, the environment's promises
+// and the sharded-run fields, and it runs as one of two deployments. A
+// flat entry (shards == 0) is one cluster: clusterSpec() returns its
+// ClusterSpec slice and runScenario drives a wfd::Cluster (the golden
 // digest-equivalence suite in tests/test_api.cpp pins that this
 // reproduces the pre-facade instantiation bit-for-bit). A sharded entry
 // (shards > 0) is the §7 committed-prefix KV service over S independent
@@ -63,31 +69,23 @@ struct ShardFault {
   Time until = 0;
 };
 
-/// Which trace verifiers run after the simulation, and which extra
-/// outcome clauses the scenario asserts.
+/// What the environment promises beyond the stack's spec. Every run is
+/// judged by its stack's spec (evaluateScenarioRun); an entry sets a flag
+/// here only when its environment guarantees more than every admissible
+/// run does.
 struct CheckerSet {
-  /// checkBroadcastRun core properties (validity, agreement, no-creation,
-  /// no-duplication, causal order). On a sharded entry they run on every
-  /// shard's trace and log(), which holds each put routed there; a
-  /// failure's detail names the shard ("broadcast: validity (shard 2)").
-  bool broadcast = false;
-  /// Additionally require tau-hat == 0 (strong TOB; paper property (2)).
+  /// tau-hat == 0 (strong TOB; paper property (2)), which Omega stable
+  /// from t = 0 gives. Judged only where the spec has a delivery
+  /// sequence (eTOB, commit-eTOB, TOB via consensus); ignored elsewhere.
   bool requireStrongTob = false;
-  /// broadcastConverged at the end of the run: every correct process's
-  /// d_i holds every correct-origin message and all sequences agree.
-  bool convergence = false;
   /// checkCommitSafety: no committed prefix is ever revoked (on every
-  /// shard's trace for a sharded entry).
+  /// shard's trace for a sharded entry) — §7's guarantee under its
+  /// proviso, a stable majority acknowledging one leader.
   bool commit = false;
   /// Additionally require at least one commit indication (stable-majority
   /// scenarios must make progress, not just stay vacuously safe); on a
   /// sharded entry, at least one put observed committed by the router.
   bool requireCommitProgress = false;
-  /// checkEcRun: EC integrity/validity always, termination up to the
-  /// scenario's ecInstances, eventual agreement witnessed.
-  bool ec = false;
-  /// All correct gossip replicas hold identical LWW tables at the end.
-  bool gossipConvergence = false;
   /// Sharded entries: the shard faults must have re-homed keys
   /// (rebalances > 0). The sharded_kv clauses (committed reads,
   /// per-shard monotone reads, read-your-writes) always run there.
@@ -95,7 +93,7 @@ struct CheckerSet {
 };
 
 /// A named, declarative run description: a ClusterSpec plus the
-/// evaluation-side name, description and checker set and the sharded-run
+/// evaluation-side name, description and promises and the sharded-run
 /// fields. Every field is data (or a pure factory), so a (scenario, seed)
 /// pair fully determines the run. The per-run seed overrides
 /// config.seed. On a sharded entry `config` is each shard's, with
@@ -180,16 +178,28 @@ struct ScenarioRunResult {
   std::uint64_t digest = 0;
 };
 
-/// Evaluates the scenario's checker set over a cluster that has already
-/// been driven (to its horizon, or incrementally — the checkers only see
-/// the trace). The explorer drives Clusters itself and calls this.
+/// Judges a cluster that has already been driven (to its horizon, or
+/// incrementally — the checkers only see the trace) by the spec of
+/// s.stack, then by the promises in s.checks. The spec, per stack:
+///  * eTOB, commit-eTOB, TOB via consensus: the broadcast core
+///    (checkBroadcastRun: validity, agreement, no-creation,
+///    no-duplication, causal order) and broadcastConverged at the end of
+///    the run (every correct d_i holds every correct-origin message and
+///    all sequences agree); tauHat is the observed tau-hat;
+///  * gossip-LWW: all correct replicas hold identical LWW tables;
+///  * Omega-EC: checkEcRun's integrity and validity, termination up to
+///    s.ecInstances, and an agreed suffix witnessed inside that range.
+/// A scenario with a custom `automaton` lowers no stack, so it runs no
+/// spec. The explorer drives Clusters itself and calls this.
 ScenarioRunResult evaluateScenarioRun(const Scenario& s, std::uint64_t seed,
                                       const Cluster& cluster);
 
-/// Runs the scenario to its horizon and evaluates its checker set. A
-/// sharded entry issues its keyed workload through a router on its
-/// cadence (injecting shard faults as their times pass), settles, reads
-/// every written key back, then evaluates.
+/// Runs the scenario to its horizon and judges it. A sharded entry
+/// issues its keyed workload through a router on its cadence (injecting
+/// shard faults as their times pass), settles, reads every written key
+/// back, then runs the sharded_kv clauses and every shard's broadcast
+/// core (ShardedService admits only commit-eTOB; convergence is not
+/// evaluated there), and the entry's promises.
 ScenarioRunResult runScenario(const Scenario& s, std::uint64_t seed);
 
 /// Serializes a result as one JSON object (single line, stable key order,

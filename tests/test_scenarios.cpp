@@ -1,5 +1,5 @@
-// Scenario subsystem tests: the whole catalog runs green under its own
-// checker sets, every (scenario, seed) pair is reproducible digest-for-
+// Scenario subsystem tests: the whole catalog meets its stacks' specs and
+// its own promises, every (scenario, seed) pair is reproducible digest-for-
 // digest, and the uniform-delay NetworkModel replays pre-refactor traces
 // bit-for-bit (golden digests recorded against the pre-NetworkModel
 // Simulator at the commit that introduced the refactor).
@@ -16,6 +16,7 @@
 #include "common/json.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
+#include "fd/robust_fd.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 
@@ -302,6 +303,39 @@ TEST(ScenarioRunTest, DuplicatingModelsSuppressAtTheBoundary) {
   // The network duplicated aggressively; none of it reached an automaton
   // twice (r.pass already covers no-duplication; this pins the mechanism).
   EXPECT_GT(r.duplicatesSuppressed, 0u);
+}
+
+// --- SWIM <>P drives a stack ------------------------------------------------
+
+TEST(ScenarioRunTest, SwimDerivedOmegaDrivesEtobThroughOneWayCuts) {
+  // lossy-oneway-gossip's deployment (n=4, one-way cuts around p3 plus
+  // 1/8 i.i.d. loss until t=8000) on the eTOB stack, with Omega derived
+  // from the SWIM indirect-probe <>P: the detector's false suspicions
+  // move the leader (tau-hat > 0), and every seed still meets the eTOB
+  // spec, which needs no check flag.
+  const Scenario* base = findScenario("lossy-oneway-gossip");
+  ASSERT_NE(base, nullptr);
+  Scenario s;
+  s.name = "swim-omega-etob";
+  s.config = base->config;
+  s.network = base->network;
+  s.detector = [](const FailurePattern& fp) {
+    SwimFd::Params swim;
+    swim.probePeriod = 100;
+    swim.indirectRelays = 3;
+    swim.seed = 11;
+    swim.burstWindows = {{500, 1500}, {2000, 3000}};
+    return std::make_shared<OmegaFromEventuallyPerfect>(
+        std::make_shared<SwimFd>(fp, swim), fp.size());
+  };
+  s.workload = base->workload;
+  s.workload.lwwPutBodies = false;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const ScenarioRunResult r = runScenario(s, seed);
+    EXPECT_TRUE(r.pass) << "seed " << seed << ": "
+                        << (r.failures.empty() ? "?" : r.failures.front());
+    EXPECT_GT(r.tauHat, 0u) << "seed " << seed;
+  }
 }
 
 TEST(ScenarioRunTest, ToJsonLineEscapesHostileStrings) {
