@@ -118,14 +118,7 @@ struct AutomatonView {
   const KvStore* kv = nullptr;                    // replica-wrapped machine
   const std::vector<MsgId>* committed = nullptr;  // §7 committed prefix
   std::uint64_t rebuilds = 0;                     // replica state rebuilds
-  /// Ordering-layer message lookup (id -> body), when the stack has one.
-  const AppMsg* (*findMessage)(const Automaton&, MsgId) = nullptr;
 };
-
-template <typename Replica>
-const AppMsg* findReplicaMessage(const Automaton& a, MsgId id) {
-  return static_cast<const Replica&>(a).ordering().findMessage(id);
-}
 
 AutomatonView viewOf(const Automaton& a) {
   AutomatonView v;
@@ -134,16 +127,13 @@ AutomatonView viewOf(const Automaton& a) {
   } else if (const auto* r = dynamic_cast<const EtobKvReplica*>(&a)) {
     v.kv = &r->machine();
     v.rebuilds = r->rebuilds();
-    v.findMessage = &findReplicaMessage<EtobKvReplica>;
   } else if (const auto* r = dynamic_cast<const CommitEtobKvReplica*>(&a)) {
     v.kv = &r->machine();
     v.committed = &r->ordering().committedPrefix();
     v.rebuilds = r->rebuilds();
-    v.findMessage = &findReplicaMessage<CommitEtobKvReplica>;
   } else if (const auto* r = dynamic_cast<const TobKvReplica*>(&a)) {
     v.kv = &r->machine();
     v.rebuilds = r->rebuilds();
-    v.findMessage = &findReplicaMessage<TobKvReplica>;
   } else if (const auto* c = dynamic_cast<const CommitEtobAutomaton*>(&a)) {
     v.committed = &c->committedPrefix();
   }
@@ -387,14 +377,6 @@ Client::KvStats Client::kvStats() const {
   }
   if (v.kv) return {v.kv->size(), v.kv->appliedCount(), v.rebuilds};
   return {};
-}
-
-const std::vector<std::uint64_t>* Client::findBody(MsgId id) const {
-  const Automaton& a = cluster_->sim_->automaton(process_);
-  const AutomatonView v = viewOf(a);
-  if (v.findMessage == nullptr) return nullptr;
-  const AppMsg* m = v.findMessage(a, id);
-  return m == nullptr ? nullptr : &m->body;
 }
 
 std::vector<std::pair<Instance, Value>> Client::decisions() const {

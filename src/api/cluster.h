@@ -170,13 +170,6 @@ class Client {
   };
   KvStats kvStats() const;
 
-  /// Body of a broadcast message known to this process's ordering layer
-  /// (on a kvReplica cluster: a replicated command, id-addressable from
-  /// delivered()/committedPrefix()). nullptr when the id is unknown here
-  /// or the stack keeps no ordering-layer message store. The pointer is
-  /// invalidated by advancing the cluster.
-  const std::vector<std::uint64_t>* findBody(MsgId id) const;
-
   /// EC decision history of this process (self-proposing stack):
   /// (instance, decided value), in decision order.
   std::vector<std::pair<Instance, Value>> decisions() const;

@@ -1,6 +1,7 @@
 #include "checkers/tob_checker.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,24 +11,67 @@
 namespace wfd {
 namespace {
 
-/// Index of each id in a sequence.
-std::unordered_map<MsgId, std::size_t> indexOf(const std::vector<MsgId>& seq) {
-  std::unordered_map<MsgId, std::size_t> idx;
-  idx.reserve(seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) idx.emplace(seq[i], i);
-  return idx;
-}
+/// Position of each id in one sequence at a time: an open-addressing
+/// table that indexing the next sequence reuses, so the checker indexes
+/// every stored d_i snapshot of a run with no allocation beyond the one
+/// that sizes the table for the longest.
+class PositionIndex {
+ public:
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// Empties the index and sizes it for up to `n` ids.
+  void reset(std::size_t n) {
+    const std::size_t size = std::bit_ceil(std::max<std::size_t>(2 * n, 8));
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+    slots_.assign(size, Slot{0, kAbsent});  // keeps the capacity
+  }
+  /// Records `id` at `pos` unless it is present; false if it was.
+  bool insert(MsgId id, std::size_t pos) {
+    Slot& slot = slots_[slotOf(id)];
+    if (slot.pos != kAbsent) return false;
+    slot = Slot{id, pos};
+    return true;
+  }
+  /// Indexes `seq`; a repeated id keeps its first position.
+  void assign(const std::vector<MsgId>& seq) {
+    reset(seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) insert(seq[i], i);
+  }
+  /// Position of `id`, or kAbsent.
+  std::size_t find(MsgId id) const { return slots_[slotOf(id)].pos; }
+
+ private:
+  struct Slot {
+    MsgId id;
+    std::size_t pos;  // kAbsent: empty slot
+  };
+
+  /// The slot holding `id`, or the empty slot where it would go
+  /// (Fibonacci hashing, linear probing). The table is at most half
+  /// full, so a probe ends.
+  std::size_t slotOf(MsgId id) const {
+    const std::size_t mask = slots_.size() - 1;
+    auto i = static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (slots_[i].pos != kAbsent && slots_[i].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  unsigned shift_ = 64;
+};
 
 /// True iff the relative order of messages common to a and b agrees.
-bool orderConsistent(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
-  auto bIdx = indexOf(b);
+/// `bIdx` is reused between calls; it is left indexing b.
+bool orderConsistent(const std::vector<MsgId>& a, const std::vector<MsgId>& b,
+                     PositionIndex& bIdx) {
+  bIdx.assign(b);
   std::size_t lastB = 0;
   bool first = true;
   for (MsgId id : a) {
-    auto it = bIdx.find(id);
-    if (it == bIdx.end()) continue;
-    if (!first && it->second <= lastB) return false;
-    lastB = it->second;
+    const std::size_t pos = bIdx.find(id);
+    if (pos == PositionIndex::kAbsent) continue;
+    if (!first && pos <= lastB) return false;
+    lastB = pos;
     first = false;
   }
   return true;
@@ -102,10 +146,12 @@ BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& l
   }
 
   // TOB-No-creation / TOB-No-duplication over every observed snapshot.
+  PositionIndex idx;
   for (ProcessId p : correct) {
     for (const DeliverySnapshot& snap : trace.deliverySnapshots(p)) {
-      std::unordered_set<MsgId> seen;
-      for (MsgId id : snap.seq) {
+      idx.reset(snap.seq.size());
+      for (std::size_t i = 0; i < snap.seq.size(); ++i) {
+        const MsgId id = snap.seq[i];
         const BroadcastRecord* rec = log.find(id);
         if (rec == nullptr) {
           std::ostringstream os;
@@ -117,7 +163,7 @@ BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& l
              << " before its broadcast at " << rec->broadcastAt;
           fail(report.noCreationOk, os.str());
         }
-        if (!seen.insert(id).second) {
+        if (!idx.insert(id, i)) {
           std::ostringstream os;
           os << "no-duplication: message " << id << " appears twice in d_" << p;
           fail(report.noDuplicationOk, os.str());
@@ -156,7 +202,7 @@ BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& l
     current[snap.p] = snap.seq;
     for (const auto& [q, seq] : current) {
       if (q == snap.p) continue;
-      if (!orderConsistent(*snap.seq, *seq)) {
+      if (!orderConsistent(*snap.seq, *seq, idx)) {
         lastOrderViolation = std::max(lastOrderViolation, snap.time);
       }
     }
@@ -169,11 +215,11 @@ BroadcastCheckReport checkBroadcastRun(const Trace& trace, const BroadcastLog& l
   CausalClosure closure(log);
   for (ProcessId p : correct) {
     for (const DeliverySnapshot& snap : trace.deliverySnapshots(p)) {
-      auto idx = indexOf(snap.seq);
+      idx.assign(snap.seq);
       for (std::size_t i = 0; i < snap.seq.size(); ++i) {
         for (MsgId dep : closure.ancestors(snap.seq[i])) {
-          auto it = idx.find(dep);
-          if (it != idx.end() && it->second > i) {
+          const std::size_t pos = idx.find(dep);
+          if (pos != PositionIndex::kAbsent && pos > i) {
             std::ostringstream os;
             os << "causal-order: " << snap.seq[i] << " precedes its dependency "
                << dep << " in d_" << p << " at t=" << snap.time;

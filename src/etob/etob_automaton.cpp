@@ -1,15 +1,16 @@
 #include "etob/etob_automaton.h"
 
+#include <algorithm>
+
 #include "common/ensure.h"
 
 namespace wfd {
 
 namespace {
 
-/// Splices promote `p` of epoch `epoch` onto the chain: a full snapshot
-/// replaces the sequence, a delta (which must extend the chain's head)
-/// appends to it.
-void splicePromote(PromoteChain& chain, std::uint64_t epoch, const EtobPromoteMsg& p,
+/// Splices promote `p` onto the chain: a full snapshot replaces the
+/// sequence, a delta (which must extend the chain's head) appends to it.
+void splicePromote(PromoteChain& chain, const EtobPromoteMsg& p,
                    const CausalityGraph& cg,
                    std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
   if (p.baseLen == 0) {
@@ -25,7 +26,7 @@ void splicePromote(PromoteChain& chain, std::uint64_t epoch, const EtobPromoteMs
     // the reconstructed sequence stays resolvable via findMessage.
     if (!cg.contains(m.id)) adoptedBodies.emplace(m.id, m);
   }
-  chain.epoch = epoch;
+  chain.epoch = p.epoch;
 }
 
 }  // namespace
@@ -40,22 +41,28 @@ bool advancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
   // sender's previous promote; epochs are contiguous per sender, so a gap
   // means that promote is still in flight (reliable links guarantee it
   // arrives). A full snapshot behind an older pending gap waits too.
-  const bool first = chain.pending.empty() || msg.epoch < chain.pending.begin()->first;
+  std::vector<EtobPromoteMsg>& pending = chain.pending;
+  const bool first = pending.empty() || msg.epoch < pending.front().epoch;
   if (!first || (msg.baseLen != 0 && msg.epoch != chain.epoch + 1)) {
-    chain.pending.emplace(msg.epoch, msg);
+    // Park it in epoch order; a duplicate of a parked epoch is dropped.
+    const auto at = std::lower_bound(
+        pending.begin(), pending.end(), msg.epoch,
+        [](const EtobPromoteMsg& p, std::uint64_t epoch) { return p.epoch < epoch; });
+    if (at == pending.end() || at->epoch != msg.epoch) pending.insert(at, msg);
     return false;
   }
-  splicePromote(chain, msg.epoch, msg, cg, adoptedBodies);
+  splicePromote(chain, msg, cg, adoptedBodies);
   // Drain every parked promote the splice made reconstructible. The head
   // only moves to the oldest pending epoch, so every pending one stays
   // newer than it.
-  while (!chain.pending.empty()) {
-    const auto it = chain.pending.begin();
-    WFD_DCHECK(it->first > chain.epoch);
-    if (it->second.baseLen != 0 && it->first != chain.epoch + 1) break;
-    splicePromote(chain, it->first, it->second, cg, adoptedBodies);
-    chain.pending.erase(it);
+  std::size_t drained = 0;
+  for (; drained < pending.size(); ++drained) {
+    const EtobPromoteMsg& p = pending[drained];
+    WFD_DCHECK(p.epoch > chain.epoch);
+    if (p.baseLen != 0 && p.epoch != chain.epoch + 1) break;
+    splicePromote(chain, p, cg, adoptedBodies);
   }
+  pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(drained));
   return true;
 }
 

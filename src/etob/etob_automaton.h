@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -86,12 +85,16 @@ struct EtobDeltaMsg {
 /// reconstructed prefix of the sender's promote history; out-of-order
 /// deltas wait in `pending` until the promote they extend arrives
 /// (promote epochs from one sender are contiguous — the counter advances
-/// exactly once per sent promote). Every pending epoch is newer than
-/// `epoch`, and the oldest pending one is a delta past a gap.
+/// exactly once per sent promote). `pending` holds at most one promote
+/// per epoch, in ascending epoch order, and keeps its capacity as it
+/// drains, so parking a promote with an empty suffix (a refresh delta)
+/// allocates nothing once the chain has parked that many before. Every
+/// pending epoch is newer than `epoch`, and the oldest pending one is a
+/// delta past a gap.
 struct PromoteChain {
   std::uint64_t epoch = 0;
   std::vector<MsgId> ids;
-  std::map<std::uint64_t, EtobPromoteMsg> pending;
+  std::vector<EtobPromoteMsg> pending;
 };
 
 /// Ingests one promote message into the per-sender chain. A promote that

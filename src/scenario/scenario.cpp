@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "checkers/commit_checker.h"
@@ -176,10 +177,12 @@ ScenarioRunResult runShardedScenario(const Scenario& s, std::uint64_t seed) {
   ShardedService svc(shardedSpec(s), seed);
   ShardRouter router(svc);
 
+  // Both generators are counter-mode and draw nothing at construction;
+  // only the Zipfian one precomputes anything, so only it is optional.
   UniformKeyGenerator uniform(w.keys, splitmix64(seed ^ 0x776b6c64ULL));
-  ZipfianKeyGenerator zipf(w.keys, w.zipfian ? w.theta : 0.5,
-                           splitmix64(seed ^ 0x776b6c64ULL));
-  const auto nextKey = [&]() { return w.zipfian ? zipf.next() : uniform.next(); };
+  std::optional<ZipfianKeyGenerator> zipf;
+  if (w.zipfian) zipf.emplace(w.keys, w.theta, splitmix64(seed ^ 0x776b6c64ULL));
+  const auto nextKey = [&]() { return zipf ? zipf->next() : uniform.next(); };
 
   std::vector<ShardFault> faults = s.shardFaults;
   std::stable_sort(faults.begin(), faults.end(),

@@ -16,6 +16,16 @@
 //    exactly the keys it owned (every other key keeps its owner — the
 //    property the crash-rebalance path in shard/sharded_service.h
 //    relies on: a dead shard's keys disperse, live shards keep theirs).
+//
+// A lookup is O(1) expected: beside the sorted points the ring keeps a
+// bucket index, 2^floor(log2 P) buckets for P points, each holding the
+// first point at or past its slice of the 64-bit ring. ownerOf scans
+// forward from the key's bucket, about one point on average, and
+// returns what a binary search over the points returns. addNode merges
+// the new node's sorted points into the ring and removeNode filters
+// them out, each in O(P), and both rebuild the index in O(P). Sizing it
+// to the points keeps a one-shard service's construction from filling
+// a table sized for the largest ring.
 #pragma once
 
 #include <cstddef>
@@ -72,9 +82,19 @@ class ConsistentHashRing {
   /// makes equal-position points deterministic too.
   using Point = std::pair<std::uint64_t, std::uint32_t>;
 
+  /// Rebuilds buckets_ and bucketShift_ over the current points_.
+  void rebuildIndex();
+  /// Index of the first point with position > pos; pointCount() if none.
+  std::size_t firstPointAfter(std::uint64_t pos) const;
+
   Config config_;
   std::vector<Point> points_;
   std::vector<std::uint32_t> nodes_;
+  /// buckets_[b]: index of the first point at or past position
+  /// b << bucketShift_, where bucket b begins. bucketShift_ is 64 for a
+  /// one-bucket index.
+  std::vector<std::size_t> buckets_;
+  unsigned bucketShift_ = 64;
 };
 
 }  // namespace wfd

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/ensure.h"
+#include "etob/commit_etob.h"
 #include "rsm/state_machines.h"
 
 namespace wfd {
@@ -53,29 +54,40 @@ void ShardRouter::foldShard(std::size_t s) {
   // A shard with no correct replica left has nothing readable; its last
   // fold keeps being served (stale reads are the honest answer there).
   if (service_->correctReplicasOf(s) == 0) return;
-  Client c = service_->shard(s).client(service_->readReplicaOf(s));
-  const std::vector<MsgId>& prefix = c.committedPrefix();
   FoldState& f = folds_[s];
-  std::size_t from = f.folded.size();
-  const std::size_t common = std::min(prefix.size(), from);
-  if (!std::equal(prefix.begin(), prefix.begin() + static_cast<std::ptrdiff_t>(common),
-                  f.folded.begin())) {
-    f.kv.clear();
-    f.folded.clear();
-    ++refolds_;
-    from = 0;
-  } else if (prefix.size() <= from) {
-    // Nothing new committed, or a read replica that lags the fold: keep
-    // serving the fold until the replica catches up.
-    return;
+  const ProcessId replica = service_->readReplicaOf(s);
+  if (replica != f.replica) {
+    f.replica = replica;
+    f.ordering = &service_->orderingOf(s, replica);
+    f.inSync = false;
   }
+  const CommitEtobAutomaton& ordering = *f.ordering;
+  const std::vector<MsgId>& prefix = ordering.committedPrefix();
+  std::size_t from = f.folded.size();
+  // In sync with an unchanged conflict count, the prefix only grew since
+  // the last fold: it extends `folded` and needs no compare.
+  if (!f.inSync || ordering.commitConflicts() != f.conflicts) {
+    const std::size_t common = std::min(prefix.size(), from);
+    if (!std::equal(prefix.begin(), prefix.begin() + static_cast<std::ptrdiff_t>(common),
+                    f.folded.begin())) {
+      f.kv.clear();
+      f.folded.clear();
+      ++refolds_;
+      from = 0;
+    }
+  }
+  // A read replica that lags the fold: keep serving the fold until the
+  // replica catches up, and compare again on every fold until then.
+  f.inSync = prefix.size() >= from;
+  f.conflicts = ordering.commitConflicts();
+  if (prefix.size() <= from) return;  // nothing new, or lagging
   for (std::size_t i = from; i < prefix.size(); ++i) {
-    const std::vector<std::uint64_t>* body = c.findBody(prefix[i]);
-    WFD_ENSURE_MSG(body != nullptr, "committed command with unknown content");
-    if (body->size() == 3 &&
-        (*body)[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
-      FoldState::Entry& e = f.kv[(*body)[1]];
-      e.value = (*body)[2];
+    const AppMsg* m = ordering.findMessage(prefix[i]);
+    WFD_ENSURE_MSG(m != nullptr, "committed command with unknown content");
+    const std::vector<std::uint64_t>& body = m->body;
+    if (body.size() == 3 && body[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
+      FoldState::Entry& e = f.kv[body[1]];
+      e.value = body[2];
       ++e.version;
     }
     const auto it = f.pending.find(prefix[i]);

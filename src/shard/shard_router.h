@@ -5,14 +5,15 @@
 // Write path: put(key, v) routes the command to the owner shard's read
 // replica and keeps the MsgId Client::put returns as pending. Read path:
 // a get(key) folds the owner shard only; poll() folds every shard. A fold
-// fetches the shard's committed prefix from its read replica, decodes
-// the NEW suffix of put commands (Client::findBody) into a per-shard
-// key → (value, version) map, and resolves each pending put whose id it
-// sees commit — so a retried write is credited to the attempt that
-// committed. A put on another shard therefore stays pending until the next
-// poll() or a get of a key that shard owns; drivers poll at the service
-// tick of their gets, so commit times do not depend on which call saw
-// the commit first.
+// reads the committed prefix of the read replica's §7 ordering layer
+// (ShardedService::orderingOf, resolved once per read-replica change),
+// decodes the NEW suffix of put commands (its findMessage) into a
+// per-shard key → (value, version) map, and resolves each pending put
+// whose id it sees commit — so a retried write is credited to the attempt
+// that committed. A put on another shard therefore stays pending until the
+// next poll() or a get of a key that shard owns; callers poll at the
+// service tick of their gets, so commit times do not depend on which call
+// saw the commit first.
 //
 // A committed prefix can only extend under the §7 proviso, so the fold
 // is incremental. A prefix that is a strict prefix of the fold is a
@@ -26,6 +27,15 @@
 // sharded_kv checker verifies is "my write is visible once the router
 // saw it commit", per shard, the strongest a client can ask of an
 // eventually consistent store without blocking.
+//
+// A fold costs O(1) plus the new suffix while nothing can have been
+// rewritten. commit-eTOB changes its committed prefix only by extending
+// it or, after counting a conflict, by a strength join. So when the fold
+// equalled the same replica's prefix last time (in sync) and that
+// replica's commitConflicts() has not moved since, the prefix has only
+// grown, and the fold skips the compare. A read-replica switch, a
+// lagging replica or a moved conflict count falls back to the full
+// compare above, refolds() included.
 //
 // Every op is appended to an op log (RouterOp) carrying the routing
 // decision, the observed value, and the per-(shard, key) fold version —
@@ -112,6 +122,13 @@ class ShardRouter {
     /// MsgId → op-log index of each put routed here and not yet seen
     /// committed (ids are unique per cluster only, hence per shard).
     std::unordered_map<MsgId, std::size_t> pending;
+    /// The read replica the last fold read, and its ordering layer.
+    ProcessId replica = kNoProcess;
+    const CommitEtobAutomaton* ordering = nullptr;
+    /// True when the last fold left `folded` equal to `ordering`'s
+    /// committed prefix, whose commitConflicts() was then `conflicts`.
+    bool inSync = false;
+    std::uint64_t conflicts = 0;
   };
 
   void foldShard(std::size_t s);

@@ -4,6 +4,9 @@
 
 #include "common/ensure.h"
 #include "common/hash.h"
+#include "etob/commit_etob.h"
+#include "rsm/replica.h"
+#include "rsm/state_machines.h"
 
 namespace wfd {
 
@@ -24,7 +27,7 @@ ShardedService::ShardedService(ShardedSpec spec, std::uint64_t seed)
       seed_(seed),
       ring_(ConsistentHashRing::Config{.seed = seed}) {
   WFD_ENSURE_MSG(spec_.shards > 0, "a sharded service needs >= 1 shard");
-  WFD_ENSURE_MSG(stackCapabilities(spec_.stack).committedPrefix,
+  WFD_ENSURE_MSG(spec_.stack == AlgoStack::kCommitEtob,
                  "routers read committed prefixes: shards run commit-eTOB");
   WFD_ENSURE_MSG(spec_.replicasPerShard > 0,
                  "a shard needs >= 1 replica");
@@ -69,6 +72,15 @@ ProcessId ShardedService::readReplicaOf(std::size_t s) const {
   const ProcessId p = shard(s).pattern().lowestCorrect();
   WFD_ENSURE_MSG(p != kNoProcess, "every replica of the shard is crashed");
   return p;
+}
+
+const CommitEtobAutomaton& ShardedService::orderingOf(std::size_t s,
+                                                     ProcessId replica) const {
+  // Every shard is a kvReplica commit-eTOB cluster (constructor).
+  const auto* r = dynamic_cast<const ReplicaAutomaton<CommitEtobAutomaton, KvStore>*>(
+      &shard(s).sim().automaton(replica));
+  WFD_ENSURE_MSG(r != nullptr, "a shard replica is not a commit-eTOB KV replica");
+  return r->ordering();
 }
 
 std::size_t ShardedService::majorityOf(std::size_t s) const {

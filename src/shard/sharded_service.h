@@ -33,6 +33,8 @@
 
 namespace wfd {
 
+class CommitEtobAutomaton;
+
 /// Declarative description of a sharded deployment. Like ClusterSpec,
 /// every field is data or a pure factory: (spec, seed) fully determines
 /// the service (per-shard seeds are derived from the service seed by
@@ -42,9 +44,8 @@ struct ShardedSpec {
   std::size_t shards = 4;
   /// Processes per shard cluster (majority quorum = half + 1).
   std::size_t replicasPerShard = 3;
-  /// Per-shard ordering stack. Only a stack with §7 committed prefixes
-  /// (kCommitEtob) is accepted: they are what the router serves reads
-  /// from.
+  /// Per-shard ordering stack. Only commit-eTOB is accepted: its §7
+  /// committed prefixes are what the router serves reads from.
   AlgoStack stack = AlgoStack::kCommitEtob;
   /// Per-shard scheduler parameters (processCount is overridden with
   /// replicasPerShard).
@@ -88,7 +89,7 @@ struct ShardedStats {
 
 class ShardedService {
  public:
-  /// Throws InvariantError unless spec.stack has committed prefixes.
+  /// Throws InvariantError unless spec.stack is kCommitEtob.
   ShardedService(ShardedSpec spec, std::uint64_t seed);
 
   ShardedService(const ShardedService&) = delete;
@@ -111,6 +112,10 @@ class ShardedService {
   /// Lowest-id replica of `s` with no injected crash — where routers
   /// read and write.
   ProcessId readReplicaOf(std::size_t s) const;
+  /// The §7 ordering layer of `replica` of shard `s`: its committed
+  /// prefix, commit-conflict count and message store, which routers fold
+  /// reads from. The reference stays valid for the service's lifetime.
+  const CommitEtobAutomaton& orderingOf(std::size_t s, ProcessId replica) const;
   /// True while >= majority of the shard's replicas have no injected
   /// crash (the §7 proviso's quorum precondition).
   bool hasQuorum(std::size_t s) const;

@@ -10,9 +10,16 @@
 // resulting key streams are stable per standard-library/libm build,
 // which is what the scenario digest pins assume (checkers/trace_digest.h
 // spells out the same caveat).
+//
+// A Zipfian draw is O(1) expected: a 2^12-entry guide table over the CDF
+// (the indexed search of Chen and Asau, AIIE Transactions 1974) gives the
+// first rank the draw can map to, and a short forward scan finds it. It
+// returns exactly the rank a binary search over the CDF returns, so the
+// key streams are the ones the pins were taken with.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,28 +68,39 @@ class ZipfianKeyGenerator {
       cdf_.push_back(sum);
     }
     for (double& c : cdf_) c /= sum;
+    // guide_[b] is the first rank whose CDF exceeds b / 2^kGuideBits,
+    // clamped to the last rank. The CDF is non-decreasing (a running sum
+    // divided by its total), so one forward pass fills the table.
+    guide_.resize(std::size_t{1} << kGuideBits);
+    std::uint64_t r = 0;
+    for (std::size_t b = 0; b < guide_.size(); ++b) {
+      const double edge = std::ldexp(static_cast<double>(b), -kGuideBits);
+      while (r + 1 < items && cdf_[r] <= edge) ++r;
+      guide_[b] = r;
+    }
   }
 
   std::uint64_t next() {
-    const std::uint64_t z =
-        splitmix64(seed_ ^ (0x7a697066ULL + counter_++));  // "zipf"
-    // 53 mantissa bits -> u in [0, 1).
+    return rankOf(splitmix64(seed_ ^ (0x7a697066ULL + counter_++)));  // "zipf"
+  }
+
+  /// The rank a raw 64-bit draw z maps to: the first rank whose CDF
+  /// exceeds u = (z >> 11) * 2^-53, clamped to the last rank.
+  std::uint64_t rankOf(std::uint64_t z) const {
+    // 53 mantissa bits -> u in [0, 1). The top kGuideBits bits of z are
+    // exactly floor(u * 2^kGuideBits), u's guide entry, and u is at
+    // least that entry's edge, so the answer is at or after its rank.
     const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = cdf_.size() - 1;
-    while (lo < hi) {
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (cdf_[mid] <= u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    std::uint64_t r = guide_[z >> (64 - kGuideBits)];
+    while (r + 1 < cdf_.size() && cdf_[r] <= u) ++r;
+    return r;
   }
 
  private:
+  static constexpr int kGuideBits = 12;
+
   std::vector<double> cdf_;
+  std::vector<std::uint64_t> guide_;
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
 };

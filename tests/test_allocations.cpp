@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "checkers/workload.h"
 #include "etob/etob_automaton.h"
@@ -71,6 +73,44 @@ TEST(AllocationTest, PayloadOfAMessageLargerThanAPointerIsOneBlock) {
   ASSERT_NE(p.as<EtobPromoteMsg>(), nullptr);
   EXPECT_EQ(p.as<EtobPromoteMsg>()->epoch, 7u);
   EXPECT_EQ(p.as<EtobPromoteMsg>()->baseLen, 3u);
+}
+
+TEST(AllocationTest, ParkingARefreshDeltaWithSpareCapacityAllocatesNothing) {
+  // A chain at epoch 1 parks the deltas of epochs 3 and 4 while epoch 2
+  // is in flight; epoch 2's arrival drains them, and the chain keeps the
+  // room. Deltas with an empty suffix are what a leader sends on every
+  // λ-step while nothing new is promotable.
+  const auto refresh = [](std::uint64_t epoch) {
+    EtobPromoteMsg msg;
+    msg.epoch = epoch;
+    msg.baseLen = 1;
+    return msg;
+  };
+  CausalityGraph cg;
+  std::unordered_map<MsgId, AppMsg> bodies;
+  PromoteChain chain;
+  EtobPromoteMsg first;
+  first.epoch = 1;
+  first.seq.resize(1);
+  first.seq[0].id = makeMsgId(0, 0);
+  ASSERT_TRUE(advancePromoteChain(chain, first, cg, bodies));
+  ASSERT_FALSE(advancePromoteChain(chain, refresh(3), cg, bodies));
+  ASSERT_FALSE(advancePromoteChain(chain, refresh(4), cg, bodies));
+  ASSERT_TRUE(advancePromoteChain(chain, refresh(2), cg, bodies));
+  ASSERT_EQ(chain.epoch, 4u);
+  ASSERT_TRUE(chain.pending.empty());
+
+  const EtobPromoteMsg sixth = refresh(6);
+  const EtobPromoteMsg seventh = refresh(7);
+  const NewCounter news;
+  EXPECT_FALSE(advancePromoteChain(chain, seventh, cg, bodies));
+  EXPECT_FALSE(advancePromoteChain(chain, sixth, cg, bodies));
+  const std::size_t blocks = news.count();
+  EXPECT_EQ(blocks, 0u) << "parking a promote took a heap block";
+  ASSERT_EQ(chain.pending.size(), 2u);
+  EXPECT_EQ(chain.pending[0].epoch, 6u);
+  EXPECT_EQ(chain.pending[1].epoch, 7u);
+  EXPECT_EQ(chain.ids, std::vector<MsgId>{makeMsgId(0, 0)});
 }
 
 TEST(AllocationTest, IdleTobLeaderLambdaStepAllocatesNothing) {

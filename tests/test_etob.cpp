@@ -271,11 +271,19 @@ TYPED_TEST(EtobAdoptionTest, AdoptedBodiesDrainOnceUpdatesArrive) {
   EXPECT_EQ(a.findMessage(m.id)->origin, 2u);
 }
 
+// PromoteChain as it was before its parked promotes moved into an
+// epoch-ordered vector: they sat in a map keyed by epoch.
+struct ReferenceChain {
+  std::uint64_t epoch = 0;
+  std::vector<MsgId> ids;
+  std::map<std::uint64_t, EtobPromoteMsg> pending;
+};
+
 // advancePromoteChain as it was before promotes were spliced straight
 // from the message: every promote is copied into `pending`, then the
 // drain loop splices whatever has become reconstructible. The reference
 // for PromoteChainTest below.
-bool referenceAdvancePromoteChain(PromoteChain& chain, const EtobPromoteMsg& msg,
+bool referenceAdvancePromoteChain(ReferenceChain& chain, const EtobPromoteMsg& msg,
                                   const CausalityGraph& cg,
                                   std::unordered_map<MsgId, AppMsg>& adoptedBodies) {
   if (msg.epoch <= chain.epoch) return false;
@@ -337,6 +345,12 @@ std::vector<EtobPromoteMsg> promoteHistory(Rng& rng, std::uint64_t count) {
 
 std::vector<std::uint64_t> pendingEpochs(const PromoteChain& chain) {
   std::vector<std::uint64_t> epochs;
+  for (const EtobPromoteMsg& msg : chain.pending) epochs.push_back(msg.epoch);
+  return epochs;
+}
+
+std::vector<std::uint64_t> pendingEpochs(const ReferenceChain& chain) {
+  std::vector<std::uint64_t> epochs;
   for (const auto& [epoch, msg] : chain.pending) epochs.push_back(epoch);
   return epochs;
 }
@@ -375,7 +389,7 @@ TEST(PromoteChainTest, SpliceMatchesInsertThenDrain) {
       }
     }
     PromoteChain chain;
-    PromoteChain reference;
+    ReferenceChain reference;
     std::unordered_map<MsgId, AppMsg> bodies;
     std::unordered_map<MsgId, AppMsg> referenceBodies;
     for (std::size_t k = 0; k < arrivals.size(); ++k) {

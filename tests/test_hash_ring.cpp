@@ -2,14 +2,22 @@
 // layer of the sharded KV service. Pins the three properties the
 // sharding design leans on: deterministic placement (every router
 // agrees), balance (no shard hoards the key space), and minimal
-// migration (node churn re-homes only the churned node's share).
+// migration (node churn re-homes only the churned node's share). The
+// ring's bucket index and the Zipfian generator's guide table are
+// checked against the binary searches they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ensure.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "shard/hash_ring.h"
 #include "shard/zipf.h"
 
@@ -117,6 +125,72 @@ TEST(HashRing, OwnersOfReturnsDistinctNodesOwnerFirst) {
   EXPECT_EQ(ring.ownersOf(1, 99).size(), 5u);
 }
 
+/// The ring's placement recomputed outside it: every live node's
+/// virtual points, sorted, searched with upper_bound. The oracle for the
+/// bucket index.
+class ReferenceRing {
+ public:
+  ReferenceRing(const ConsistentHashRing& ring, std::uint64_t seed,
+                std::size_t virtualNodes)
+      : ring_(ring) {
+    for (const std::uint32_t node : ring.nodes()) {
+      for (std::uint64_t v = 0; v < virtualNodes; ++v) {
+        points_.emplace_back(
+            splitmix64(fnv1a64Words({0x706f696e74ULL, seed, node, v})), node);
+      }
+    }
+    std::sort(points_.begin(), points_.end());
+  }
+
+  std::uint32_t ownerOf(std::uint64_t key) const {
+    auto it = std::upper_bound(
+        points_.begin(), points_.end(), ring_.keyPosition(key),
+        [](std::uint64_t p, const auto& pt) { return p < pt.first; });
+    if (it == points_.end()) it = points_.begin();
+    return it->second;
+  }
+
+ private:
+  const ConsistentHashRing& ring_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+};
+
+TEST(HashRing, IndexedOwnerMatchesUpperBoundThroughChurn) {
+  // Random add and remove sequences keep the ring between 1 and 16
+  // nodes; after each, 10,000 keys resolve to the reference's owner. One
+  // and three virtual nodes give rings of 1 point and of non-power-of-two
+  // sizes, whose indexes have one bucket and fractional fill.
+  std::size_t checks = 0;
+  for (const std::size_t virtualNodes : {1, 3, 64}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 131 + virtualNodes);
+      ConsistentHashRing ring(ConsistentHashRing::Config{virtualNodes, seed});
+      ring.addNode(static_cast<std::uint32_t>(rng.below(32)));
+      for (int step = 0; step < 8; ++step) {
+        const bool add = ring.nodeCount() == 1 ||
+                         (ring.nodeCount() < 16 && rng.chance(2, 3));
+        if (add) {
+          std::uint32_t node = static_cast<std::uint32_t>(rng.below(32));
+          while (ring.contains(node)) node = (node + 1) % 32;
+          ring.addNode(node);
+        } else {
+          ASSERT_TRUE(ring.removeNode(ring.nodes()[rng.below(ring.nodeCount())]));
+        }
+        const ReferenceRing reference(ring, seed, virtualNodes);
+        ASSERT_EQ(ring.pointCount(), ring.nodeCount() * virtualNodes);
+        const std::uint64_t base = rng.engine()();
+        for (std::uint64_t k = 0; k < 10'000; ++k) {
+          const std::uint64_t key = base + k * 0x9e3779b97f4a7c15ULL;
+          ASSERT_EQ(ring.ownerOf(key), reference.ownerOf(key))
+              << virtualNodes << " vnodes, seed " << seed << ", step " << step;
+        }
+        ++checks;
+      }
+    }
+  }
+  EXPECT_EQ(checks, 3u * 4u * 8u);
+}
+
 TEST(HashRing, MisuseIsRejected) {
   ConsistentHashRing ring = makeRing(2, 1);
   EXPECT_THROW(ring.addNode(0), InvariantError);       // re-add
@@ -152,6 +226,73 @@ TEST(KeyGenerators, ZipfianIsSkewedTowardRankZero) {
   for (const auto& [key, count] : hist) {
     if (key != 0) {
       EXPECT_GE(hist[0], count);
+    }
+  }
+}
+
+/// ZipfianKeyGenerator as it was before its guide table: the same CDF,
+/// searched by bisection for the first entry above u, clamped to the
+/// last rank. The oracle for the guided search.
+class BisectionZipfian {
+ public:
+  BisectionZipfian(std::uint64_t items, double theta, std::uint64_t seed)
+      : seed_(seed) {
+    double sum = 0.0;
+    for (std::uint64_t r = 0; r < items; ++r) {
+      sum += 1.0 / std::pow(static_cast<double>(r + 1), theta);
+      cdf_.push_back(sum);
+    }
+    for (double& c : cdf_) c /= sum;
+  }
+
+  std::uint64_t next() {
+    return rankOf(splitmix64(seed_ ^ (0x7a697066ULL + counter_++)));
+  }
+
+  std::uint64_t rankOf(std::uint64_t z) const {
+    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = cdf_.size() - 1;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (cdf_[mid] <= u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::uint64_t seed_;
+  std::uint64_t counter_ = 0;
+};
+
+TEST(KeyGenerators, GuidedZipfianMatchesBisection) {
+  for (const std::uint64_t items : {1, 2, 3, 64, 4096}) {
+    for (const double theta : {0.01, 0.5, 0.99}) {
+      SCOPED_TRACE(std::to_string(items) + " items, theta " + std::to_string(theta));
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        ZipfianKeyGenerator guided(items, theta, seed);
+        BisectionZipfian reference(items, theta, seed);
+        for (int i = 0; i < 20'000; ++i) {
+          ASSERT_EQ(guided.next(), reference.next()) << "seed " << seed << ", draw " << i;
+        }
+      }
+      // Draws on and beside the guide table's edges, where u is exactly
+      // b / 2^12, and the largest u below 1.
+      const ZipfianKeyGenerator guided(items, theta, 1);
+      const BisectionZipfian reference(items, theta, 1);
+      for (std::uint64_t b = 0; b < 4096; ++b) {
+        const std::uint64_t edge = b << 52;
+        ASSERT_EQ(guided.rankOf(edge), reference.rankOf(edge)) << "edge " << b;
+        ASSERT_EQ(guided.rankOf(edge + 2048), reference.rankOf(edge + 2048)) << "edge " << b;
+        ASSERT_EQ(guided.rankOf(edge - 2048), reference.rankOf(edge - 2048)) << "edge " << b;
+      }
+      EXPECT_EQ(guided.rankOf(~0ULL), reference.rankOf(~0ULL));
+      EXPECT_EQ(guided.rankOf(~0ULL), items - 1);
     }
   }
 }

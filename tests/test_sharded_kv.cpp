@@ -3,13 +3,20 @@
 // cross-shard-independence byte-identity property, the crash-rebalance
 // path (and the mutation proving it matters), service-level stats
 // aggregation, the router's owner-only read fold (differential against
-// polling before every get) and its fold across a lagging read replica,
-// and adversarial op logs against the sharded_kv checker.
+// polling before every get), its fold across a lagging read replica, its
+// O(1) fold check (differential against the always-compare fold through
+// a lagging replica, a rebalance, a strength join, and reads moving to a
+// diverged or a lagging-then-diverging replica), and adversarial op logs
+// against the sharded_kv checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,11 +24,15 @@
 #include "checkers/trace_digest.h"
 #include "common/ensure.h"
 #include "common/hash.h"
+#include "etob/commit_etob.h"
+#include "rsm/state_machines.h"
 #include "scenario/scenario.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_kv_checker.h"
 #include "shard/sharded_service.h"
 #include "shard/zipf.h"
+#include "sim/lossy_model.h"
+#include "sim/network_model.h"
 
 namespace wfd {
 namespace {
@@ -341,11 +352,11 @@ TEST(ShardedKv, LaggingReadReplicaKeepsTheFold) {
     }
   }
   // The newest command replica 0 committed and replica 1 has not.
-  const Client leader = svc.shard(0).client(0);
-  const std::vector<std::uint64_t>* body = leader.findBody(leader.committedPrefix().back());
-  ASSERT_NE(body, nullptr);
-  ASSERT_EQ(body->size(), 3u);
-  const std::uint64_t key = (*body)[1];
+  const CommitEtobAutomaton& leader = svc.orderingOf(0, 0);
+  const AppMsg* command = leader.findMessage(leader.committedPrefix().back());
+  ASSERT_NE(command, nullptr);
+  ASSERT_EQ(command->body.size(), 3u);
+  const std::uint64_t key = command->body[1];
 
   router.poll();
   ASSERT_EQ(router.get(key), key + 1);
@@ -416,6 +427,386 @@ TEST(ShardedKv, EachShardLogHoldsExactlyItsRoutedPuts) {
     logged += ids.size();
   }
   EXPECT_EQ(logged, 64u);
+}
+
+// --- Router fold: the O(1) check against the always-compare fold ----------
+
+// ShardRouter as it was before its fold trusted an unchanged replica:
+// every fold reads the read replica's committed prefix through Client
+// and compares the fold with all of it. The oracle of the
+// differential tests below. It also counts the folds that found the
+// read replica lagging and the refolds that rewrote a fold the same
+// replica had been in sync with, so each test can show its case occurs.
+class AlwaysCompareRouter {
+ public:
+  explicit AlwaysCompareRouter(ShardedService& service)
+      : service_(&service), folds_(service.shardCount()) {}
+
+  std::size_t put(std::uint64_t key, std::uint64_t value) {
+    const std::size_t s = service_->ownerOf(key);
+    Client c = service_->shard(s).client(service_->readReplicaOf(s));
+    const MsgId id = c.put(key, value);
+    RouterOp op;
+    op.kind = RouterOp::Kind::kPut;
+    op.key = key;
+    op.value = value;
+    op.time = service_->now() + 1;
+    op.shard = s;
+    ops_.push_back(op);
+    folds_[s].pending.emplace(id, ops_.size() - 1);
+    return ops_.size() - 1;
+  }
+
+  std::optional<std::uint64_t> get(std::uint64_t key) {
+    const std::size_t s = service_->ownerOf(key);
+    foldShard(s);
+    const FoldState& f = folds_[s];
+    RouterOp op;
+    op.kind = RouterOp::Kind::kGet;
+    op.key = key;
+    op.time = service_->now();
+    op.shard = s;
+    const auto it = f.kv.find(key);
+    if (it != f.kv.end()) {
+      op.hasValue = true;
+      op.value = it->second.first;
+      op.version = it->second.second;
+    }
+    ops_.push_back(op);
+    return op.hasValue ? std::optional<std::uint64_t>(op.value) : std::nullopt;
+  }
+
+  void poll() {
+    for (std::size_t s = 0; s < folds_.size(); ++s) foldShard(s);
+  }
+
+  const std::vector<RouterOp>& ops() const { return ops_; }
+  std::uint64_t refolds() const { return refolds_; }
+  std::uint64_t laggingFolds() const { return laggingFolds_; }
+  std::uint64_t inSyncRewrites() const { return inSyncRewrites_; }
+
+ private:
+  struct FoldState {
+    std::vector<MsgId> folded;
+    /// key → (value, version)
+    std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> kv;
+    std::unordered_map<MsgId, std::size_t> pending;
+    ProcessId replica = kNoProcess;
+    bool inSync = false;
+  };
+
+  void foldShard(std::size_t s) {
+    if (service_->correctReplicasOf(s) == 0) return;
+    FoldState& f = folds_[s];
+    const ProcessId replica = service_->readReplicaOf(s);
+    const bool wasInSync = f.inSync && replica == f.replica;
+    f.replica = replica;
+    Client c = service_->shard(s).client(replica);
+    const std::vector<MsgId>& prefix = c.committedPrefix();
+    std::size_t from = f.folded.size();
+    const std::size_t common = std::min(prefix.size(), from);
+    f.inSync = prefix.size() >= from;
+    if (!std::equal(prefix.begin(), prefix.begin() + static_cast<std::ptrdiff_t>(common),
+                    f.folded.begin())) {
+      f.kv.clear();
+      f.folded.clear();
+      ++refolds_;
+      if (wasInSync) ++inSyncRewrites_;
+      f.inSync = true;
+      from = 0;
+    } else if (prefix.size() <= from) {
+      if (prefix.size() < from) ++laggingFolds_;
+      return;
+    }
+    for (std::size_t i = from; i < prefix.size(); ++i) {
+      const AppMsg* command = service_->orderingOf(s, replica).findMessage(prefix[i]);
+      ASSERT_NE(command, nullptr);
+      const std::vector<std::uint64_t>& body = command->body;
+      if (body.size() == 3 && body[0] == static_cast<std::uint64_t>(SmOp::kPut)) {
+        auto& e = f.kv[body[1]];
+        e.first = body[2];
+        ++e.second;
+      }
+      const auto it = f.pending.find(prefix[i]);
+      if (it != f.pending.end()) {
+        ops_[it->second].committed = true;
+        ops_[it->second].commitTime = service_->now();
+        f.pending.erase(it);
+      }
+    }
+    f.folded.insert(f.folded.end(),
+                    prefix.begin() + static_cast<std::ptrdiff_t>(from), prefix.end());
+  }
+
+  ShardedService* service_;
+  std::vector<FoldState> folds_;
+  std::vector<RouterOp> ops_;
+  std::uint64_t refolds_ = 0;
+  std::uint64_t laggingFolds_ = 0;
+  std::uint64_t inSyncRewrites_ = 0;
+};
+
+void expectSameRouting(const ShardRouter& router, const AlwaysCompareRouter& reference) {
+  expectSameOps(router.ops(), reference.ops());
+  EXPECT_EQ(router.refolds(), reference.refolds());
+}
+
+/// The kv-fault-s4-lossy shape of perfbench (perfbench/src/kv_workload.cpp):
+/// four commit-eTOB shards over 10% i.i.d. loss under a stable Omega.
+ShardedSpec kvFaultSpec() {
+  ShardedSpec spec = smallSpec(4);
+  spec.config.maxTime = 100'000'000;
+  spec.config.keepDeliverySnapshots = false;
+  spec.network = [](std::size_t, const SimConfig& c) -> std::shared_ptr<const NetworkModel> {
+    return std::make_shared<IidLossModel>(
+        std::make_shared<UniformDelayModel>(c.minDelay, c.maxDelay),
+        IidLossModel::Config{1, 10, 0});
+  };
+  return spec;
+}
+
+/// perfbench's kv-fault-s4-lossy repetition at workload seed `seed`: every
+/// 10 ticks four puts, each followed by a get, then a poll; shard 0's
+/// leader (replica 0) crashes once half the puts are sent, and shard 1
+/// loses its quorum at three quarters; a put unresolved 2000 ticks after
+/// its last attempt is sent again; then a settle window of 20000 ticks.
+template <typename Router>
+void driveKvFault(ShardedService& svc, Router& router, std::uint64_t seed) {
+  constexpr std::size_t kPuts = 2048;
+  UniformKeyGenerator putGen(4096, splitmix64(seed ^ 0x7075744b657973ULL));
+  UniformKeyGenerator getGen(4096, splitmix64(seed ^ 0x6765744b657973ULL));
+  std::vector<std::uint64_t> putKeys(kPuts);
+  for (std::uint64_t& key : putKeys) key = putGen.next();
+  std::vector<std::vector<std::size_t>> attempts(kPuts);
+  std::vector<Time> lastSent(kPuts, 0);
+  std::vector<std::size_t> open;
+  const auto put = [&](std::size_t logical) {
+    const std::uint64_t value =
+        (static_cast<std::uint64_t>(attempts[logical].size()) << 32) | (logical + 1);
+    attempts[logical].push_back(router.put(putKeys[logical], value));
+    lastSent[logical] = svc.now();
+  };
+  const auto sweep = [&](Time now) {
+    std::size_t keep = 0;
+    for (const std::size_t logical : open) {
+      const bool resolved = std::any_of(
+          attempts[logical].begin(), attempts[logical].end(),
+          [&router](std::size_t op) { return router.ops()[op].committed; });
+      if (resolved) continue;
+      if (now - lastSent[logical] >= 2000) put(logical);
+      open[keep++] = logical;
+    }
+    open.resize(keep);
+  };
+  Time t = 0;
+  std::size_t next = 0;
+  bool leaderCrashed = false;
+  bool quorumLost = false;
+  while (next < kPuts) {
+    if (!leaderCrashed && next >= kPuts / 2) {
+      svc.crashReplica(0, 0, svc.now());
+      leaderCrashed = true;
+    }
+    if (!quorumLost && next >= 3 * kPuts / 4) {
+      svc.crashReplica(1, 1, svc.now());
+      svc.crashReplica(1, 2, svc.now());
+      quorumLost = true;
+    }
+    t += 10;
+    svc.advanceTo(t);
+    for (std::size_t j = 0; j < svc.shardCount() && next < kPuts; ++j) {
+      open.push_back(next);
+      put(next++);
+      router.get(getGen.next());
+    }
+    router.poll();
+    sweep(t);
+  }
+  const Time settleEnd = t + 20000;
+  while (!open.empty() && t < settleEnd) {
+    t += 10;
+    svc.advanceTo(t);
+    router.poll();
+    sweep(t);
+  }
+}
+
+TEST(ShardedKv, FoldMatchesAlwaysCompareAcrossALaggingReadReplica) {
+  // At these workload seeds the crash of shard 0's leader moves reads to
+  // a follower whose committed prefix lags the fold: the shape in which
+  // a fold once went backwards. The O(1) check must fall back to the
+  // compare there and keep serving the fold.
+  for (const std::uint64_t seed : {3ULL, 7ULL}) {
+    ShardedService a(kvFaultSpec(), 1);
+    ShardedService b(kvFaultSpec(), 1);
+    ShardRouter router(a);
+    AlwaysCompareRouter reference(b);
+    driveKvFault(a, router, seed);
+    driveKvFault(b, reference, seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expectSameRouting(router, reference);
+    EXPECT_GT(reference.laggingFolds(), 0u);
+    EXPECT_EQ(a.rebalances(), 1u);
+    const ShardedKvReport report = checkShardedKvRun(router.ops());
+    EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
+  }
+}
+
+/// Zipfian puts and gets on a 10-tick cadence with a poll per tick.
+/// `fault(tick)` runs before each tick's ops; a settle window and a read
+/// of every key follow.
+template <typename Router, typename Fault>
+void driveZipf(ShardedService& svc, Router& router, std::uint64_t ticks, Fault fault) {
+  ZipfianKeyGenerator putKeys(64, 0.99, 21);
+  ZipfianKeyGenerator getKeys(64, 0.99, 22);
+  for (std::uint64_t i = 0; i < ticks; ++i) {
+    fault(i);
+    svc.advanceBy(10);
+    router.put(putKeys.next(), i + 1);
+    for (int g = 0; g < 3; ++g) router.get(getKeys.next());
+    router.poll();
+  }
+  for (int t = 0; t < 200; ++t) {
+    svc.advanceBy(10);
+    router.poll();
+  }
+  for (std::uint64_t k = 0; k < 64; ++k) router.get(k);
+}
+
+TEST(ShardedKv, FoldMatchesAlwaysCompareThroughQuorumLossAndRebalance) {
+  // Shard 1 loses its quorum and leaves the ring, so its keys re-home to
+  // folds that never saw them; later shard 2's read replica crashes and
+  // reads move to a follower.
+  const auto faults = [](ShardedService& svc) {
+    return [&svc](std::uint64_t tick) {
+      if (tick == 32) {
+        svc.crashReplica(1, 1, svc.now());
+        svc.crashReplica(1, 2, svc.now());
+      }
+      if (tick == 64) svc.crashReplica(2, 0, svc.now());
+    };
+  };
+  ShardedService a(smallSpec(4), 5);
+  ShardedService b(smallSpec(4), 5);
+  ShardRouter router(a);
+  AlwaysCompareRouter reference(b);
+  driveZipf(a, router, 128, faults(a));
+  driveZipf(b, reference, 128, faults(b));
+  expectSameRouting(router, reference);
+  EXPECT_EQ(a.rebalances(), 1u);
+  EXPECT_EQ(a.readReplicaOf(2), 1u);
+  EXPECT_EQ(router.pendingPuts(), 0u);
+  const ShardedKvReport report = checkShardedKvRun(router.ops());
+  EXPECT_TRUE(report.ok()) << (report.errors.empty() ? "" : report.errors[0]);
+  EXPECT_GT(report.successfulGets, 0u);
+}
+
+/// Outside the §7 proviso: Omega rotates over one shard's three replicas
+/// until t = 1000, and every replica takes writes, so two leaders can
+/// commit conflicting prefixes.
+ShardedSpec conflictingSpec() {
+  ShardedSpec spec = smallSpec(1);
+  spec.config.maxTime = 100'000;
+  spec.tauOmega = 1000;
+  spec.omegaMode = OmegaPreStabilization::kRotating;
+  return spec;
+}
+
+bool isPrefixOf(const std::vector<MsgId>& a, const std::vector<MsgId>& b) {
+  return a.size() <= b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+/// Replicas 0 and 1 of the conflicting shard when replica 0 crashes.
+struct AtCrash {
+  std::vector<MsgId> prefix0;
+  std::vector<MsgId> prefix1;
+  std::uint64_t conflicts0 = 0;
+  std::uint64_t conflicts1 = 0;
+};
+
+/// 200 ticks of a router put, a write at each other replica (outside the
+/// router's op log), a get and a poll. Replica 0 crashes after tick
+/// `crashAfter`, if the run gets there, and the router reads every key
+/// at once, so its first fold from replica 1 meets the state returned.
+template <typename Router>
+AtCrash driveConflicting(ShardedService& svc, Router& router, std::uint64_t keySeed,
+                         std::uint64_t crashAfter) {
+  UniformKeyGenerator keys(16, keySeed);
+  AtCrash at;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    svc.advanceBy(10);
+    router.put(keys.next(), i + 1);
+    for (ProcessId p = 1; p < 3; ++p) {
+      svc.shard(0).client(p).put(keys.next(), 1'000'000 * p + i);
+    }
+    router.get(keys.next());
+    router.poll();
+    if (i == crashAfter) {
+      const CommitEtobAutomaton& r0 = svc.orderingOf(0, 0);
+      const CommitEtobAutomaton& r1 = svc.orderingOf(0, 1);
+      at = {r0.committedPrefix(), r1.committedPrefix(), r0.commitConflicts(),
+            r1.commitConflicts()};
+      svc.crashReplica(0, 0, svc.now());
+      for (std::uint64_t k = 0; k < 16; ++k) router.get(k);
+    }
+  }
+  return at;
+}
+
+TEST(ShardedKv, FoldMatchesAlwaysCompareWhenAStrengthJoinRewritesAnInSyncPrefix) {
+  // A strength join replaces the committed prefix of the read replica the
+  // fold was in sync with. Only its commitConflicts() tells the router;
+  // this seed is pinned because the join happens.
+  ShardedService a(conflictingSpec(), 2);
+  ShardedService b(conflictingSpec(), 2);
+  ShardRouter router(a);
+  AlwaysCompareRouter reference(b);
+  driveConflicting(a, router, 2, 200);
+  driveConflicting(b, reference, 2, 200);
+  EXPECT_GT(reference.inSyncRewrites(), 0u);
+  EXPECT_GT(router.refolds(), 0u);
+  expectSameRouting(router, reference);
+}
+
+TEST(ShardedKv, FoldMatchesAlwaysCompareWhenReadsMoveToADivergedReplica) {
+  // At this seed and tick replica 1 holds a committed prefix that
+  // conflicts with replica 0's, at an equal conflict count, when replica
+  // 0 crashes and reads move to replica 1. Conflict counts of different
+  // replicas say nothing about each other, so the switch alone must force
+  // the compare.
+  ShardedService a(conflictingSpec(), 29);
+  ShardedService b(conflictingSpec(), 29);
+  ShardRouter router(a);
+  AlwaysCompareRouter reference(b);
+  const AtCrash at = driveConflicting(a, router, 29, 73);
+  driveConflicting(b, reference, 29, 73);
+  EXPECT_FALSE(isPrefixOf(at.prefix0, at.prefix1));
+  EXPECT_FALSE(isPrefixOf(at.prefix1, at.prefix0));
+  EXPECT_EQ(at.conflicts0, at.conflicts1);
+  EXPECT_EQ(a.readReplicaOf(0), 1u);
+  expectSameRouting(router, reference);
+}
+
+TEST(ShardedKv, FoldMatchesAlwaysCompareWhenALaggingReplicaDiverges) {
+  // Three ticks earlier in the same run, replica 1's committed prefix is
+  // a strict prefix of replica 0's when replica 0 crashes, so reads move
+  // to a replica that lags the fold. It then commits past the fold's
+  // length in another order. The switch forces one compare, which finds
+  // nothing wrong; only comparing on every fold while the replica lags
+  // finds the rewrite.
+  ShardedService a(conflictingSpec(), 29);
+  ShardedService b(conflictingSpec(), 29);
+  ShardRouter router(a);
+  AlwaysCompareRouter reference(b);
+  const AtCrash at = driveConflicting(a, router, 29, 70);
+  driveConflicting(b, reference, 29, 70);
+  EXPECT_LT(at.prefix1.size(), at.prefix0.size());
+  EXPECT_TRUE(isPrefixOf(at.prefix1, at.prefix0));
+  const std::vector<MsgId>& later = a.orderingOf(0, 1).committedPrefix();
+  EXPECT_GT(later.size(), at.prefix0.size());
+  EXPECT_FALSE(isPrefixOf(at.prefix0, later));
+  EXPECT_GT(reference.laggingFolds(), 0u);
+  expectSameRouting(router, reference);
 }
 
 // --- Checker mutations ------------------------------------------------------
