@@ -5,9 +5,11 @@
 # falls on both sides alike. For every end-to-end metric of the result
 # line it prints each side's quartiles, median and runs, how many pairs
 # the change won (by the metric's `better` direction in CHANGE_DIR's
-# BENCHMARK.json) and every pair's change/parent ratio, then the failed
-# and attempted operations of both sides. Quartiles interpolate
-# linearly between the sorted runs.
+# BENCHMARK.json) and every pair's change/parent ratio, then each side's
+# repetition counts (perfbench keeps every repetition's outcome, so a
+# `peak_rss_mb` move splits into that retention and live memory), then
+# the failed and attempted operations of both sides. Quartiles
+# interpolate linearly between the sorted runs.
 #
 # Usage: scripts/perfbench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD
 #            [--pairs N] [--seconds S] [--seed K]
@@ -21,8 +23,9 @@
 # Each side is built by its own perfbench/run.py into its own target
 # directory: $CARGO_TARGET_DIR/pairs-parent and .../pairs-change when
 # CARGO_TARGET_DIR is set (kept for the next call), else a temporary
-# directory removed at exit. Only run.py's result line (its last line) is
-# read. Exits 1 if a build or a run fails.
+# directory removed at exit. Of run.py's output only the result line (its
+# last line) and the `repetitions N` line are read. Exits 1 if a build or
+# a run fails.
 set -euo pipefail
 
 usage() {
@@ -59,7 +62,8 @@ trap 'rm -rf "$tmpdir"' EXIT
 target_root="${CARGO_TARGET_DIR:-$tmpdir}"
 case "$target_root" in /*) ;; *) target_root="$PWD/$target_root" ;; esac
 
-# run_side SIDE DIR: one run; appends the result line to $tmpdir/SIDE.jsonl.
+# run_side SIDE DIR: one run; appends the result line to $tmpdir/SIDE.jsonl
+# and the repetition count (? if the run printed none) to $tmpdir/SIDE.reps.
 run_side() {
   local side="$1" dir="$2"
   local args=(--workload "$workload" --seconds "$seconds" --trace 0)
@@ -72,6 +76,9 @@ run_side() {
     exit 1
   fi
   tail -n 1 "$tmpdir/run.out" >> "$tmpdir/$side.jsonl"
+  local reps
+  reps="$(sed -n 's/^repetitions \([0-9][0-9]*\).*/\1/p' "$tmpdir/run.out" | tail -n 1)"
+  echo "${reps:-?}" >> "$tmpdir/$side.reps"
 }
 
 for ((i = 1; i <= pairs; i++)); do
@@ -86,12 +93,14 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 python3 - "$tmpdir/parent.jsonl" "$tmpdir/change.jsonl" \
-    "$change_dir/BENCHMARK.json" "$workload" "$pairs" "$seconds" "${seed:-default}" <<'EOF'
+    "$change_dir/BENCHMARK.json" "$workload" "$pairs" "$seconds" "${seed:-default}" \
+    "$tmpdir/parent.reps" "$tmpdir/change.reps" <<'EOF'
 import json
 import statistics
 import sys
 
-parent_path, change_path, bench_path, workload, pairs, seconds, seed = sys.argv[1:]
+(parent_path, change_path, bench_path, workload, pairs, seconds, seed,
+ parent_reps_path, change_reps_path) = sys.argv[1:]
 parent = [json.loads(line) for line in open(parent_path)]
 change = [json.loads(line) for line in open(change_path)]
 better = {m["name"]: m["better"] for m in json.load(open(bench_path))["end_to_end"]}
@@ -124,6 +133,12 @@ for name in parent[0]["metrics"]:
     won = "n/a" if wins is None else "%d/%d" % (wins, len(ratios))
     print("%-12s wins (change %s): %s; ratios change/parent: %s" % (
         name, direction or "?", won, " ".join("%.3f" % r for r in ratios)))
+for side, path in (("parent", parent_reps_path), ("change", change_reps_path)):
+    reps = [line.strip() for line in open(path)]
+    known = [int(r) for r in reps if r.isdigit()]
+    median = "%g" % statistics.median(known) if known else "?"
+    print("%-12s %-7s %12s %12s %12s   runs: %s" % (
+        "repetitions", side, "", median, "", " ".join(reps)))
 for side, rows in (("parent", parent), ("change", change)):
     print("%-7s failed %d of %d attempted; incorrect runs %d" % (
         side, sum(r["failed"] for r in rows), sum(r["attempted"] for r in rows),

@@ -23,12 +23,7 @@ namespace wfd {
 /// Incremental FNV-1a over 64-bit words (each word folded byte-by-byte).
 class TraceHasher {
  public:
-  void mix(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      state_ ^= (word >> (8 * i)) & 0xffu;
-      state_ *= kFnv64Prime;
-    }
-  }
+  void mix(std::uint64_t word) { state_ = fnv1a64Word(state_, word); }
 
   std::uint64_t digest() const { return state_; }
 

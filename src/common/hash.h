@@ -27,18 +27,25 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-/// FNV-1a over a sequence of 64-bit words, each folded byte-by-byte
-/// (little-endian) — the same word mixing checkers/trace_digest.h uses,
-/// exposed for callers that hash a handful of fixed words (the
-/// consistent-hash ring's point and key positions in shard/hash_ring.h).
+/// Folds one 64-bit word into the FNV-1a state h byte-by-byte
+/// (little-endian) — the word mixing fnv1a64Words and TraceHasher
+/// (checkers/trace_digest.h) share. A caller that hashes words behind a
+/// fixed prefix keeps the state after the prefix and folds only the rest
+/// (shard/hash_ring.h's key position).
+inline std::uint64_t fnv1a64Word(std::uint64_t h, std::uint64_t w) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (w >> (8 * i)) & 0xffu;
+    h *= kFnv64Prime;
+  }
+  return h;
+}
+
+/// FNV-1a over a sequence of 64-bit words, each folded by fnv1a64Word —
+/// for callers that hash a handful of fixed words (the consistent-hash
+/// ring's point and key positions in shard/hash_ring.h).
 inline std::uint64_t fnv1a64Words(std::initializer_list<std::uint64_t> words) {
   std::uint64_t h = kFnv64OffsetBasis;
-  for (std::uint64_t w : words) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (w >> (8 * i)) & 0xffu;
-      h *= kFnv64Prime;
-    }
-  }
+  for (std::uint64_t w : words) h = fnv1a64Word(h, w);
   return h;
 }
 

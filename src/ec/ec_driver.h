@@ -89,7 +89,7 @@ class ProposalDriverAutomaton final
         fx.send(m.to, m.payload, m.weight);
       }
     }
-    if (cfx.delivered().has_value()) fx.deliverSequence(*cfx.delivered());
+    if (const std::vector<MsgId>* d = cfx.delivered()) fx.deliverSequence(*d);
     for (const Payload& out : cfx.outputs()) {
       fx.output(out);
       const auto* decision = out.as<Decision>();

@@ -175,6 +175,9 @@ void EtobCore::rebase(const std::vector<AppMsg>& prefix,
 }
 
 void EtobCore::deliver(const std::vector<MsgId>& seq, Effects& fx) {
+  // An unchanged d_i is no output: the trace drops it and a replica's
+  // machine folds nothing from it, so the step sets none.
+  if (seq == d_) return;
   d_ = seq;
   fx.deliverSequence(d_);
 }

@@ -155,7 +155,7 @@ class EtobCore {
   /// extended with everything promotable; the next promote is a full
   /// snapshot.
   void rebase(const std::vector<AppMsg>& prefix, const std::vector<MsgId>& ids);
-  /// d_i := seq.
+  /// d_i := seq; an unchanged seq sets no d_i in fx.
   void deliver(const std::vector<MsgId>& seq, Effects& fx);
 
   /// Content from CG_i or from a received promote; nullptr if unknown.

@@ -56,7 +56,7 @@ class ReplicaAutomaton final
   /// The step began with empty Effects (sim/automaton.h), so a d_i in
   /// them is the one the ordering layer just set.
   void fold(const Effects& fx) {
-    if (fx.delivered().has_value()) syncMachine(*fx.delivered());
+    if (const std::vector<MsgId>* d = fx.delivered()) syncMachine(*d);
   }
 
   void syncMachine(const std::vector<MsgId>& seq) {

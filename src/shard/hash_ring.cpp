@@ -21,7 +21,8 @@ constexpr std::uint64_t kKeyTag = 0x6b6579ULL;        // "key"
 ConsistentHashRing::ConsistentHashRing() : ConsistentHashRing(Config{}) {}
 
 ConsistentHashRing::ConsistentHashRing(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      keyState_(fnv1a64Words({kKeyTag, config_.seed})) {
   WFD_ENSURE_MSG(config_.virtualNodes > 0,
                  "a ring needs at least one point per node");
 }
@@ -85,7 +86,8 @@ bool ConsistentHashRing::contains(std::uint32_t node) const {
 }
 
 std::uint64_t ConsistentHashRing::keyPosition(std::uint64_t key) const {
-  return splitmix64(fnv1a64Words({kKeyTag, config_.seed, key}));
+  // fnv1a64Words({kKeyTag, seed, key}), resumed after its constant prefix.
+  return splitmix64(fnv1a64Word(keyState_, key));
 }
 
 std::uint32_t ConsistentHashRing::ownerOf(std::uint64_t key) const {

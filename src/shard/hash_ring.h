@@ -64,7 +64,10 @@ class ConsistentHashRing {
   /// Total ring points (nodeCount() * virtualNodes).
   std::size_t pointCount() const { return points_.size(); }
 
-  /// Position of `key` on the ring (FNV-1a of {seed, key}).
+  /// Position of `key` on the ring (FNV-1a of {key tag, seed, key},
+  /// splitmix64-finalized). The FNV state after the tag and the seed is
+  /// computed once, at construction, so a lookup folds only the key's
+  /// eight bytes.
   std::uint64_t keyPosition(std::uint64_t key) const;
 
   /// Owner of `key`: the node of the first ring point clockwise of
@@ -88,6 +91,9 @@ class ConsistentHashRing {
   std::size_t firstPointAfter(std::uint64_t pos) const;
 
   Config config_;
+  /// FNV-1a state after the key tag and config_.seed — keyPosition's
+  /// constant prefix.
+  std::uint64_t keyState_;
   std::vector<Point> points_;
   std::vector<std::uint32_t> nodes_;
   /// buckets_[b]: index of the first point at or past position

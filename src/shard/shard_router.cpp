@@ -21,7 +21,7 @@ std::size_t ShardRouter::put(std::uint64_t key, std::uint64_t value) {
   op.key = key;
   op.value = value;
   op.time = service_->now() + 1;
-  op.shard = s;
+  op.shard = static_cast<std::uint32_t>(s);
   ops_.push_back(op);
   folds_[s].pending.emplace(id, ops_.size() - 1);
   return ops_.size() - 1;
@@ -35,7 +35,7 @@ std::optional<std::uint64_t> ShardRouter::get(std::uint64_t key) {
   op.kind = RouterOp::Kind::kGet;
   op.key = key;
   op.time = service_->now();
-  op.shard = s;
+  op.shard = static_cast<std::uint32_t>(s);
   const auto it = f.kv.find(key);
   if (it != f.kv.end()) {
     op.hasValue = true;

@@ -52,30 +52,36 @@
 
 namespace wfd {
 
-/// One routed client operation, as the checker sees it.
+/// One routed client operation, as the checker sees it. The five 64-bit
+/// fields come first and the shard index is 32 bits (the ring names
+/// shards by std::uint32_t), so the three one-byte fields pack into the
+/// tail: 48 bytes an op. The op log holds one per routed put and get, so
+/// on a read-heavy run it is the router's largest block.
 struct RouterOp {
   enum class Kind : std::uint8_t { kPut, kGet };
 
-  Kind kind = Kind::kPut;
   std::uint64_t key = 0;
   /// kPut: the written value. kGet: the observed value (valid when
   /// hasValue).
   std::uint64_t value = 0;
-  bool hasValue = false;
   /// Service clock when the op was issued.
   Time time = 0;
-  /// Shard the op was routed to (ring owner at issue time).
-  std::size_t shard = 0;
-  /// kPut: a later poll() saw this write in the shard's committed
-  /// prefix, at service time commitTime.
-  bool committed = false;
+  /// kPut: service time at which a later poll() saw this write in the
+  /// shard's committed prefix (valid when committed).
   Time commitTime = 0;
   /// kGet: number of put commands the fold had applied to this key on
   /// this shard when the read was served (0 = key unseen). Per
   /// (key, shard) this is non-decreasing across the log — the monotone
   /// clause of the checker.
   std::uint64_t version = 0;
+  /// Shard the op was routed to (ring owner at issue time).
+  std::uint32_t shard = 0;
+  Kind kind = Kind::kPut;
+  bool hasValue = false;
+  /// kPut: a poll() has seen this write committed, at commitTime.
+  bool committed = false;
 };
+static_assert(sizeof(RouterOp) == 48, "RouterOp packs into 48 bytes");
 
 class ShardRouter {
  public:

@@ -16,11 +16,19 @@
 // first rank the draw can map to, and a short forward scan finds it. It
 // returns exactly the rank a binary search over the CDF returns, so the
 // key streams are the ones the pins were taken with.
+//
+// The CDF and the guide table depend only on (items, theta), cost one
+// std::pow per rank to build, and never change, so generators of one
+// shape share them: a process-wide memo (mutex-guarded, since campaign
+// workers may build generators concurrently) builds each shape's table
+// once and hands every later generator of that shape the same immutable
+// block. A process keeps one table per distinct shape it asked for;
+// the workloads here use a handful.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/ensure.h"
@@ -57,28 +65,7 @@ class UniformKeyGenerator {
 class ZipfianKeyGenerator {
  public:
   ZipfianKeyGenerator(std::uint64_t items, double theta, std::uint64_t seed)
-      : seed_(seed) {
-    WFD_ENSURE_MSG(items > 0, "empty key space");
-    WFD_ENSURE_MSG(theta > 0.0 && theta < 1.0,
-                   "theta in (0,1) — 1 needs the harmonic special case");
-    cdf_.reserve(items);
-    double sum = 0.0;
-    for (std::uint64_t r = 0; r < items; ++r) {
-      sum += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-      cdf_.push_back(sum);
-    }
-    for (double& c : cdf_) c /= sum;
-    // guide_[b] is the first rank whose CDF exceeds b / 2^kGuideBits,
-    // clamped to the last rank. The CDF is non-decreasing (a running sum
-    // divided by its total), so one forward pass fills the table.
-    guide_.resize(std::size_t{1} << kGuideBits);
-    std::uint64_t r = 0;
-    for (std::size_t b = 0; b < guide_.size(); ++b) {
-      const double edge = std::ldexp(static_cast<double>(b), -kGuideBits);
-      while (r + 1 < items && cdf_[r] <= edge) ++r;
-      guide_[b] = r;
-    }
-  }
+      : table_(tableFor(items, theta)), seed_(seed) {}
 
   std::uint64_t next() {
     return rankOf(splitmix64(seed_ ^ (0x7a697066ULL + counter_++)));  // "zipf"
@@ -90,17 +77,29 @@ class ZipfianKeyGenerator {
     // 53 mantissa bits -> u in [0, 1). The top kGuideBits bits of z are
     // exactly floor(u * 2^kGuideBits), u's guide entry, and u is at
     // least that entry's edge, so the answer is at or after its rank.
+    const std::vector<double>& cdf = table_->cdf;
     const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    std::uint64_t r = guide_[z >> (64 - kGuideBits)];
-    while (r + 1 < cdf_.size() && cdf_[r] <= u) ++r;
+    std::uint64_t r = table_->guide[z >> (64 - kGuideBits)];
+    while (r + 1 < cdf.size() && cdf[r] <= u) ++r;
     return r;
   }
 
  private:
   static constexpr int kGuideBits = 12;
 
-  std::vector<double> cdf_;
-  std::vector<std::uint64_t> guide_;
+  /// The normalized CDF (cdf[r] = P(rank <= r)) and guide table of one
+  /// (items, theta) shape; guide[b] is the first rank whose CDF exceeds
+  /// b / 2^kGuideBits, clamped to the last rank.
+  struct Table {
+    std::vector<double> cdf;
+    std::vector<std::uint64_t> guide;
+  };
+
+  /// The shared table of (items, theta), built on first request
+  /// (shard/zipf.cpp). Rejects an empty key space and theta outside (0, 1).
+  static std::shared_ptr<const Table> tableFor(std::uint64_t items, double theta);
+
+  std::shared_ptr<const Table> table_;
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
 };

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -63,25 +62,36 @@ class Effects {
 
   /// Overwrites the process's delivery-sequence output variable d_i.
   /// ETOB semantics allow rewriting (messages delivered but not yet
-  /// stably delivered may disappear or move).
-  void deliverSequence(std::vector<MsgId> seq) { delivered_ = std::move(seq); }
+  /// stably delivered may disappear or move). The copy reuses the room
+  /// an earlier step's d_i left, so a reused Effects (the simulator's
+  /// scratch) stops allocating once it has held the longest d_i.
+  void deliverSequence(const std::vector<MsgId>& seq) {
+    delivered_ = seq;
+    hasDelivered_ = true;
+  }
 
   /// Introspection — used by the simulator, by composing automata
   /// (transformations embed sub-protocols) and by the CHT simulator.
   const std::vector<OutboundMsg>& sends() const { return sends_; }
   const std::vector<Payload>& outputs() const { return outputs_; }
-  const std::optional<std::vector<MsgId>>& delivered() const { return delivered_; }
+  /// The d_i this step set, or null when it set none.
+  const std::vector<MsgId>* delivered() const {
+    return hasDelivered_ ? &delivered_ : nullptr;
+  }
 
+  /// Empties the collector for the next step; every buffer keeps its
+  /// capacity.
   void clear() {
     sends_.clear();
     outputs_.clear();
-    delivered_.reset();
+    hasDelivered_ = false;
   }
 
  private:
   std::vector<OutboundMsg> sends_;
   std::vector<Payload> outputs_;
-  std::optional<std::vector<MsgId>> delivered_;
+  std::vector<MsgId> delivered_;
+  bool hasDelivered_ = false;
 };
 
 /// Deterministic automaton A(p). Implementations must hold value-semantic

@@ -24,11 +24,6 @@ void FailurePattern::setCrash(ProcessId p, Time t) {
   crashTimes_[p] = t;
 }
 
-bool FailurePattern::faulty(ProcessId p) const {
-  WFD_ENSURE(p < crashTimes_.size());
-  return crashTimes_[p] != kNever;
-}
-
 Time FailurePattern::crashTime(ProcessId p) const {
   WFD_ENSURE(p < crashTimes_.size());
   return crashTimes_[p];

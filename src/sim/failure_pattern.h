@@ -41,7 +41,10 @@ class FailurePattern {
   }
 
   /// True iff p ∈ faulty(F).
-  bool faulty(ProcessId p) const;
+  bool faulty(ProcessId p) const {
+    WFD_ENSURE(p < crashTimes_.size());
+    return crashTimes_[p] != kNever;
+  }
 
   /// True iff p ∈ correct(F).
   bool correct(ProcessId p) const { return !faulty(p); }

@@ -334,12 +334,12 @@ void Simulator::applyEffects(ProcessId self, Effects& fx) {
   // CommittedPrefix indication emitted after aligning d_i) describe the
   // post-update state. Checkers that order records within a timestamp
   // (commit_checker via OutputEvent::order) rely on this.
-  if (fx.delivered().has_value()) {
+  if (const std::vector<MsgId>* d = fx.delivered()) {
     // The hook fires only on actual changes — the same notion of "d_i
     // changed" the trace snapshots use, so observer streams and snapshot
     // histories line up one to one.
-    if (trace_.recordDelivered(self, now_, *fx.delivered()) && deliveryHook_) {
-      deliveryHook_(self, now_, *fx.delivered());
+    if (trace_.recordDelivered(self, now_, *d) && deliveryHook_) {
+      deliveryHook_(self, now_, *d);
     }
   }
   for (const Payload& out : fx.outputs()) {

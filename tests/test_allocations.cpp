@@ -17,6 +17,8 @@
 #include "checkers/workload.h"
 #include "etob/etob_automaton.h"
 #include "fd/detectors.h"
+#include "shard/zipf.h"
+#include "sim/automaton.h"
 #include "sim/payload.h"
 #include "sim/simulator.h"
 #include "tob/tob_via_consensus.h"
@@ -111,6 +113,37 @@ TEST(AllocationTest, ParkingARefreshDeltaWithSpareCapacityAllocatesNothing) {
   EXPECT_EQ(chain.pending[0].epoch, 6u);
   EXPECT_EQ(chain.pending[1].epoch, 7u);
   EXPECT_EQ(chain.ids, std::vector<MsgId>{makeMsgId(0, 0)});
+}
+
+TEST(AllocationTest, SecondZipfianGeneratorOfABuiltShapeAllocatesNothing) {
+  // The first generator of a shape builds its CDF and guide table; every
+  // later one, whatever its seed, shares them.
+  ZipfianKeyGenerator first(4096, 0.99, 1);
+  const NewCounter news;
+  ZipfianKeyGenerator second(4096, 0.99, 2);
+  ZipfianKeyGenerator again(4096, 0.99, 1);
+  const std::size_t blocks = news.count();
+  EXPECT_EQ(blocks, 0u) << "a generator of a built shape rebuilt its table";
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(first.next(), again.next()) << "draw " << i;
+  EXPECT_LT(second.next(), 4096u);
+}
+
+TEST(AllocationTest, EffectsTakesANewDeliverySequenceInTheRoomOfALongerOne) {
+  // The simulator reuses one Effects for every step: once it has carried
+  // a d_i, clear() keeps the room and a shorter or equal d_i fits in it.
+  Effects fx;
+  std::vector<MsgId> longer;
+  for (std::uint32_t i = 0; i < 64; ++i) longer.push_back(makeMsgId(0, i));
+  fx.deliverSequence(longer);
+  fx.clear();
+  ASSERT_EQ(fx.delivered(), nullptr);
+  const std::vector<MsgId> shorter(longer.begin(), longer.begin() + 40);
+  const NewCounter news;
+  fx.deliverSequence(shorter);
+  const std::size_t blocks = news.count();
+  EXPECT_EQ(blocks, 0u) << "a new d_i took a heap block";
+  ASSERT_NE(fx.delivered(), nullptr);
+  EXPECT_EQ(*fx.delivered(), shorter);
 }
 
 TEST(AllocationTest, IdleTobLeaderLambdaStepAllocatesNothing) {

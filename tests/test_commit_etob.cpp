@@ -205,7 +205,7 @@ TEST(CommitEtobTest, PromoteContradictingCommitIsRefused) {
   a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m2}, 1}), refusedFx);
   EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m1.id}))
       << "a promote contradicting the committed prefix must not be adopted";
-  EXPECT_FALSE(refusedFx.delivered().has_value());
+  EXPECT_EQ(refusedFx.delivered(), nullptr);
   EXPECT_TRUE(refusedFx.sends().empty()) << "a refused promote is not acked";
 
   Effects adoptedFx;

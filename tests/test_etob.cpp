@@ -169,7 +169,7 @@ TYPED_TEST(EtobAdoptionTest, PromoteFromNonLeaderIgnored) {
   m.origin = 1;
   a.onMessage(ctx, 1, Payload::of(EtobPromoteMsg{{m}, 1}), fx);
   EXPECT_TRUE(a.delivered().empty());
-  EXPECT_FALSE(fx.delivered().has_value());
+  EXPECT_EQ(fx.delivered(), nullptr);
   // From the trusted leader it is adopted.
   a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m}, 1}), fx);
   EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m.id}));
@@ -235,7 +235,7 @@ TYPED_TEST(EtobAdoptionTest, DeltaPromoteGapBuffersUntilBaseArrives) {
   // name m1 yet.
   a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m2}, 2, 1}), fx);
   EXPECT_TRUE(a.delivered().empty()) << "incomplete chain must not adopt";
-  EXPECT_FALSE(fx.delivered().has_value());
+  EXPECT_EQ(fx.delivered(), nullptr);
   // The base arrives late; both epochs splice and the newest head wins.
   a.onMessage(ctx, 2, Payload::of(EtobPromoteMsg{{m1}, 1}), fx);
   EXPECT_EQ(a.delivered(), (std::vector<MsgId>{m1.id, m2.id}));

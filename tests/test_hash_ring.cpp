@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -191,6 +192,32 @@ TEST(HashRing, IndexedOwnerMatchesUpperBoundThroughChurn) {
   EXPECT_EQ(checks, 3u * 4u * 8u);
 }
 
+TEST(HashRing, KeyPositionMatchesParentValues) {
+  // Golden positions from the ring that hashed {kKeyTag, seed, key} in
+  // full on every lookup; resuming from the precomputed tag-and-seed state
+  // must not move a key. Every pinned ring digest rests on these.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t key;
+    std::uint64_t position;
+  };
+  constexpr std::uint64_t kTop = 1ULL << 63;
+  constexpr std::uint64_t kMaxSeed = ~0ULL;
+  const Golden golden[] = {
+      {0, 0, 0x9c6523fa87d73d9bULL},        {0, 1, 0xf5aa447a9296afaeULL},
+      {0, 4095, 0x32df54575ac16f0aULL},     {0, kTop, 0x3ff2559f9bee1a53ULL},
+      {1, 0, 0xe1126fbec6eb1b5bULL},        {1, 1, 0xb90c0596a61e01aeULL},
+      {1, 4095, 0x123762b9503e4970ULL},     {1, kTop, 0x0062b3f94785f8b3ULL},
+      {kMaxSeed, 0, 0xc899f89b6916f4c2ULL}, {kMaxSeed, 1, 0xfc27912aa0c8cfb7ULL},
+      {kMaxSeed, 4095, 0x1bf8614837320926ULL},
+      {kMaxSeed, kTop, 0x71d15c1a07a0580eULL},
+  };
+  for (const Golden& g : golden) {
+    const ConsistentHashRing ring(ConsistentHashRing::Config{64, g.seed});
+    EXPECT_EQ(ring.keyPosition(g.key), g.position) << "seed " << g.seed << " key " << g.key;
+  }
+}
+
 TEST(HashRing, MisuseIsRejected) {
   ConsistentHashRing ring = makeRing(2, 1);
   EXPECT_THROW(ring.addNode(0), InvariantError);       // re-add
@@ -295,6 +322,33 @@ TEST(KeyGenerators, GuidedZipfianMatchesBisection) {
       EXPECT_EQ(guided.rankOf(~0ULL), items - 1);
     }
   }
+}
+
+TEST(KeyGenerators, ZipfianTablesAreSharedAcrossThreads) {
+  // Campaign workers may build generators at once. Threads that race to
+  // build the same shapes (a theta no other test uses, so no table exists
+  // yet) must each draw what the bisection draws; the tsan preset runs
+  // this too.
+  constexpr int kThreads = 4;
+  constexpr double kTheta = 0.73;
+  const std::uint64_t shapes[] = {17, 300, 1000};
+  std::vector<std::vector<std::uint64_t>> draws(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&draws, &shapes, t] {
+      for (const std::uint64_t items : shapes) {
+        ZipfianKeyGenerator gen(items, kTheta, 9);
+        for (int i = 0; i < 2000; ++i) draws[t].push_back(gen.next());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::vector<std::uint64_t> expected;
+  for (const std::uint64_t items : shapes) {
+    BisectionZipfian reference(items, kTheta, 9);
+    for (int i = 0; i < 2000; ++i) expected.push_back(reference.next());
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(draws[t], expected) << "thread " << t;
 }
 
 }  // namespace
